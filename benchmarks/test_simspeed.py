@@ -4,7 +4,7 @@ Not a paper figure — this guards the heap-scheduled discrete-event kernel
 (:mod:`repro.serving.kernel`) the serving platforms run on.  A diurnal
 arrival trace (raised-cosine cycle between 200 and 2000 qps) is served by a
 32-replica TensorFlow-Serving-style fleet twice: once through the preserved
-pre-kernel rescan loop (:func:`repro.serving._seed_loops.seed_cluster_run`,
+pre-kernel rescan loop (``seed_cluster_run`` in ``tests/serving/_seed_loops.py``,
 O(replicas) bookkeeping per visited timestamp) and once through the kernel
 (O(changed replicas) per timestamp).  Both must produce bit-identical
 metrics; the kernel must simulate at least ``MIN_SPEEDUP`` times more
@@ -33,13 +33,13 @@ import os
 import time
 from pathlib import Path
 
-from repro.serving._seed_loops import seed_cluster_run
 from repro.serving.cluster import ClusterPlatform
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.arrivals import diurnal_arrivals
 from repro.workloads.difficulty import InputSample
+from tests.serving._seed_loops import seed_cluster_run
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_simspeed.json"
 

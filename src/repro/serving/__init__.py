@@ -39,13 +39,12 @@ from repro.serving.platform import (BatchExecutorFn, ReplicaState,
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.tfserve import TFServingPlatform
 from repro.serving.hf_pipelines import ContinuousBatchingEngine, GenerativeMetrics
-from repro.serving.fleet import BaseFleet, FleetState, ReplicaProfile
+from repro.serving.fleet import BaseFleet, FleetState, Replica, ReplicaProfile
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
-                                              GenerativeFleetState,
-                                              GenerativeReplicaHandle)
+                                              GenerativeFleetState)
 from repro.serving.disagg import (DisaggregatedMetrics, DisaggregatedPlatform,
-                                  PrefillFleetState, PrefillReplicaHandle)
+                                  PrefillFleetState)
 from repro.serving.autoscaler import (AUTOSCALER_NAMES, Autoscaler,
                                       FixedAutoscaler, PredictiveAutoscaler,
                                       ReactiveAutoscaler, build_autoscaler)
@@ -75,11 +74,9 @@ __all__ = [
     "GenerativeClusterPlatform",
     "GenerativeClusterMetrics",
     "GenerativeFleetState",
-    "GenerativeReplicaHandle",
     "DisaggregatedMetrics",
     "DisaggregatedPlatform",
     "PrefillFleetState",
-    "PrefillReplicaHandle",
     "BaseFleet",
     "FleetState",
     "ReplicaProfile",
@@ -96,6 +93,7 @@ __all__ = [
     "WeightedJoinShortestQueueBalancer",
     "LeastWorkLeftBalancer",
     "PowerOfTwoChoicesBalancer",
+    "Replica",
     "ReplicaHandle",
     "build_balancer",
     "BALANCER_NAMES",

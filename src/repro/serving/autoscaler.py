@@ -35,7 +35,7 @@ target the event loop applies is emitted as the ``autoscaler_target`` gauge
 (de-duplicated — one sample per *change* of target, tagged with the pool it
 sizes), and the ``fleet_size``/``active_replicas`` gauges show the fleet
 actually following it after ``provision_delay_ms`` and drains.  See
-:meth:`repro.serving.kernel.SimPlatform.scale_pool` and
+:meth:`repro.serving.pool.PoolState.scale` and
 :mod:`repro.obs`.
 """
 
@@ -91,9 +91,10 @@ class Autoscaler(abc.ABC):
     def desired_replicas(self, now_ms: float, replicas: Sequence) -> int:
         """Desired number of ACTIVE replicas given the live handles.
 
-        ``replicas`` holds the active :class:`~repro.serving.fleet.ReplicaHandle`
-        views; the cluster clamps the returned value to its replica band, so
-        policies may return any non-negative integer.
+        ``replicas`` holds the pool's active
+        :class:`~repro.serving.fleet.Replica` members (the resource view);
+        the pool clamps the returned value to its replica band, so policies
+        may return any non-negative integer.
         """
 
 
@@ -242,8 +243,8 @@ class PredictiveAutoscaler(Autoscaler):
     def _per_replica_qps(self, replicas: Sequence) -> Optional[float]:
         rates = []
         for handle in replicas:
-            full = handle.platform.max_batch_size
-            batch_ms = handle.platform.predicted_batch_time_ms(full)
+            full = handle.max_batch_size
+            batch_ms = handle.predicted_batch_time_ms(full)
             if batch_ms is None:
                 if self.service_time_ms is None:
                     continue

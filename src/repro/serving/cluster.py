@@ -64,37 +64,37 @@ Balancing policies
 
 The costing interface
 ---------------------
-Every policy costs replicas through the uniform **resource view** on
-:class:`~repro.serving.fleet.ReplicaHandle` — load signals
-(``jobs_in_system``, ``work_left_ms``), identity (``weight``, ``profile``)
-and KV-cache signals (``kv_prefix_hit_tokens``, ``kv_overflow_ms``, which
-read 0 on platforms without a cache model).  Single-signal policies derive
-from :class:`CostBalancer` and implement ``cost(view, item, now_ms)``; the
-round-robin family keeps its custom rotation state but still touches
-replicas only through the view.
+Every policy costs replicas through the uniform **resource view** of
+:class:`~repro.serving.fleet.Replica`, which every pool member implements —
+load signals (``jobs_in_system``, ``work_left_ms``), identity (``weight``,
+``profile``) and KV-cache signals (``kv_prefix_hit_tokens``,
+``kv_overflow_ms``, which read 0 on platforms without a cache model).
+Single-signal policies derive from :class:`CostBalancer` and implement
+``cost(view, item, now_ms)``; the round-robin family keeps its custom
+rotation state but still touches replicas only through the view.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.faults import FaultSchedule, FaultSpec, coerce_faults
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
-from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, FleetState,
-                                 ReplicaEntry, ReplicaHandle, ReplicaProfile)
-from repro.serving.kernel import (PoolState, SimPlatform, pool_is_static,
-                                  scale_pool)
+from repro.serving.fleet import (DRAINING, FleetState, Replica, ReplicaEntry,
+                                 ReplicaHandle, ReplicaProfile,
+                                 coerce_profiles, replica_band)
 from repro.serving.metrics import ClusterMetrics
-from repro.serving.platform import (BatchExecutorFn, BatchResult, ReplicaState,
+from repro.serving.platform import (BatchExecutorFn, BatchResult,
                                     ServingPlatform)
+from repro.serving.pool import FIRST_RUNNER_EVENT, WAKE, FleetRun, PoolState
 from repro.serving.request import Request
 from repro.tenancy import (TenancyConfig, build_request_runtime, coerce_tenancy,
-                           request_rollups, tenant_backlog)
+                           request_rollups)
 
 __all__ = [
     "ReplicaHandle",
@@ -130,7 +130,7 @@ class LoadBalancer(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[Replica],
                now_ms: float) -> int:
         """Return the index of the replica that should serve ``request``."""
 
@@ -142,17 +142,17 @@ class CostBalancer(LoadBalancer):
     """A balancer that routes to the replica with the minimum cost.
 
     Subclasses implement :meth:`cost` against the resource view (a
-    :class:`~repro.serving.fleet.ReplicaHandle`); ``choose`` is the shared
+    :class:`~repro.serving.fleet.Replica`); ``choose`` is the shared
     argmin with the handle index as the deterministic tie-break, which is
     exactly the historical JSQ/least-work semantics.  ``cost`` may return a
     float or a tuple (compared lexicographically).
     """
 
     @abc.abstractmethod
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: Replica, item, now_ms: float):
         """Cost of placing ``item`` on ``view`` now (lower is better)."""
 
-    def choose(self, request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request, replicas: Sequence[Replica],
                now_ms: float) -> int:
         return min(range(len(replicas)),
                    key=lambda i: (self.cost(replicas[i], request, now_ms), i))
@@ -166,7 +166,7 @@ class RoundRobinBalancer(LoadBalancer):
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[Replica],
                now_ms: float) -> int:
         index = self._next % len(replicas)
         self._next += 1
@@ -191,7 +191,7 @@ class WeightedRoundRobinBalancer(LoadBalancer):
     def __init__(self) -> None:
         self._current: dict = {}
 
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[Replica],
                now_ms: float) -> int:
         total = 0.0
         for handle in replicas:
@@ -213,7 +213,7 @@ class JoinShortestQueueBalancer(CostBalancer):
 
     name = "join_shortest_queue"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: Replica, item, now_ms: float):
         return view.jobs_in_system(now_ms)
 
 
@@ -222,7 +222,7 @@ class WeightedJoinShortestQueueBalancer(CostBalancer):
 
     name = "weighted_join_shortest_queue"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: Replica, item, now_ms: float):
         return view.jobs_in_system(now_ms) / view.weight
 
 
@@ -231,7 +231,7 @@ class LeastWorkLeftBalancer(CostBalancer):
 
     name = "least_work_left"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: Replica, item, now_ms: float):
         return view.work_left_ms(now_ms)
 
 
@@ -248,7 +248,7 @@ class KVAwareLeastWorkBalancer(CostBalancer):
 
     name = "kv_aware_least_work"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: Replica, item, now_ms: float):
         return view.work_left_ms(now_ms) + view.kv_overflow_ms(item, now_ms)
 
 
@@ -267,7 +267,7 @@ class PrefixAffinityBalancer(CostBalancer):
 
     name = "prefix_affinity"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: Replica, item, now_ms: float):
         return (view.work_left_ms(now_ms) - view.kv_prefix_hit_ms(item)
                 + view.kv_overflow_ms(item, now_ms))
 
@@ -281,7 +281,7 @@ class PowerOfTwoChoicesBalancer(LoadBalancer):
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
 
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[Replica],
                now_ms: float) -> int:
         n = len(replicas)
         if n == 1:
@@ -457,8 +457,6 @@ class ClusterPlatform:
         self.seed = int(seed)
         #: Observability recorder shared by every replica (no-op when unset).
         self.obs = obs if obs is not None else NULL_RECORDER
-        #: Kernel schedule counters of the most recent ``run()``.
-        self.last_kernel_stats = None
         self.balancer = build_balancer(balancer, seed=seed,
                                        kind="classification")
         self.autoscaler = build_autoscaler(autoscaler)
@@ -466,21 +464,9 @@ class ClusterPlatform:
         self.faults = coerce_faults(faults)
 
         n = len(self.platforms)
-        if profiles is None:
-            self.profiles: List[ReplicaProfile] = [ReplicaProfile() for _ in range(n)]
-        else:
-            self.profiles = [ReplicaProfile.coerce(p) for p in profiles]
-            if len(self.profiles) != n:
-                raise ValueError(f"got {len(self.profiles)} replica profiles for "
-                                 f"{n} replicas")
-        self.min_replicas = n if min_replicas is None else int(min_replicas)
-        self.max_replicas = n if max_replicas is None else int(max_replicas)
-        if not 1 <= self.min_replicas <= n:
-            raise ValueError(f"min_replicas must be in [1, {n}] "
-                             f"(the initial fleet size), got {self.min_replicas}")
-        if self.max_replicas < n:
-            raise ValueError(f"max_replicas must be >= the initial fleet size "
-                             f"({n}), got {self.max_replicas}")
+        self.profiles = coerce_profiles(profiles, n)
+        self.min_replicas, self.max_replicas = replica_band(n, min_replicas,
+                                                            max_replicas)
         self.replica_factory = replica_factory
         if self.max_replicas > n and replica_factory is None:
             raise ValueError(f"max_replicas={self.max_replicas} exceeds the "
@@ -529,12 +515,9 @@ class ClusterPlatform:
                              "shared executor")
         return lambda ordinal: executor_list[ordinal]
 
-    def _spawn(self, fleet: FleetState, factory: Callable[[int], BatchExecutorFn],
-               now_ms: float) -> ReplicaEntry:
-        """Bring one scaled-out replica online."""
-        platform = self.replica_factory()
-        ordinal = fleet.next_ordinal()
-        return fleet.add(platform, factory(ordinal), self.scale_out_profile, now_ms)
+    def _scale_out(self, ordinal: int) -> Tuple[ServingPlatform, ReplicaProfile]:
+        """The platform and profile a scale-out boot brings online."""
+        return self.replica_factory(), self.scale_out_profile
 
     # ------------------------------------------------------------- salvage
     @staticmethod
@@ -553,8 +536,7 @@ class ClusterPlatform:
             + per_batch * math.ceil(jobs_ahead / full)
 
     def _salvage_doomed(self, fleet: FleetState, active: List[ReplicaEntry],
-                        handles: List[ReplicaHandle], now_ms: float,
-                        rerouted_ids: Set[int]) -> int:
+                        now_ms: float, rerouted_ids: Set[int]) -> int:
         """Re-route doomed queued requests once to a replica that can serve them.
 
         A request is *doomed* where it sits when the work queued ahead of it
@@ -568,18 +550,17 @@ class ClusterPlatform:
         for entry in fleet.serving():
             if not entry.platform.drop_expired or not entry.state.queue:
                 continue
-            source = entry.handle
             keep: List[Request] = []
             moved_here = 0
             for request in entry.state.queue:
                 deadline = request.deadline_ms()
                 if (request.request_id in rerouted_ids
                         or now_ms > deadline
-                        or self._completion_eta_ms(source, len(keep) + 1, now_ms)
+                        or self._completion_eta_ms(entry, len(keep) + 1, now_ms)
                         <= deadline + 1e-9):
                     keep.append(request)
                     continue
-                candidates = [h for h in handles if h is not source]
+                candidates = [h for h in active if h is not entry]
                 if not candidates:
                     keep.append(request)
                     continue
@@ -588,8 +569,7 @@ class ClusterPlatform:
                                  h, h.queue_length() + 1, now_ms), h.index))
                 if self._completion_eta_ms(target, target.queue_length() + 1,
                                            now_ms) <= deadline + 1e-9:
-                    target_entry = active[target.index]
-                    target_entry.platform.admit(target_entry.state, request)
+                    target.platform.admit(target.state, request)
                     if self.obs.enabled:
                         self.obs.annotate(request.request_id, rerouted=True)
                     rerouted_ids.add(request.request_id)
@@ -615,29 +595,18 @@ class ClusterPlatform:
         that served, including ones retired before the run ended.
         """
         factory = self._executor_factory(executors, executor_factory)
-        self.balancer.reset()
-        self.autoscaler.reset()
-        self.autoscaler.set_bounds(self.min_replicas, self.max_replicas)
-
         pending = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
         default_slo_ms = pending[0].slo_ms if pending else 0.0
         pending, tenant_runtime = build_request_runtime(pending, self.tenancy,
                                                         self.seed)
-        num_requests = len(pending)
         start = pending[0].arrival_ms if pending else 0.0
-
-        fleet = FleetState()
-        fleet.obs = self.obs
-        for platform, profile in zip(self.platforms, self.profiles):
-            fleet.add(platform, factory(fleet.next_ordinal()), profile, start)
-
-        if num_requests == 0:
+        runner = _ClusterRun(self, pending, factory, start,
+                             tenant_runtime=tenant_runtime)
+        fleet = runner.pool.fleet
+        if not pending:
             return self._collect(fleet, start, start, rerouted=0)
 
-        runner = _ClusterRun(self, pending, factory, fleet, start,
-                             tenant_runtime=tenant_runtime, faults=self.faults)
         runner.drive()
-        self.last_kernel_stats = runner.events.stats()
 
         for entry in fleet.entries:
             entry.state.finalize_makespan()
@@ -645,10 +614,7 @@ class ClusterPlatform:
         last_event = max((e.state.last_event_ms for e in fleet.entries
                           if np.isfinite(e.state.last_event_ms)), default=start)
         metrics = self._collect(fleet, start, last_event, runner.rerouted)
-        metrics.crashes = runner.crashes
-        metrics.recoveries = runner.recoveries
-        metrics.requeued = runner.requeued
-        metrics.kernel_stats = self.last_kernel_stats
+        runner.stamp(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = request_rollups(
                 metrics.aggregate().responses, tenant_runtime,
@@ -674,8 +640,9 @@ class ClusterPlatform:
         )
 
 
-#: event kinds of the kernel-scheduled cluster run.
-_BOOT, _COMPLETION, _TIMER, _CRASH, _RECOVER = 0, 1, 2, 3, 4
+#: Event kind of a batching-policy timer (after the pool kinds); batch
+#: completions are plain pool wake-ups.
+_TIMER = FIRST_RUNNER_EVENT
 
 
 def gate_exits(batch: Sequence[Request], result: BatchResult,
@@ -707,230 +674,95 @@ def gate_exits(batch: Sequence[Request], result: BatchResult,
                        exited=exited, exit_depths=depths, correct=correct)
 
 
-class _ClusterRun(SimPlatform):
+class _ClusterRun(FleetRun):
     """Kernel-scheduled execution of one :meth:`ClusterPlatform.run`.
 
-    The phase order inside :meth:`step` is exactly the seed rescan loop's
-    (boots → admit → autoscale → salvage → expire/select/serve → retire);
-    the difference is purely *which replicas* the serving phase touches — the
-    dirty set (queue changed, batch completed, policy timer fired) instead of
-    the whole fleet — and how the clock advances (event heap instead of a
-    collect-and-min over every replica's wake time).
+    One pool of platform replicas.  The phase order inside :meth:`step` is
+    exactly the seed rescan loop's (boots → admit → autoscale → salvage →
+    expire/select/serve → retire); the difference is purely *which replicas*
+    the serving phase touches — the dirty set (queue changed, batch
+    completed, policy timer fired) instead of the whole fleet — and how the
+    clock advances (event heap instead of a collect-and-min over every
+    replica's wake time).
     """
 
     def __init__(self, cluster: ClusterPlatform, pending: List[Request],
-                 factory: Callable[[int], BatchExecutorFn],
-                 fleet: FleetState, start_ms: float,
-                 tenant_runtime=None,
-                 faults: Optional[FaultSchedule] = None) -> None:
-        super().__init__(start_ms)
-        self.install_obs(cluster.obs, start_ms)
+                 factory: Callable[[int], BatchExecutorFn], start_ms: float,
+                 tenant_runtime=None) -> None:
+        super().__init__(pending, start_ms, cluster.obs, tenant_runtime)
         self.cluster = cluster
-        self._tenant_runtime = tenant_runtime
-        self.pending = pending
-        self.arrival_times = [r.arrival_ms for r in pending]
-        self.num_requests = len(pending)
-        self.next_arrival = 0
-        self.factory = factory
-        self.fleet = fleet
-        self.pool = PoolState(fleet)
+        #: ``expire``/salvage are global no-ops unless some member drops on
+        #: SLO expiry; tracked as members join so the common fleet skips
+        #: both phases.
+        self._drop_expired = False
+        fleet = FleetState()
+
+        def spawn(platform: ServingPlatform, profile: ReplicaProfile,
+                  now_ms: float) -> ReplicaEntry:
+            if platform.drop_expired:
+                self._drop_expired = True
+            return fleet.add(platform, factory(fleet.next_ordinal()), profile,
+                             now_ms)
+
+        self.pool = PoolState(self, fleet, "serve", cluster.balancer,
+                              cluster.autoscaler,
+                              (cluster.min_replicas, cluster.max_replicas),
+                              spawn, cluster._scale_out,
+                              zip(cluster.platforms, cluster.profiles),
+                              runtime=tenant_runtime)
+        self.pools = (self.pool,)
         self.rerouted = 0
         self.rerouted_ids: Set[int] = set()
         #: tenancy exit gating (queue ordering rides on Request.rank).
         self._gated_ids: Set[int] = (tenant_runtime.no_exit_ids
                                      if tenant_runtime is not None else set())
-        #: fault injection counters + the crashed hardware awaiting recovery.
-        self.crashes = 0
-        self.recoveries = 0
-        self.requeued = 0
-        self._crash_stock: List[Tuple[ServingPlatform, ReplicaProfile]] = []
-        if faults is not None:
-            for fault in faults:
-                # A crash scheduled before the first arrival fires with it.
-                self.events.push(max(fault.crash_ms, start_ms), _CRASH, fault)
-        #: ``expire``/salvage are global no-ops unless some member drops on
-        #: SLO expiry; precomputed so the common fleet skips both phases.
-        self._drop_expired = any(e.platform.drop_expired
-                                 for e in self.pool.serving)
-        self._exhausted = self.num_requests == 0
-        #: fixed-size fleet in band: the per-pass autoscaler consult is a
-        #: proven no-op, so the hot loop skips it entirely.
-        self._autoscaled = not pool_is_static(cluster.autoscaler, self.pool,
-                                              cluster.min_replicas,
-                                              cluster.max_replicas)
+        self.arm_faults(cluster.faults, lambda fault: self.pool)
+        self._exhausted = self.num_items == 0
 
-    # ------------------------------------------------------------------ gauges
-    def sample_gauges(self, now_ms: float) -> None:
-        obs = self.obs
-        pool = self.pool
-        depth = 0
-        busy = 0
-        for entry in pool.serving:
-            depth += len(entry.state.queue)
-            if not entry.state.idle_at(now_ms):
-                busy += 1
-        obs.gauge(now_ms, "queue_depth", depth, pool="serve")
-        obs.gauge(now_ms, "busy_replicas", busy, pool="serve")
-        obs.gauge(now_ms, "active_replicas", len(pool.active), pool="serve")
-        runtime = self._tenant_runtime
+    def trace_arrival(self, request: Request, entry, pool) -> None:
+        # ``platform.admit`` opened the span; only the tenant tag is left.
+        runtime = self.tenant_runtime
         if runtime is not None:
-            backlog = tenant_backlog(
-                (request.request_id for entry in pool.serving
-                 for request in entry.state.queue), runtime.tenant_of)
-            for tenant, count in backlog.items():
-                obs.gauge(now_ms, "tenant_backlog", count, pool="serve",
-                          tenant=tenant)
-
-    # --------------------------------------------------------- kernel contract
-    def done(self, now_ms: float) -> bool:
-        if self.next_arrival < self.num_requests:
-            return False
-        for entry in self.pool.serving:
-            if entry.state.queue:
-                return False
-        return True
-
-    def next_external_ms(self, now_ms: float) -> Optional[float]:
-        if self.next_arrival < self.num_requests:
-            return self.arrival_times[self.next_arrival]
-        return None
+            self.obs.annotate(request.request_id,
+                              tenant=runtime.tenant_of.get(request.request_id))
 
     def on_event(self, event) -> None:
-        kind = event.kind
-        if kind == _COMPLETION:
-            self.wake(event.payload)
-        elif kind == _TIMER:
+        if event.kind == _TIMER:
             entry = event.payload
             entry._wake_event = None
-            self.wake(entry)
-        elif kind == _CRASH:
-            self._crash(event.payload, self.clock.now_ms)
-        elif kind == _RECOVER:
-            self._recover(self.clock.now_ms)
-        else:  # _BOOT: provisioning completed, bring the replica online.
-            pool = self.pool
-            pool.boots.remove(event)
-            entry = self.cluster._spawn(self.fleet, self.factory,
-                                        self.clock.now_ms)
-            pool.add(entry)
-            if entry.platform.drop_expired:
-                self._drop_expired = True
-
-    # ------------------------------------------------------------------ faults
-    def _crash(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one replica; requeue its queued work, salvage in-flight.
-
-        The oldest active replica crashes (deterministic victim selection).
-        Its in-flight batch is salvaged — classification records results at
-        dispatch, so near-finished work stays client-visible — while queued
-        requests requeue to the survivors through the run's balancer.  The
-        crashed hardware boots back ``down_ms`` later (the outage subsumes
-        provisioning).  A crash that would empty the fleet is skipped: the
-        last replica never dies, so conservation holds by construction.
-        """
-        pool = self.pool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        self.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.state.queue
-        victim.state.queue = []
-        self.crashes += 1
-        self._crash_stock.append((victim.platform, victim.profile))
-        self.events.push(now + fault.down_ms, _RECOVER, fault)
-        self.wake(victim)  # retire once its salvaged batch finishes
-        if orphans:
-            balancer = self.cluster.balancer
-            handles = pool.handles
-            active = pool.active
-            obs = self.obs
-            for request in orphans:
-                index = int(balancer.choose(request, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose replica "
-                                     f"{index} of {len(active)}")
-                entry = active[index]
-                entry.platform.admit(entry.state, request)
-                if obs.enabled:
-                    obs.annotate(request.request_id, requeued=True)
-                self.wake(entry)
-            self.requeued += len(orphans)
-
-    def _recover(self, now: float) -> None:
-        """Boot a replacement for the oldest still-unrecovered crash."""
-        platform, profile = self._crash_stock.pop(0)
-        entry = self.fleet.add(platform, self.factory(self.fleet.next_ordinal()),
-                               profile, now)
-        self.pool.add(entry)
-        self.recoveries += 1
-        if entry.platform.drop_expired:
-            self._drop_expired = True
+            self.pool.wake(entry)
+        else:
+            super().on_event(event)
 
     # ------------------------------------------------------------------- pass
     def step(self, now: float) -> bool:
         cluster = self.cluster
         pool = self.pool
-        fleet = self.fleet
-        active = pool.active
-        handles = pool.handles
-        arrivals = self.arrival_times
-        num_requests = self.num_requests
-        next_arrival = self.next_arrival
+        wake = pool.wake
 
         # Phase 1: admit + dispatch everything that has arrived by now.
-        admitted = 0
-        if next_arrival < num_requests \
-                and arrivals[next_arrival] <= now + 1e-9:
-            pending = self.pending
-            balancer = cluster.balancer
-            obs = self.obs
-            runtime = self._tenant_runtime
-            tag_tenants = obs.enabled and runtime is not None
-            while (next_arrival < num_requests
-                   and arrivals[next_arrival] <= now + 1e-9):
-                request = pending[next_arrival]
-                index = int(balancer.choose(request, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose replica "
-                                     f"{index} of {len(active)}")
-                entry = active[index]
-                entry.platform.admit(entry.state, request)
-                if tag_tenants:
-                    obs.annotate(request.request_id,
-                                 tenant=runtime.tenant_of.get(request.request_id))
-                entry.dispatched += 1
-                next_arrival += 1
-                admitted += 1
-                self.wake(entry)
-            self.next_arrival = next_arrival
-        if admitted:
-            cluster.autoscaler.observe_admitted(admitted, now)
-        if next_arrival >= num_requests and not self._exhausted:
+        self.admit_arrivals(pool, now)
+        if self.next_arrival >= self.num_items and not self._exhausted:
             # The livelock guard switches from "wait for the next arrival" to
             # "force progress" the moment the trace runs out; re-consult every
             # replica still holding work so it can take that branch now.
             self._exhausted = True
             for entry in pool.serving:
                 if entry.state.queue:
-                    self.wake(entry)
+                    wake(entry)
 
         # Phase 2: autoscaler decision on the global clock.
-        if self._autoscaled:
-            scale_pool(self, pool, cluster.autoscaler, now,
-                       cluster.min_replicas, cluster.max_replicas, _BOOT)
-            active = pool.active
-            handles = pool.handles
+        pool.scale(now)
+        active = pool.active
 
         # Phase 3: cluster-level drop salvage.  One active replica is enough
         # when draining replicas still hold queues — their doomed requests
         # can move to it.
-        if self._drop_expired and handles and (
-                len(handles) > 1
+        if self._drop_expired and active and (
+                len(active) > 1
                 or any(e.status == DRAINING and e.state.queue
-                       for e in fleet.entries)):
-            moved = cluster._salvage_doomed(fleet, active, handles, now,
+                       for e in pool.fleet.entries)):
+            moved = cluster._salvage_doomed(pool.fleet, active, now,
                                             self.rerouted_ids)
             if moved:
                 self.rerouted += moved
@@ -938,7 +770,7 @@ class _ClusterRun(SimPlatform):
                 # replicas; re-consult everything that holds or awaited work.
                 for entry in pool.serving:
                     if entry.state.queue or entry._wake_event is not None:
-                        self.wake(entry)
+                        wake(entry)
 
         # Expiry pre-scan: the seed loop ran ``expire`` on every idle queued
         # replica at every visited timestamp, not only the changed ones.
@@ -949,15 +781,15 @@ class _ClusterRun(SimPlatform):
                     before = len(state.queue)
                     entry.platform.expire(state, now)
                     if len(state.queue) != before:
-                        self.wake(entry)
+                        wake(entry)
 
-        next_arrival_ms = (arrivals[self.next_arrival]
-                           if self.next_arrival < num_requests else np.inf)
+        next_arrival_ms = (self.arrival_times[self.next_arrival]
+                           if self.next_arrival < self.num_items else np.inf)
         events = self.events
         progressed = False
 
         # Phase 4 per dirty replica: select, serve (when idle).
-        for entry in self.drain_dirty():
+        for entry in pool.drain_dirty():
             platform, state = entry.platform, entry.state
             if not state.idle_at(now):
                 continue  # its completion event is already scheduled
@@ -989,9 +821,9 @@ class _ClusterRun(SimPlatform):
             result = _scale_result(result, entry.profile.speed)
             platform.complete(state, batch, result, now)
             if state.busy_until_ms > now + 1e-9:
-                events.push(state.busy_until_ms, _COMPLETION, entry)
+                events.push(state.busy_until_ms, WAKE, (pool, entry))
             else:
-                self.wake(entry)  # instant batch: re-serve this timestamp
+                wake(entry)  # instant batch: re-serve this timestamp
             progressed = True
 
         # Phase 5: drained replicas that have gone idle leave the fleet.

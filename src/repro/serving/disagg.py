@@ -8,15 +8,15 @@ on one replica makes them interfere: a prompt's prefill chunks steal compute
 from every decode stream in flight, so time-to-first-token and decode cadence
 degrade together under prompt-heavy load.
 
-:class:`DisaggregatedPlatform` runs two :class:`~repro.serving.fleet.BaseFleet`
-pools on one shared global clock:
+:class:`DisaggregatedPlatform` runs two replica pools
+(:class:`~repro.serving.pool.PoolState`) on one shared global clock:
 
 * a **prefill pool** of chunk-batch replicas — each takes up to
   ``prefill_batch`` queued prompts and runs their chunks back to back
   (:meth:`~repro.generative.decoding.PrefillModel.batch_prefill_ms`);
-* a **decode pool** of the existing continuous-batching early-exit replicas
-  (:class:`~repro.serving.generative_cluster.GenerativeReplicaEntry` — the
-  stream decode is *shared code* with the monolithic cluster);
+* a **decode pool** — exactly the pool the monolithic generative cluster
+  runs (:class:`~repro.serving.generative_cluster.DecodePool`, with its
+  slot loop and KV evictions);
 * a **handoff queue** between them: a prefilled sequence becomes eligible for
   decode dispatch only after its KV cache has been shipped across the
   interconnect (bytes grow with prompt tokens × layer depth, see
@@ -41,124 +41,44 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.faults import FaultSchedule, FaultSpec, coerce_faults
-from repro.generative.decoding import (KVCacheAccountant, PrefillModel,
-                                       kv_bytes_per_token)
+from repro.generative.decoding import PrefillModel
 from repro.generative.sequences import SequenceSample
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.cluster import LoadBalancer, build_balancer
-from repro.serving.fleet import ACTIVE, BaseFleet, ReplicaProfile
-from repro.serving.generative_cluster import (GenerativeClusterMetrics,
+from repro.serving.fleet import (ACTIVE, BaseFleet, Replica, ReplicaProfile,
+                                 coerce_profiles, replica_band)
+from repro.serving.generative_cluster import (DecodePool,
+                                              GenerativeClusterMetrics,
                                               GenerativeFleetState,
-                                              PolicyFactory, _arm_slots,
-                                              _run_eviction,
-                                              _schedule_eviction)
+                                              PolicyFactory, decode_rollup)
 from repro.serving.hf_pipelines import ContinuousBatchingEngine
-from repro.serving.kernel import (PoolState, SimPlatform, pool_is_static,
-                                  scale_pool)
+from repro.serving.pool import WAKE, FleetRun, PoolState
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
-                           coerce_tenancy, sequence_rollups, tenant_backlog)
+                           coerce_tenancy, sequence_rollups)
 
-__all__ = ["PrefillReplicaHandle", "PrefillReplicaEntry", "PrefillFleetState",
+__all__ = ["PrefillReplicaEntry", "PrefillFleetState",
            "DisaggregatedMetrics", "DisaggregatedPlatform"]
 
 
-class _PrefillView:
-    """Platform-shaped shim over a prefill replica for autoscaler policies.
-
-    The predictive autoscaler reads capacity as ``max_batch_size`` requests
-    per ``predicted_batch_time_ms``; for a prefill replica that is one
-    chunk-batch of prompts at the workload's mean prompt length.
-    """
-
-    def __init__(self, entry: "PrefillReplicaEntry") -> None:
-        self._entry = entry
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._entry.prefill_batch
-
-    def predicted_batch_time_ms(self, batch_size: int) -> float:
-        entry = self._entry
-        tokens = int(round(batch_size * max(entry.mean_prompt_tokens, 1.0)))
-        return entry.model.batch_prefill_ms(tokens) / entry.profile.speed
-
-
-class PrefillReplicaHandle:
-    """Read-only prefill-replica view for load balancers and autoscalers.
-
-    Load is expressed in *pending prefill chunks* — queued prompt tokens
-    divided into chunk units, plus the chunk-batch on the accelerator — so
-    JSQ balances by prompt length rather than prompt count, and the reactive
-    autoscaler's "jobs in system" watermark scales with queued prompt tokens,
-    which is exactly the signal the prefill pool must grow on.
-    """
-
-    def __init__(self, entry: "PrefillReplicaEntry") -> None:
-        self._entry = entry
-        self.index = 0
-        self.platform = _PrefillView(entry)
-
-    @property
-    def replica_id(self) -> int:
-        return self._entry.replica_id
-
-    @property
-    def profile(self) -> ReplicaProfile:
-        return self._entry.profile
-
-    @property
-    def weight(self) -> float:
-        """Dispatch weight of this replica (its relative speed)."""
-        return self._entry.profile.speed
-
-    def queue_length(self) -> int:
-        return len(self._entry.queue)
-
-    def jobs_in_system(self, now_ms: float) -> float:
-        """Pending prefill chunks: queued prompt chunks + the in-flight batch."""
-        entry = self._entry
-        chunks = sum(entry.model.num_chunks(s.prompt_tokens)
-                     for s in entry.queue)
-        if entry.busy_until_ms > now_ms + 1e-9:
-            chunks += (entry.busy_until_ms - now_ms) / max(
-                entry.model.chunk_time_ms() / entry.profile.speed, 1e-9)
-        return float(chunks)
-
-    def backlog_ms(self, now_ms: float) -> float:
-        """Remaining accelerator time of the in-flight chunk-batch."""
-        return max(0.0, self._entry.busy_until_ms - now_ms)
-
-    def work_left_ms(self, now_ms: float) -> float:
-        """Expected milliseconds until this replica would drain its queue."""
-        entry = self._entry
-        work = self.backlog_ms(now_ms)
-        queued_tokens = sum(s.prompt_tokens for s in entry.queue)
-        if queued_tokens <= 0:
-            return work
-        return work + entry.model.batch_prefill_ms(queued_tokens) / entry.profile.speed
-
-    # ------------------------------------------------------------- KV signals
-    # Prefill replicas hold no decode-side KV residency, so the cache
-    # signals read 0 and the KV-aware policies degrade to least-work here.
-    def kv_prefix_hit_tokens(self, item) -> int:
-        return 0
-
-    def kv_prefix_hit_ms(self, item) -> float:
-        return 0.0
-
-    def kv_overflow_ms(self, item, now_ms: float) -> float:
-        return 0.0
-
-
 @dataclass
-class PrefillReplicaEntry:
-    """One prefill replica: chunk-batch processor with fleet lifecycle."""
+class PrefillReplicaEntry(Replica):
+    """One prefill replica: chunk-batch processor with fleet lifecycle.
+
+    Its own :class:`~repro.serving.fleet.Replica` handle.  Load is expressed
+    in *pending prefill chunks* — queued prompt tokens divided into chunk
+    units, plus the chunk-batch on the accelerator — so JSQ balances by
+    prompt length rather than prompt count, and the reactive autoscaler's
+    "jobs in system" watermark scales with queued prompt tokens, which is
+    exactly the signal the prefill pool must grow on.  Prefill replicas hold
+    no decode-side KV residency, so the KV-aware balancers degrade to
+    least-work here.
+    """
 
     replica_id: int
     model: PrefillModel
@@ -169,7 +89,6 @@ class PrefillReplicaEntry:
     #: the chunk-batch on the accelerator (empty when free).
     in_flight: List[SequenceSample] = field(default_factory=list)
     busy_until_ms: float = -np.inf
-    handle: Optional[PrefillReplicaHandle] = None
     status: str = ACTIVE
     added_ms: float = 0.0
     retired_ms: Optional[float] = None
@@ -182,9 +101,9 @@ class PrefillReplicaEntry:
     #: kernel-scheduler bookkeeping: dirty flag for the prefill dirty list.
     _kdirty: bool = field(default=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.handle is None:
-            self.handle = PrefillReplicaHandle(self)
+    @property
+    def hardware(self) -> PrefillModel:
+        return self.model
 
     def is_free(self, now_ms: float) -> bool:
         return not self.in_flight and self.busy_until_ms <= now_ms + 1e-9
@@ -193,10 +112,46 @@ class PrefillReplicaEntry:
         """No queued prompts and nothing on the accelerator (retirement)."""
         return not self.queue and self.is_free(now_ms)
 
-    def active_ms(self, end_ms: float) -> float:
-        """Wall-clock time this replica was provisioned (added → retired)."""
-        until = self.retired_ms if self.retired_ms is not None else end_ms
-        return max(0.0, until - self.added_ms)
+    def has_work(self, now_ms: float) -> bool:
+        return bool(self.queue) or bool(self.in_flight)
+
+    def busy_units(self, now_ms: float) -> int:
+        return 0 if self.is_free(now_ms) else 1
+
+    # ---------------------------------------------------------- resource view
+    def queue_length(self) -> int:
+        return len(self.queue)
+
+    def jobs_in_system(self, now_ms: float) -> float:
+        """Pending prefill chunks: queued prompt chunks + the in-flight batch."""
+        chunks = sum(self.model.num_chunks(s.prompt_tokens) for s in self.queue)
+        if self.busy_until_ms > now_ms + 1e-9:
+            chunks += (self.busy_until_ms - now_ms) / max(
+                self.model.chunk_time_ms() / self.profile.speed, 1e-9)
+        return float(chunks)
+
+    def backlog_ms(self, now_ms: float) -> float:
+        """Remaining accelerator time of the in-flight chunk-batch."""
+        return max(0.0, self.busy_until_ms - now_ms)
+
+    def work_left_ms(self, now_ms: float) -> float:
+        """Expected milliseconds until this replica would drain its queue."""
+        work = self.backlog_ms(now_ms)
+        queued_tokens = sum(s.prompt_tokens for s in self.queue)
+        if queued_tokens <= 0:
+            return work
+        return work + self.model.batch_prefill_ms(queued_tokens) / self.profile.speed
+
+    @property
+    def max_batch_size(self) -> int:
+        """Prompts per chunk-batch."""
+        return self.prefill_batch
+
+    def predicted_batch_time_ms(self, batch_size: int) -> float:
+        """One chunk-batch of ``batch_size`` prompts at the workload's mean
+        prompt length (the autoscalers' capacity signal)."""
+        tokens = int(round(batch_size * max(self.mean_prompt_tokens, 1.0)))
+        return self.model.batch_prefill_ms(tokens) / self.profile.speed
 
 
 class PrefillFleetState(BaseFleet):
@@ -357,8 +312,6 @@ class DisaggregatedPlatform:
                              "decode replica")
         #: Observability recorder shared by both pools (no-op when unset).
         self.obs = obs if obs is not None else NULL_RECORDER
-        #: Kernel schedule counters of the most recent ``run()``.
-        self.last_kernel_stats = None
         if int(prefill_replicas) < 1:
             raise ValueError(f"prefill_replicas must be >= 1, "
                              f"got {prefill_replicas}")
@@ -394,62 +347,22 @@ class DisaggregatedPlatform:
         if self.decode_autoscaler is self.prefill_autoscaler:
             self.decode_autoscaler = copy.deepcopy(self.prefill_autoscaler)
 
-        self.prefill_profiles = self._coerce_profiles(
+        self.prefill_profiles = coerce_profiles(
             prefill_profiles, self.num_prefill, "prefill")
-        self.decode_profiles = self._coerce_profiles(
+        self.decode_profiles = coerce_profiles(
             decode_profiles, len(self.decode_engines), "decode")
 
-        self.prefill_min, self.prefill_max = self._pool_band(
-            "prefill", self.num_prefill, prefill_min_replicas,
-            prefill_max_replicas)
-        self.decode_min, self.decode_max = self._pool_band(
-            "decode", len(self.decode_engines), decode_min_replicas,
-            decode_max_replicas)
-
-    @staticmethod
-    def _coerce_profiles(profiles, count: int, pool: str) -> List[ReplicaProfile]:
-        if profiles is None:
-            return [ReplicaProfile() for _ in range(count)]
-        coerced = [ReplicaProfile.coerce(p) for p in profiles]
-        if len(coerced) != count:
-            raise ValueError(f"got {len(coerced)} {pool} replica profiles "
-                             f"for {count} replicas")
-        return coerced
-
-    @staticmethod
-    def _pool_band(pool: str, initial: int, lower: Optional[int],
-                   upper: Optional[int]) -> Tuple[int, int]:
-        low = initial if lower is None else int(lower)
-        high = initial if upper is None else int(upper)
-        if not 1 <= low <= initial:
-            raise ValueError(f"{pool}_min_replicas must be in [1, {initial}] "
-                             f"(the initial pool size), got {low}")
-        if high < initial:
-            raise ValueError(f"{pool}_max_replicas must be >= the initial "
-                             f"pool size ({initial}), got {high}")
-        return low, high
+        self.prefill_min, self.prefill_max = replica_band(
+            self.num_prefill, prefill_min_replicas, prefill_max_replicas,
+            "prefill")
+        self.decode_min, self.decode_max = replica_band(
+            len(self.decode_engines), decode_min_replicas,
+            decode_max_replicas, "decode")
 
     @property
     def num_decode(self) -> int:
         """Size of the initial decode pool."""
         return len(self.decode_engines)
-
-    def _kv_for(self, engine: ContinuousBatchingEngine,
-                profile: ReplicaProfile) -> Optional[KVCacheAccountant]:
-        """Fresh accountant for one decode replica (``None`` = cache off).
-        Recompute is a re-prefill, so it is priced at the platform's
-        chunked-prefill rate scaled by the replica's speed."""
-        capacity = profile.kv_capacity_bytes
-        if capacity is None:
-            capacity = self.kv_capacity
-        if capacity is None:
-            return None
-        prefill = self.prefill_model
-        recompute = prefill.chunk_time_ms() / prefill.tokens_per_chunk \
-            / profile.speed
-        return KVCacheAccountant(capacity,
-                                 kv_bytes_per_token(engine.timing.spec),
-                                 recompute_ms_per_token=recompute)
 
     # --------------------------------------------------------------- main loop
     def run(self, workload, policy_factory: PolicyFactory) -> DisaggregatedMetrics:
@@ -460,78 +373,45 @@ class DisaggregatedPlatform:
         state lives in run-local fleets, so repeated calls on one platform
         object are bit-identical.
         """
-        self.prefill_balancer.reset()
-        self.decode_balancer.reset()
-        self.prefill_autoscaler.reset()
-        self.decode_autoscaler.reset()
-        self.prefill_autoscaler.set_bounds(self.prefill_min, self.prefill_max)
-        self.decode_autoscaler.set_bounds(self.decode_min, self.decode_max)
-
         pending = sorted(workload.sequences,
                          key=lambda s: (s.arrival_ms, s.sequence_id))
         tenant_runtime = build_sequence_runtime(pending, self.tenancy, self.seed)
-        num_sequences = len(pending)
         start = pending[0].arrival_ms if pending else 0.0
         mean_tokens = workload.mean_output_length() or 1.0
         mean_prompt = getattr(workload, "mean_prompt_length", lambda: 0.0)() or 1.0
-
-        prefill_fleet = PrefillFleetState()
-        prefill_fleet.obs = self.obs
-        prefill_fleet.obs_pool = "prefill"
-        for profile in self.prefill_profiles:
-            prefill_fleet.add(self.prefill_model, profile, self.prefill_batch,
-                              mean_prompt, start)
-        decode_fleet = GenerativeFleetState()
-        decode_fleet.obs = self.obs
-        decode_fleet.obs_pool = "decode"
-        for engine, profile in zip(self.decode_engines, self.decode_profiles):
-            decode_fleet.add(engine, policy_factory(decode_fleet.next_ordinal()),
-                             profile, mean_tokens, start,
-                             kv=self._kv_for(engine, profile))
-
-        if num_sequences == 0:
+        runner = _DisaggRun(self, pending, policy_factory, mean_tokens,
+                            mean_prompt, start, tenant_runtime=tenant_runtime)
+        prefill_fleet = runner.ppool.fleet
+        decode_fleet = runner.dpool.fleet
+        if not pending:
             return self._collect(prefill_fleet, decode_fleet, {}, {}, start, start)
 
-        runner = _DisaggRun(self, pending, policy_factory, prefill_fleet,
-                            decode_fleet, mean_tokens, mean_prompt, start,
-                            tenant_runtime=tenant_runtime, faults=self.faults)
         runner.drive()
-        self.last_kernel_stats = runner.events.stats()
 
         end = max((e.last_completion_ms for e in decode_fleet.entries
                    if np.isfinite(e.last_completion_ms)), default=start)
         metrics = self._collect(prefill_fleet, decode_fleet,
                                 runner.prefill_delays, runner.transfer_delays,
                                 start, end)
-        metrics.crashes = runner.crashes
-        metrics.recoveries = runner.recoveries
-        metrics.requeued = runner.requeued
-        metrics.kernel_stats = self.last_kernel_stats
+        runner.stamp(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
                                                       tenant_runtime)
         return metrics
 
     # ----------------------------------------------------------- scale-out add
-    def _add_prefill(self, fleet: PrefillFleetState, policy_factory,
-                     mean_tokens: float, mean_prompt: float,
-                     now_ms: float) -> PrefillReplicaEntry:
-        # Scaled-out replicas cycle the configured profile band so an
-        # elastic heterogeneous pool keeps its configured speed mix instead
-        # of silently booting base-speed hardware.
+    # Scaled-out replicas cycle the configured profile band by fleet ordinal,
+    # so an elastic heterogeneous pool keeps its configured speed mix instead
+    # of silently booting base-speed hardware.
+    def _scale_out_prefill(self, ordinal: int) -> Tuple[PrefillModel,
+                                                        ReplicaProfile]:
         profiles = self.prefill_profiles
-        profile = profiles[fleet.next_ordinal() % len(profiles)]
-        return fleet.add(self.prefill_model, profile, self.prefill_batch,
-                         mean_prompt, now_ms)
+        return self.prefill_model, profiles[ordinal % len(profiles)]
 
-    def _add_decode(self, fleet: GenerativeFleetState, policy_factory,
-                    mean_tokens: float, mean_prompt: float, now_ms: float):
+    def _scale_out_decode(self, ordinal: int) -> Tuple[ContinuousBatchingEngine,
+                                                       ReplicaProfile]:
         profiles = self.decode_profiles
-        profile = profiles[fleet.next_ordinal() % len(profiles)]
-        return fleet.add(self.decode_engines[0],
-                         policy_factory(fleet.next_ordinal()), profile,
-                         mean_tokens, now_ms,
-                         kv=self._kv_for(self.decode_engines[0], profile))
+        return self.decode_engines[0], profiles[ordinal % len(profiles)]
 
     # ------------------------------------------------------------------ collect
     def _collect(self, prefill_fleet: PrefillFleetState,
@@ -543,30 +423,8 @@ class DisaggregatedPlatform:
             (e.last_completion_ms for e in prefill_fleet.entries
              if np.isfinite(e.last_completion_ms)), default=start_ms))
         prefill_fleet.finalize(prefill_end)
-        decode_fleet.finalize(end_ms)
-        for entry in decode_fleet.entries:
-            if entry.metrics.tokens:
-                entry.metrics.makespan_ms = max(
-                    entry.last_completion_ms - start_ms, 1e-9)
-            if entry.kv is not None:
-                m = entry.metrics
-                m.kv_enabled = True
-                m.kv_hit_tokens = entry.kv.hit_tokens
-                m.kv_miss_tokens = entry.kv.miss_tokens
-                m.kv_evictions = entry.kv.evictions
-                m.kv_evicted_tokens = entry.kv.evicted_tokens
-                m.kv_recompute_tokens = entry.kv.recompute_tokens
-        decoded_anything = any(e.metrics.tokens for e in decode_fleet.entries)
-        makespan = max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0
         return DisaggregatedMetrics(
-            replicas=[e.metrics for e in decode_fleet.entries],
-            dispatch_counts=[e.dispatched for e in decode_fleet.entries],
-            makespan_ms=makespan,
-            fleet_timeline=list(decode_fleet.timeline),
-            replica_seconds=decode_fleet.replica_seconds(end_ms),
-            replica_active_ms=decode_fleet.active_replica_ms(end_ms),
-            replica_uptimes_ms=[e.active_ms(end_ms)
-                                for e in decode_fleet.entries],
+            **decode_rollup(decode_fleet, start_ms, end_ms),
             prefill_dispatch_counts=[e.dispatched
                                      for e in prefill_fleet.entries],
             prefill_counts=[e.prefilled for e in prefill_fleet.entries],
@@ -583,337 +441,131 @@ class DisaggregatedPlatform:
 
 
 # --------------------------------------------------------------------- kernel
-#: Event kinds for the disaggregated runner (two pools share one heap).
-#: Crash/recover pairs exist per pool — a fault names its target pool.
-(_PBOOT, _DBOOT, _PREFILL, _DSLOT,
- _PCRASH, _PRECOVER, _DCRASH, _DRECOVER, _DEVICT) = range(9)
-
-
-class _DisaggRun(SimPlatform):
+class _DisaggRun(FleetRun):
     """Kernel-scheduled port of the disaggregated pass/advance loop.
 
-    Same phase order per pass as the monolithic runners, duplicated per
-    pool: admit arrivals into prefill, scale the prefill pool, progress
-    prefill chunk-batches (completions feed the handoff heap), dispatch due
-    handoffs into decode, scale the decode pool, run the decode slot loop,
-    retire idle drained replicas in both pools.  Each pool keeps its own
-    dirty list so a pass touches only the replicas whose state changed;
-    prefill completions and decode slot frees live on the shared heap, the
-    arrival cursor and the handoff head are the external candidates.
+    A prefill pool feeding a decode pool through the KV handoff queue.
+    Same phase order per pass as the monolithic runners, once per pool:
+    admit arrivals into prefill, scale the prefill pool, progress prefill
+    chunk-batches (completions feed the handoff heap), route due handoffs
+    into decode, scale the decode pool, run the decode slot loop, retire
+    idle drained replicas in both pools.  Each pool keeps its own dirty set
+    so a pass touches only the replicas whose state changed; prefill
+    completions and decode slot frees live on the shared heap, the arrival
+    cursor and the handoff head are the external candidates.
     """
 
     def __init__(self, platform: DisaggregatedPlatform,
                  pending: List[SequenceSample], policy_factory: PolicyFactory,
-                 prefill_fleet: PrefillFleetState,
-                 decode_fleet: GenerativeFleetState, mean_tokens: float,
-                 mean_prompt: float, start_ms: float,
-                 tenant_runtime: Optional[TenantRuntime] = None,
-                 faults: Optional[FaultSchedule] = None) -> None:
-        super().__init__(start_ms)
-        self.install_obs(platform.obs, start_ms)
-        self.platform = platform
-        self.pending = pending
-        self.arrival_times = [s.arrival_ms for s in pending]
-        self.num_sequences = len(pending)
-        self.next_arrival = 0
-        self.policy_factory = policy_factory
-        self.mean_tokens = mean_tokens
-        self.mean_prompt = mean_prompt
-        self.ppool = PoolState(prefill_fleet, obs_name="prefill")
-        self.dpool = PoolState(decode_fleet, obs_name="decode")
-        #: fixed-size pools in band: the per-pass autoscaler consults are
-        #: proven no-ops, so the hot loop skips them entirely.
-        self._pautoscaled = not pool_is_static(platform.prefill_autoscaler,
-                                               self.ppool, platform.prefill_min,
-                                               platform.prefill_max)
-        self._dautoscaled = not pool_is_static(platform.decode_autoscaler,
-                                               self.dpool, platform.decode_min,
-                                               platform.decode_max)
-        self._pdirty: List[Any] = []
+                 mean_tokens: float, mean_prompt: float, start_ms: float,
+                 tenant_runtime: Optional[TenantRuntime] = None) -> None:
+        super().__init__(pending, start_ms, platform.obs, tenant_runtime)
+        prefill_fleet = PrefillFleetState()
+
+        def spawn_prefill(model: PrefillModel, profile: ReplicaProfile,
+                          now_ms: float) -> PrefillReplicaEntry:
+            return prefill_fleet.add(model, profile, platform.prefill_batch,
+                                     mean_prompt, now_ms)
+
+        self.ppool = PoolState(self, prefill_fleet, "prefill",
+                               platform.prefill_balancer,
+                               platform.prefill_autoscaler,
+                               (platform.prefill_min, platform.prefill_max),
+                               spawn_prefill, platform._scale_out_prefill,
+                               ((platform.prefill_model, profile)
+                                for profile in platform.prefill_profiles),
+                               runtime=tenant_runtime)
+        self.dpool = DecodePool(self, "decode", platform.decode_balancer,
+                                platform.decode_autoscaler,
+                                (platform.decode_min, platform.decode_max),
+                                platform._scale_out_decode,
+                                zip(platform.decode_engines,
+                                    platform.decode_profiles),
+                                policy_factory, mean_tokens,
+                                platform.kv_capacity, platform.prefill_model,
+                                platform.ttft_slo_ms, tenant_runtime)
+        self.pools = (self.ppool, self.dpool)
         #: (ready_ms, sequence_id, sample) — KV transfer complete, decodeable.
         self.handoff: List[Tuple[float, int, SequenceSample]] = []
         self.prefill_delays: Dict[int, float] = {}
         self.transfer_delays: Dict[int, float] = {}
-        self.tenant_runtime = tenant_runtime
-        #: fault injection counters + crashed hardware awaiting recovery,
-        #: kept per pool (a prefill replica is rebuilt from its profile; a
-        #: decode replica keeps its engine).
-        self.crashes = 0
-        self.recoveries = 0
-        self.requeued = 0
-        self._pcrash_stock: List[ReplicaProfile] = []
-        self._dcrash_stock: List[Tuple[ContinuousBatchingEngine,
-                                       ReplicaProfile]] = []
-        if faults is not None:
-            for fault in faults:
-                # A crash scheduled before the first arrival fires with it.
-                kind = _PCRASH if fault.pool == "prefill" else _DCRASH
-                self.events.push(max(fault.crash_ms, start_ms), kind, fault)
+        self.arm_faults(platform.faults,
+                        lambda fault: (self.ppool if fault.pool == "prefill"
+                                       else self.dpool))
 
     # ------------------------------------------------------------------ gauges
     def sample_gauges(self, now_ms: float) -> None:
-        obs = self.obs
-        pdepth = 0
-        pbusy = 0
-        for entry in self.ppool.serving:
-            pdepth += len(entry.queue)
-            if not entry.is_free(now_ms):
-                pbusy += 1
-        obs.gauge(now_ms, "queue_depth", pdepth, pool="prefill")
-        obs.gauge(now_ms, "busy_replicas", pbusy, pool="prefill")
-        obs.gauge(now_ms, "active_replicas", len(self.ppool.active),
-                  pool="prefill")
-        ddepth = 0
-        dbusy = 0
-        kv_bytes = 0.0
-        kv_any = False
-        for entry in self.dpool.serving:
-            ddepth += len(entry.queue)
-            dbusy += entry.busy_slots(now_ms)
-            if entry.kv is not None:
-                kv_any = True
-                kv_bytes += entry.kv.used_bytes()
-        obs.gauge(now_ms, "queue_depth", ddepth, pool="decode")
-        obs.gauge(now_ms, "busy_slots", dbusy, pool="decode")
-        obs.gauge(now_ms, "active_replicas", len(self.dpool.active),
-                  pool="decode")
-        if kv_any:
-            obs.gauge(now_ms, "kv_used_bytes", kv_bytes, pool="decode")
-        obs.gauge(now_ms, "handoff_pending", len(self.handoff), pool="decode")
-        runtime = self.tenant_runtime
-        if runtime is not None:
-            backlog = tenant_backlog(
-                (sample.sequence_id for pool in (self.ppool, self.dpool)
-                 for entry in pool.serving for sample in entry.queue),
-                runtime.tenant_of)
-            for tenant, count in backlog.items():
-                obs.gauge(now_ms, "tenant_backlog", count, tenant=tenant)
+        self.ppool.sample_gauges(now_ms)
+        self.dpool.sample_gauges(now_ms)
+        self.obs.gauge(now_ms, "handoff_pending", len(self.handoff),
+                       pool="decode")
+        self.sample_tenant_backlog(now_ms)
 
-    # --------------------------------------------------------------- plumbing
-    def _wake_prefill(self, entry: PrefillReplicaEntry) -> None:
-        if not entry._kdirty:
-            entry._kdirty = True
-            self._pdirty.append(entry)
-
+    # --------------------------------------------------------- kernel contract
     def done(self, now_ms: float) -> bool:
-        if self.next_arrival < self.num_sequences or self.handoff:
-            return False
-        for entry in self.ppool.serving:
-            if entry.queue or entry.in_flight:
-                return False
-        for entry in self.dpool.serving:
-            if entry.queue or entry.busy_slots(now_ms):
-                return False
-        return True
+        return not self.handoff and super().done(now_ms)
 
     def next_external_ms(self, now_ms: float) -> Optional[float]:
-        candidate: Optional[float] = None
-        if self.next_arrival < self.num_sequences:
-            candidate = self.arrival_times[self.next_arrival]
+        candidate = super().next_external_ms(now_ms)
         if self.handoff and (candidate is None or self.handoff[0][0] < candidate):
             candidate = self.handoff[0][0]
         return candidate
 
-    def on_event(self, event) -> None:
-        kind = event.kind
-        if kind == _PREFILL:
-            self._wake_prefill(event.payload)
-        elif kind == _DSLOT:
-            self.wake(event.payload)
-        elif kind == _DEVICT:
-            _run_eviction(self, event.payload, self.clock.now_ms, _DSLOT)
-        elif kind == _PCRASH:
-            self._crash_prefill(event.payload, self.clock.now_ms)
-        elif kind == _DCRASH:
-            self._crash_decode(event.payload, self.clock.now_ms)
-        elif kind == _PRECOVER:
-            self._recover_prefill(self.clock.now_ms)
-        elif kind == _DRECOVER:
-            self._recover_decode(self.clock.now_ms)
-        elif kind == _PBOOT:
-            pool = event.payload
-            pool.boots.remove(event)
-            entry = self.platform._add_prefill(
-                pool.fleet, self.policy_factory, self.mean_tokens,
-                self.mean_prompt, self.clock.now_ms)
-            pool.add(entry)
-        else:  # _DBOOT
-            pool = event.payload
-            pool.boots.remove(event)
-            entry = self.platform._add_decode(
-                pool.fleet, self.policy_factory, self.mean_tokens,
-                self.mean_prompt, self.clock.now_ms)
-            pool.add(entry)
-
-    # ------------------------------------------------------------------ faults
-    def _crash_prefill(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one prefill replica; requeue its queued prompts.
-
-        The in-flight chunk-batch is salvaged — its completion event still
-        fires and pushes the sequences into the handoff heap — and queued
-        prompts requeue to survivors through the prefill balancer (rank
-        order preserved under tenancy).  The last active prefill replica
-        never crashes, so every sequence still reaches decode.
-        """
-        pool = self.ppool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        pool.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.queue
-        victim.queue = []
-        self.crashes += 1
-        self._pcrash_stock.append(victim.profile)
-        self.events.push(now + fault.down_ms, _PRECOVER, fault)
-        self._wake_prefill(victim)  # retire once its in-flight batch drains
-        if orphans:
-            balancer = self.platform.prefill_balancer
-            handles = pool.handles
-            active = pool.active
-            runtime = self.tenant_runtime
-            obs = self.obs
-            for sample in orphans:
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"prefill replica {index} of "
-                                     f"{len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.annotate(sample.sequence_id, requeued=True)
-                self._wake_prefill(entry)
-            self.requeued += len(orphans)
-
-    def _crash_decode(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one decode replica; requeue its queued sequences.
-
-        In-flight streams are salvaged (their tokens were recorded at slot
-        claim), queued sequences requeue to survivors through the decode
-        balancer, and the crashed hardware boots back ``down_ms`` later.
-        """
-        pool = self.dpool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        pool.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.queue
-        victim.queue = []
-        self.crashes += 1
-        self._dcrash_stock.append((victim.engine, victim.profile))
-        self.events.push(now + fault.down_ms, _DRECOVER, fault)
-        self.wake(victim)  # retire once its salvaged streams finish
-        if orphans:
-            balancer = self.platform.decode_balancer
-            handles = pool.handles
-            active = pool.active
-            runtime = self.tenant_runtime
-            obs = self.obs
-            for sample in orphans:
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"decode replica {index} of "
-                                     f"{len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.annotate(sample.sequence_id, requeued=True)
-                self.wake(entry)
-            self.requeued += len(orphans)
-
-    def _recover_prefill(self, now: float) -> None:
-        """Boot a replacement for the oldest unrecovered prefill crash."""
-        platform = self.platform
-        profile = self._pcrash_stock.pop(0)
-        entry = self.ppool.fleet.add(platform.prefill_model, profile,
-                                     platform.prefill_batch, self.mean_prompt,
-                                     now)
-        self.ppool.add(entry)
-        self.recoveries += 1
-
-    def _recover_decode(self, now: float) -> None:
-        """Boot a replacement for the oldest unrecovered decode crash.
-
-        The replacement starts with a fresh (empty) KV accountant — a crash
-        loses the cache along with the queued work."""
-        engine, profile = self._dcrash_stock.pop(0)
-        fleet = self.dpool.fleet
-        entry = fleet.add(engine, self.policy_factory(fleet.next_ordinal()),
-                          profile, self.mean_tokens, now,
-                          kv=self.platform._kv_for(engine, profile))
-        self.dpool.add(entry)
-        self.recoveries += 1
-
     # ------------------------------------------------------------------- pass
     def step(self, now: float) -> bool:
-        platform = self.platform
         ppool = self.ppool
         dpool = self.dpool
 
         # Phase 1: admit arrivals into the prefill pool.
-        admitted = 0
-        next_arrival = self.next_arrival
-        arrivals = self.arrival_times
-        num_sequences = self.num_sequences
-        if next_arrival < num_sequences and arrivals[next_arrival] <= now + 1e-9:
-            pending = self.pending
-            balancer = platform.prefill_balancer
-            prefill_active = ppool.active
-            prefill_handles = ppool.handles
-            runtime = self.tenant_runtime
-            obs = self.obs
-            while (next_arrival < num_sequences
-                   and arrivals[next_arrival] <= now + 1e-9):
-                sample = pending[next_arrival]
-                index = int(balancer.choose(sample, prefill_handles, now))
-                if not 0 <= index < len(prefill_active):
-                    raise ValueError(f"balancer {balancer.name!r} "
-                                     f"chose prefill replica {index} of "
-                                     f"{len(prefill_active)}")
-                entry = prefill_active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.admit(sample.sequence_id, sample.arrival_ms,
-                              kind="sequence", pool="prefill",
-                              replica=entry.replica_id)
-                    if runtime is not None:
-                        obs.annotate(sample.sequence_id,
-                                     tenant=runtime.tenant_of.get(
-                                         sample.sequence_id))
-                entry.dispatched += 1
-                next_arrival += 1
-                admitted += 1
-                self._wake_prefill(entry)
-            self.next_arrival = next_arrival
-        if admitted:
-            platform.prefill_autoscaler.observe_admitted(admitted, now)
+        self.admit_arrivals(ppool, now)
 
         # Phase 2: the prefill pool's own autoscaler (queued prompt chunks
         # drive its load signal).
-        if self._pautoscaled:
-            scale_pool(self, ppool, platform.prefill_autoscaler, now,
-                       platform.prefill_min, platform.prefill_max, _PBOOT)
+        ppool.scale(now)
 
         # Phase 3: prefill progress — finish due chunk-batches (pushing
         # their sequences into the handoff queue with the KV-transfer
         # delay) and start new ones on free replicas.
+        progressed = self._serve_prefill(now)
+
+        # Phase 4: handoff — transferred sequences route to the decode pool
+        # through its own balancer.
+        handoff = self.handoff
+        moved = 0
+        while handoff and handoff[0][0] <= now + 1e-9:
+            _, _, sample = heapq.heappop(handoff)
+            dpool.route(sample, now).dispatched += 1
+            moved += 1
+        if moved:
+            dpool.autoscaler.observe_admitted(moved, now)
+            progressed = True
+
+        # Phase 5: the decode pool's own autoscaler (outstanding decode
+        # work drives its load signal, as in the monolithic cluster).
+        dpool.scale(now)
+
+        # Phase 6: free decode slots claim queue heads and run the slot
+        # loop shared with the monolithic cluster (the decode engines
+        # carry no in-slot prefill model — prompts arrive prefilled —
+        # and doomed sequences are shed against the TTFT SLO).  The
+        # recorded queueing delay spans arrival → first decode step, so
+        # the aggregate TTFT includes prefill + transfer + both waits.
+        if dpool.serve(now):
+            progressed = True
+
+        # Phase 7: drained replicas that have gone idle leave their pool.
+        ppool.retire_idle(now)
+        dpool.retire_idle(now)
+        return progressed
+
+    def _serve_prefill(self, now: float) -> bool:
         progressed = False
         handoff = self.handoff
         prefill_delays = self.prefill_delays
         transfer_delays = self.transfer_delays
         obs = self.obs
-        for entry in self.drain_dirty(self._pdirty):
+        ppool = self.ppool
+        for entry in ppool.drain_dirty():
             if entry.in_flight and entry.busy_until_ms <= now + 1e-9:
                 done = entry.busy_until_ms
                 for sample in entry.in_flight:
@@ -954,60 +606,11 @@ class _DisaggRun(SimPlatform):
                         obs.phase(sample.sequence_id, "prefill", now,
                                   batch_end, pool="prefill", replica=replica)
                 if entry.busy_until_ms > now + 1e-9:
-                    self.events.push(entry.busy_until_ms, _PREFILL, entry)
+                    self.events.push(entry.busy_until_ms, WAKE,
+                                     (ppool, entry))
                 else:
                     # Degenerate zero-cost chunk: complete it in the next
                     # pass at this same timestamp instead of scheduling.
-                    self._wake_prefill(entry)
+                    ppool.wake(entry)
                 progressed = True
-
-        # Phase 4: handoff — transferred sequences dispatch to the decode
-        # pool through its own balancer.
-        moved = 0
-        if handoff and handoff[0][0] <= now + 1e-9:
-            balancer = platform.decode_balancer
-            decode_active = dpool.active
-            decode_handles = dpool.handles
-            runtime = self.tenant_runtime
-            while handoff and handoff[0][0] <= now + 1e-9:
-                _, _, sample = heapq.heappop(handoff)
-                index = int(balancer.choose(sample, decode_handles, now))
-                if not 0 <= index < len(decode_active):
-                    raise ValueError(f"balancer {balancer.name!r} "
-                                     f"chose decode replica {index} of "
-                                     f"{len(decode_active)}")
-                entry = decode_active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                entry.dispatched += 1
-                moved += 1
-                self.wake(entry)
-        if moved:
-            platform.decode_autoscaler.observe_admitted(moved, now)
-            progressed = True
-
-        # Phase 5: the decode pool's own autoscaler (outstanding decode
-        # work drives its load signal, as in the monolithic cluster).
-        if self._dautoscaled:
-            scale_pool(self, dpool, platform.decode_autoscaler, now,
-                       platform.decode_min, platform.decode_max, _DBOOT)
-
-        # Phase 6: free decode slots claim queue heads and run the slot
-        # loop shared with the monolithic cluster (the decode engines
-        # carry no in-slot prefill model — prompts arrive prefilled —
-        # and doomed sequences are shed against the TTFT SLO).  The
-        # recorded queueing delay spans arrival → first decode step, so
-        # the aggregate TTFT includes prefill + transfer + both waits.
-        ttft = platform.ttft_slo_ms
-        runtime = self.tenant_runtime
-        for entry in self.drain_dirty():
-            if entry.claim_streams(now, ttft, runtime):
-                progressed = True
-            _arm_slots(self, entry, now, _DSLOT)
-            _schedule_eviction(self, entry, now, _DEVICT)
-
-        # Phase 7: drained replicas that have gone idle leave their pool.
-        ppool.retire_idle(now)
-        dpool.retire_idle(now)
         return progressed

@@ -15,9 +15,13 @@ Three pieces:
     ``speed``\\ × faster) and a ``cost_weight`` used when accounting
     replica-seconds (a faster machine usually bills more per second).
 
-:class:`ReplicaHandle`
-    Read-only view of one replica that load balancers and autoscalers may
-    inspect (queue length, jobs in system, expected work left, profile).
+:class:`Replica`
+    The one replica protocol of every pool: the resource view load
+    balancers and autoscalers inspect (queue length, jobs in system,
+    expected work left, capacity, profile, KV residency) plus the hooks the
+    shared pool operations use.  :class:`ReplicaEntry` implements it for
+    classification replicas; generative decode and prefill replicas
+    implement it in their own modules.
 
 :class:`FleetState`
     The live membership.  Replicas move through a three-state lifecycle::
@@ -35,16 +39,15 @@ Three pieces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.platform import BatchExecutorFn, ReplicaState, ServingPlatform
 
-__all__ = ["ReplicaProfile", "ReplicaHandle", "ReplicaEntry", "BaseFleet",
-           "FleetState", "ACTIVE", "DRAINING", "RETIRED"]
+__all__ = ["ReplicaProfile", "Replica", "ReplicaHandle", "ReplicaEntry",
+           "BaseFleet", "FleetState", "coerce_profiles", "replica_band",
+           "ACTIVE", "DRAINING", "RETIRED"]
 
 #: Replica lifecycle states.
 ACTIVE = "active"
@@ -114,20 +117,134 @@ class ReplicaProfile:
         return described
 
 
-class ReplicaHandle:
-    """Read-only view of one replica that balancers/autoscalers may inspect.
+def coerce_profiles(profiles: Optional[Sequence[Union[ReplicaProfile, float, str]]],
+                    count: int, pool: str = "") -> List[ReplicaProfile]:
+    """Per-initial-member profiles of a pool of ``count`` replicas.
 
-    This is the **resource view** every load balancer costs against — one
-    uniform interface across the classification, generative-cluster and
-    disaggregated platforms instead of per-platform ad-hoc attributes:
+    ``None`` is ``count`` base-speed profiles; otherwise one profile (or
+    speed float / ``"speed[:cost]"`` string) per replica.  ``pool`` names the
+    pool in the error message of a disaggregated platform.
+    """
+    if profiles is None:
+        return [ReplicaProfile() for _ in range(count)]
+    coerced = [ReplicaProfile.coerce(p) for p in profiles]
+    if len(coerced) != count:
+        label = f"{pool} " if pool else ""
+        raise ValueError(f"got {len(coerced)} {label}replica profiles for "
+                         f"{count} replicas")
+    return coerced
 
-    * load signals — :meth:`queue_length`, :meth:`jobs_in_system`,
-      :meth:`backlog_ms`, :meth:`work_left_ms`;
-    * identity/shape — ``index``, ``replica_id``, ``profile``, ``weight``;
-    * KV-cache signals — :meth:`kv_prefix_hit_tokens` and
-      :meth:`kv_overflow_ms`, which default to 0 here (no cache model) and
-      are overridden by generative decode handles when a
-      :class:`~repro.generative.decoding.KVCacheAccountant` is attached.
+
+def replica_band(initial: int, lower: Optional[int], upper: Optional[int],
+                 pool: str = "") -> Tuple[int, int]:
+    """The ``(min, max)`` replica band a pool's autoscaler is clamped to.
+
+    ``None`` bounds freeze the pool at its ``initial`` size; the band must
+    contain the initial pool.  ``pool`` prefixes the offending keyword in
+    the error message (``prefill_min_replicas``) on disaggregated platforms.
+    """
+    low = initial if lower is None else int(lower)
+    high = initial if upper is None else int(upper)
+    key = f"{pool}_" if pool else ""
+    if not 1 <= low <= initial:
+        raise ValueError(f"{key}min_replicas must be in [1, {initial}] "
+                         f"(the initial pool size), got {low}")
+    if high < initial:
+        raise ValueError(f"{key}max_replicas must be >= the initial pool "
+                         f"size ({initial}), got {high}")
+    return low, high
+
+
+class Replica:
+    """One pool member, as balancers, autoscalers and pool operations see it.
+
+    This is the one replica protocol of every pool — classification
+    replicas (:class:`ReplicaEntry`), generative decode replicas and prefill
+    replicas all implement it directly, so a member is its own handle.
+    Balancers and autoscalers read only the **resource view**:
+
+    * load — ``queue_length()``, ``jobs_in_system(now)``, ``backlog_ms(now)``,
+      ``work_left_ms(now)``;
+    * capacity — ``max_batch_size`` and ``predicted_batch_time_ms(n)``,
+      which the predictive autoscaler turns into requests per second;
+    * identity — ``index`` (position among the pool's active members, kept
+      by :class:`~repro.serving.pool.PoolState`), ``replica_id``, ``profile``
+      and :attr:`weight`;
+    * KV cache — :meth:`kv_prefix_hit_tokens`, :meth:`kv_prefix_hit_ms` and
+      :meth:`kv_overflow_ms`, priced from ``kv`` (a
+      :class:`~repro.generative.decoding.KVCacheAccountant`) and 0 when the
+      member has no cache model.
+
+    The pool operations (routing, crash/recover, gauges, retirement) use the
+    rest: :meth:`enqueue`, :meth:`take_queue`, :meth:`item_id`,
+    ``has_work(now)``, ``busy_units(now)``, ``is_idle(now)``, ``hardware``
+    (what a crash recovery reboots) and the lifecycle fields ``status``,
+    ``added_ms``, ``retired_ms`` and ``dispatched``.  The defaults here serve
+    members whose queue is a plain list of generative sequences.
+    """
+
+    index: int = 0
+    kv = None
+
+    @property
+    def weight(self) -> float:
+        """Dispatch weight of this replica (its relative speed)."""
+        return self.profile.speed
+
+    # ------------------------------------------------------- KV-cache signals
+    def kv_prefix_hit_tokens(self, item) -> int:
+        """Shared-prefix tokens of ``item``'s group already resident in this
+        replica's KV cache (0 without a cache model)."""
+        kv = self.kv
+        return kv.prefix_hit_tokens(item) if kv is not None else 0
+
+    def kv_prefix_hit_ms(self, item) -> float:
+        """Prefill milliseconds placing ``item`` here would *save* thanks to
+        resident shared-prefix tokens, priced at this replica's re-prefill
+        rate (0 without a cache model)."""
+        kv = self.kv
+        if kv is None:
+            return 0.0
+        return kv.prefix_hit_tokens(item) * kv.recompute_ms_per_token
+
+    def kv_overflow_ms(self, item, now_ms: float) -> float:
+        """Expected recompute cost (ms) of the cache thrash placing ``item``
+        here would cause (0 without a cache model)."""
+        kv = self.kv
+        if kv is None:
+            return 0.0
+        return kv.overflow_tokens(item) * kv.recompute_ms_per_token
+
+    # ---------------------------------------------------------- pool hooks
+    def enqueue(self, item, runtime=None) -> None:
+        """Join the queue; ``runtime`` (tenancy) keeps it in rank order."""
+        queue = self.queue
+        queue.append(item)
+        if runtime is not None:
+            runtime.reposition(queue)
+
+    def take_queue(self) -> list:
+        """Empty the queue and return what it held (a crash's orphans)."""
+        orphans = self.queue
+        self.queue = []
+        return orphans
+
+    @staticmethod
+    def item_id(item) -> int:
+        """Id of a queued item (the key of spans and tenant maps)."""
+        return item.sequence_id
+
+    def active_ms(self, end_ms: float) -> float:
+        """Wall-clock time this replica was provisioned (added → retired)."""
+        until = self.retired_ms if self.retired_ms is not None else end_ms
+        return max(0.0, until - self.added_ms)
+
+
+class ReplicaHandle(Replica):
+    """The :class:`Replica` view of one classification platform replica.
+
+    Load is read off the platform's :class:`ReplicaState` and capacity off
+    its latency model; :class:`ReplicaEntry` extends it into a fleet member.
     """
 
     def __init__(self, index: int, platform: ServingPlatform, state: ReplicaState,
@@ -140,9 +257,11 @@ class ReplicaHandle:
         self.replica_id = replica_id if replica_id is not None else index
 
     @property
-    def weight(self) -> float:
-        """Dispatch weight of this replica (its relative speed)."""
-        return self.profile.speed
+    def max_batch_size(self) -> int:
+        return self.platform.max_batch_size
+
+    def predicted_batch_time_ms(self, batch_size: int) -> Optional[float]:
+        return self.platform.predicted_batch_time_ms(batch_size)
 
     def queue_length(self) -> int:
         return self.state.queue_length()
@@ -181,46 +300,51 @@ class ReplicaHandle:
             return work + float(queued) / self.profile.speed
         return work + per_batch * math.ceil(queued / full)
 
-    # ------------------------------------------------------- KV-cache signals
-    def kv_prefix_hit_tokens(self, item) -> int:
-        """Shared-prefix tokens of ``item`` already resident in this
-        replica's KV cache (0 without a cache model)."""
-        return 0
 
-    def kv_prefix_hit_ms(self, item) -> float:
-        """Prefill milliseconds placing ``item`` here would *save* thanks to
-        resident shared-prefix tokens (0 without a cache model)."""
-        return 0.0
+class ReplicaEntry(ReplicaHandle):
+    """One classification fleet member: its own handle plus executor and
+    lifecycle."""
 
-    def kv_overflow_ms(self, item, now_ms: float) -> float:
-        """Expected recompute cost (ms) of the cache thrash placing ``item``
-        here would cause (0 without a cache model)."""
-        return 0.0
+    def __init__(self, replica_id: int, platform: ServingPlatform,
+                 executor: BatchExecutorFn, profile: ReplicaProfile,
+                 state: ReplicaState, added_ms: float = 0.0) -> None:
+        super().__init__(0, platform, state, profile, replica_id)
+        self.executor = executor
+        self.status = ACTIVE
+        self.added_ms = added_ms
+        self.retired_ms: Optional[float] = None
+        #: requests the balancer originally routed here (reroutes not included).
+        self.dispatched = 0
+        #: kernel-scheduler bookkeeping: dirty flag + armed policy wake-up event.
+        self._kdirty = False
+        self._wake_event = None
 
+    @property
+    def hardware(self) -> ServingPlatform:
+        return self.platform
 
-@dataclass
-class ReplicaEntry:
-    """One member of the fleet: platform, executor, profile and lifecycle."""
+    @property
+    def queue(self) -> list:
+        return self.state.queue
 
-    replica_id: int
-    platform: ServingPlatform
-    executor: BatchExecutorFn
-    profile: ReplicaProfile
-    state: ReplicaState
-    handle: ReplicaHandle
-    status: str = ACTIVE
-    added_ms: float = 0.0
-    retired_ms: Optional[float] = None
-    #: requests the balancer originally routed here (reroutes not included).
-    dispatched: int = 0
-    #: kernel-scheduler bookkeeping: dirty flag + armed policy wake-up event.
-    _kdirty: bool = field(default=False, repr=False, compare=False)
-    _wake_event: Optional[object] = field(default=None, repr=False, compare=False)
+    @queue.setter
+    def queue(self, value: list) -> None:
+        self.state.queue = value
 
-    def active_ms(self, end_ms: float) -> float:
-        """Wall-clock time this replica was provisioned (added → retired)."""
-        until = self.retired_ms if self.retired_ms is not None else end_ms
-        return max(0.0, until - self.added_ms)
+    def enqueue(self, item, runtime=None) -> None:
+        # Tenant ranks ride on Request.rank; the platform opens the span.
+        self.platform.admit(self.state, item)
+
+    @staticmethod
+    def item_id(item) -> int:
+        return item.request_id
+
+    def has_work(self, now_ms: float) -> bool:
+        # Results are recorded at dispatch, so only queued requests remain.
+        return bool(self.state.queue)
+
+    def busy_units(self, now_ms: float) -> int:
+        return 0 if self.state.idle_at(now_ms) else 1
 
     def is_idle(self, now_ms: float) -> bool:
         """No queued work and the accelerator is free (retirement condition)."""
@@ -230,13 +354,15 @@ class ReplicaEntry:
 class BaseFleet:
     """Shared lifecycle machinery of a dynamic replica membership.
 
-    Entries may be any object carrying ``replica_id`` / ``profile`` /
-    ``status`` / ``added_ms`` / ``retired_ms`` plus ``active_ms(end_ms)`` and
-    ``is_idle(now_ms)``; the classification fleet (:class:`FleetState`) and
-    the generative fleet (:mod:`repro.serving.generative_cluster`) both build
-    on this so the ACTIVE → DRAINING → RETIRED semantics, the fleet-size
-    timeline and the replica-seconds accounting are defined exactly once.
+    Entries are :class:`Replica` members; the classification fleet
+    (:class:`FleetState`), the generative decode fleet and the prefill fleet
+    all build on this so the ACTIVE → DRAINING → RETIRED semantics, the
+    fleet-size timeline and the replica-seconds accounting are defined
+    exactly once.
     """
+
+    #: Gauge name of the members' summed ``busy_units`` (pool gauge sampler).
+    busy_gauge = "busy_replicas"
 
     def __init__(self) -> None:
         self.entries: List = []
@@ -332,10 +458,7 @@ class FleetState(BaseFleet):
         # and the replica's stable id without per-call-site wiring.
         platform.obs = self.obs
         state.obs_replica = self._next_id
-        handle = ReplicaHandle(index=len(self.entries), platform=platform,
-                               state=state, profile=profile,
-                               replica_id=self._next_id)
         entry = ReplicaEntry(replica_id=self._next_id, platform=platform,
                              executor=executor, profile=profile, state=state,
-                             handle=handle, added_ms=now_ms)
+                             added_ms=now_ms)
         return self._register(entry, now_ms)

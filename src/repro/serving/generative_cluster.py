@@ -48,24 +48,24 @@ from repro.generative.decoding import (KVCacheAccountant, PrefillModel,
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.cluster import LoadBalancer, build_balancer
-from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, BaseFleet,
-                                 ReplicaProfile)
+from repro.serving.fleet import (ACTIVE, BaseFleet, Replica, ReplicaProfile,
+                                 coerce_profiles, replica_band)
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, TokenExitPolicy,
                                         VanillaTokenPolicy)
-from repro.serving.kernel import (PoolState, SimPlatform, pool_is_static,
-                                  scale_pool)
+from repro.serving.kernel import SimPlatform
 from repro.serving.metrics import dispatch_imbalance_ratio
+from repro.serving.pool import EVICT, WAKE, FleetRun, PoolState
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
-                           coerce_tenancy, sequence_rollups, tenant_backlog)
+                           coerce_tenancy, sequence_rollups)
 
 #: shared stateless policy used to pin a tenant's sequences to the full model
 #: (exit-policy override ``allow_exits=False``).
 _NO_EXIT_POLICY = VanillaTokenPolicy()
 
-__all__ = ["GenerativeReplicaHandle", "GenerativeReplicaEntry",
-           "GenerativeFleetState", "GenerativeClusterMetrics",
-           "GenerativeClusterPlatform", "PolicyFactory"]
+__all__ = ["GenerativeReplicaEntry", "GenerativeFleetState",
+           "GenerativeClusterMetrics", "GenerativeClusterPlatform",
+           "PolicyFactory"]
 
 #: Per-ordinal token-exit-policy source for one run.  Called once per replica
 #: (ordinals continue past the initial fleet when the autoscaler scales out);
@@ -74,113 +74,15 @@ __all__ = ["GenerativeReplicaHandle", "GenerativeReplicaEntry",
 PolicyFactory = Callable[[int], TokenExitPolicy]
 
 
-class _EngineView:
-    """Platform-shaped shim over a decode replica for autoscaler policies.
-
-    The classification autoscalers read replica capacity through
-    ``handle.platform`` (``max_batch_size`` + ``predicted_batch_time_ms``);
-    for a decode replica the analogous quantities are the number of decode
-    slots and the expected time to turn every slot over once (mean sequence
-    length × depth-scaled step time).
-    """
-
-    def __init__(self, entry: "GenerativeReplicaEntry") -> None:
-        self._entry = entry
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._entry.engine.max_batch_size
-
-    def predicted_batch_time_ms(self, batch_size: int) -> float:
-        return self._entry.mean_tokens * self._entry.expected_token_ms()
-
-
-class GenerativeReplicaHandle:
-    """Read-only decode-replica view for load balancers and autoscalers.
-
-    Mirrors :class:`~repro.serving.fleet.ReplicaHandle` so every existing
-    balancer (round-robin, JSQ, least-work-left, power-of-two, weighted
-    variants) and autoscaler (reactive, predictive) runs unchanged on
-    generative fleets — the *cost model* underneath is token-level.
-    """
-
-    def __init__(self, entry: "GenerativeReplicaEntry") -> None:
-        self._entry = entry
-        self.index = 0
-        self.platform = _EngineView(entry)
-
-    @property
-    def replica_id(self) -> int:
-        return self._entry.replica_id
-
-    @property
-    def profile(self) -> ReplicaProfile:
-        return self._entry.profile
-
-    @property
-    def weight(self) -> float:
-        """Dispatch weight of this replica (its relative speed)."""
-        return self._entry.profile.speed
-
-    def queue_length(self) -> int:
-        return len(self._entry.queue)
-
-    def jobs_in_system(self, now_ms: float) -> int:
-        """Queued sequences plus the streams decoding in occupied slots."""
-        return len(self._entry.queue) + self._entry.busy_slots(now_ms)
-
-    def backlog_ms(self, now_ms: float) -> float:
-        """Remaining decode time of the stream occupying the *soonest-free*
-        slot — when the replica could next start a queued sequence."""
-        free = self._entry.next_free_slot_ms()
-        return max(0.0, free - now_ms)
-
-    def work_left_ms(self, now_ms: float) -> float:
-        """Outstanding decode work in expected milliseconds.
-
-        In-flight streams contribute their remaining slot occupancy; queued
-        sequences contribute ``tokens × depth-scaled step time`` at the
-        replica's speed.  This is what makes ``least_work_left`` price decode
-        replicas correctly: ten queued 12-token answers are cheaper than two
-        60-token summaries even though JSQ counts them as five times the load.
-        """
-        entry = self._entry
-        work = sum(max(0.0, t - now_ms) for t in entry.slots)
-        if not entry.queue:
-            return work
-        token_ms = entry.expected_token_ms()
-        queued_tokens = sum(s.num_tokens for s in entry.queue)
-        # Queued work drains across all slots in parallel.
-        return work + queued_tokens * token_ms / entry.engine.max_batch_size
-
-    # ------------------------------------------------------------- KV signals
-    def kv_prefix_hit_tokens(self, item) -> int:
-        """Shared-prefix tokens of ``item``'s group resident in this
-        replica's KV cache (0 when the cache model is disabled)."""
-        kv = self._entry.kv
-        return kv.prefix_hit_tokens(item) if kv is not None else 0
-
-    def kv_prefix_hit_ms(self, item) -> float:
-        """Prefill milliseconds resident shared-prefix tokens would save
-        ``item`` here, priced at this replica's re-prefill rate (0 when the
-        cache model is disabled)."""
-        kv = self._entry.kv
-        if kv is None:
-            return 0.0
-        return kv.prefix_hit_tokens(item) * kv.recompute_ms_per_token
-
-    def kv_overflow_ms(self, item, now_ms: float) -> float:
-        """Expected recompute cost of the cache overflow admitting ``item``
-        would cause here (0 when the cache model is disabled)."""
-        kv = self._entry.kv
-        if kv is None:
-            return 0.0
-        return kv.overflow_tokens(item) * kv.recompute_ms_per_token
-
-
 @dataclass
-class GenerativeReplicaEntry:
-    """One decode replica of the fleet: engine, policy, slots and lifecycle."""
+class GenerativeReplicaEntry(Replica):
+    """One decode replica of the fleet: engine, policy, slots and lifecycle.
+
+    Its own :class:`~repro.serving.fleet.Replica` handle: every balancer
+    (round-robin, JSQ, least-work-left, power-of-two, weighted variants, the
+    KV-aware policies) and autoscaler runs unchanged on decode pools — the
+    *cost model* underneath is token-level.
+    """
 
     replica_id: int
     engine: ContinuousBatchingEngine
@@ -191,7 +93,6 @@ class GenerativeReplicaEntry:
     slots: List[float] = field(default_factory=list)
     queue: List = field(default_factory=list)
     metrics: GenerativeMetrics = field(default_factory=GenerativeMetrics)
-    handle: Optional[GenerativeReplicaHandle] = None
     status: str = ACTIVE
     added_ms: float = 0.0
     retired_ms: Optional[float] = None
@@ -220,12 +121,16 @@ class GenerativeReplicaEntry:
     def __post_init__(self) -> None:
         if not self.slots:
             self.slots = [-np.inf] * self.engine.max_batch_size
-        if self.handle is None:
-            self.handle = GenerativeReplicaHandle(self)
+
+    @property
+    def hardware(self) -> ContinuousBatchingEngine:
+        return self.engine
 
     # ------------------------------------------------------------------ slots
     def busy_slots(self, now_ms: float) -> int:
         return sum(1 for t in self.slots if t > now_ms + 1e-9)
+
+    busy_units = busy_slots
 
     def free_slot_index(self, now_ms: float) -> Optional[int]:
         for index, t in enumerate(self.slots):
@@ -236,13 +141,51 @@ class GenerativeReplicaEntry:
     def next_free_slot_ms(self) -> float:
         return min(self.slots)
 
+    def has_work(self, now_ms: float) -> bool:
+        return bool(self.queue) or self.busy_slots(now_ms) > 0
+
     def is_idle(self, now_ms: float) -> bool:
         return not self.queue and self.busy_slots(now_ms) == 0
 
-    def active_ms(self, end_ms: float) -> float:
-        """Wall-clock time this replica was provisioned (added → retired)."""
-        until = self.retired_ms if self.retired_ms is not None else end_ms
-        return max(0.0, until - self.added_ms)
+    # ---------------------------------------------------------- resource view
+    def queue_length(self) -> int:
+        return len(self.queue)
+
+    def jobs_in_system(self, now_ms: float) -> int:
+        """Queued sequences plus the streams decoding in occupied slots."""
+        return len(self.queue) + self.busy_slots(now_ms)
+
+    def backlog_ms(self, now_ms: float) -> float:
+        """Remaining decode time of the stream occupying the *soonest-free*
+        slot — when the replica could next start a queued sequence."""
+        return max(0.0, self.next_free_slot_ms() - now_ms)
+
+    def work_left_ms(self, now_ms: float) -> float:
+        """Outstanding decode work in expected milliseconds.
+
+        In-flight streams contribute their remaining slot occupancy; queued
+        sequences contribute ``tokens × depth-scaled step time`` at the
+        replica's speed.  This is what makes ``least_work_left`` price decode
+        replicas correctly: ten queued 12-token answers are cheaper than two
+        60-token summaries even though JSQ counts them as five times the load.
+        """
+        work = sum(max(0.0, t - now_ms) for t in self.slots)
+        if not self.queue:
+            return work
+        token_ms = self.expected_token_ms()
+        queued_tokens = sum(s.num_tokens for s in self.queue)
+        # Queued work drains across all slots in parallel.
+        return work + queued_tokens * token_ms / self.engine.max_batch_size
+
+    @property
+    def max_batch_size(self) -> int:
+        """Decode slots: the sequences this replica serves at once."""
+        return self.engine.max_batch_size
+
+    def predicted_batch_time_ms(self, batch_size: int) -> float:
+        """Expected time to turn every slot over once: mean sequence length
+        × depth-scaled step time (the autoscalers' capacity signal)."""
+        return self.mean_tokens * self.expected_token_ms()
 
     # ------------------------------------------------------------- work model
     def expected_token_ms(self) -> float:
@@ -375,6 +318,8 @@ class GenerativeReplicaEntry:
 
 class GenerativeFleetState(BaseFleet):
     """Dynamic decode-replica membership (ACTIVE → DRAINING → RETIRED)."""
+
+    busy_gauge = "busy_slots"
 
     def add(self, engine: ContinuousBatchingEngine, policy: TokenExitPolicy,
             profile: ReplicaProfile, mean_tokens: float, now_ms: float,
@@ -526,8 +471,6 @@ class GenerativeClusterPlatform:
             raise ValueError("a generative cluster needs at least one replica")
         #: Observability recorder shared by every replica (no-op when unset).
         self.obs = obs if obs is not None else NULL_RECORDER
-        #: Kernel schedule counters of the most recent ``run()``.
-        self.last_kernel_stats = None
         if ttft_slo_ms is not None and ttft_slo_ms <= 0:
             raise ValueError(f"ttft_slo_ms must be positive, got {ttft_slo_ms}")
         self.ttft_slo_ms = None if ttft_slo_ms is None else float(ttft_slo_ms)
@@ -543,21 +486,9 @@ class GenerativeClusterPlatform:
         self.faults = coerce_faults(faults)
 
         n = len(self.engines)
-        if profiles is None:
-            self.profiles: List[ReplicaProfile] = [ReplicaProfile() for _ in range(n)]
-        else:
-            self.profiles = [ReplicaProfile.coerce(p) for p in profiles]
-            if len(self.profiles) != n:
-                raise ValueError(f"got {len(self.profiles)} replica profiles "
-                                 f"for {n} replicas")
-        self.min_replicas = n if min_replicas is None else int(min_replicas)
-        self.max_replicas = n if max_replicas is None else int(max_replicas)
-        if not 1 <= self.min_replicas <= n:
-            raise ValueError(f"min_replicas must be in [1, {n}] "
-                             f"(the initial fleet size), got {self.min_replicas}")
-        if self.max_replicas < n:
-            raise ValueError(f"max_replicas must be >= the initial fleet size "
-                             f"({n}), got {self.max_replicas}")
+        self.profiles = coerce_profiles(profiles, n)
+        self.min_replicas, self.max_replicas = replica_band(n, min_replicas,
+                                                            max_replicas)
         self.scale_out_profile = scale_out_profile if scale_out_profile is not None \
             else ReplicaProfile()
 
@@ -565,27 +496,6 @@ class GenerativeClusterPlatform:
     def num_replicas(self) -> int:
         """Size of the initial fleet (the fleet ``run()`` starts from)."""
         return len(self.engines)
-
-    def _kv_for(self, engine: ContinuousBatchingEngine,
-                profile: ReplicaProfile) -> Optional[KVCacheAccountant]:
-        """Fresh accountant for one replica (``None`` when the cache model is
-        off).  Recompute is priced at the replica's chunked-prefill rate —
-        the engine's own prefill model when it has one, otherwise a default
-        :class:`PrefillModel` over the same timing spec (a monolith without
-        in-slot prefill still pays for re-prefilling evicted context)."""
-        capacity = profile.kv_capacity_bytes
-        if capacity is None:
-            capacity = self.kv_capacity
-        if capacity is None:
-            return None
-        prefill = engine.prefill
-        if prefill is None:
-            prefill = PrefillModel(engine.timing.spec)
-        recompute = prefill.chunk_time_ms() / prefill.tokens_per_chunk \
-            / profile.speed
-        return KVCacheAccountant(capacity,
-                                 kv_bytes_per_token(engine.timing.spec),
-                                 recompute_ms_per_token=recompute)
 
     # --------------------------------------------------------------- main loop
     def run(self, workload, policy_factory: PolicyFactory) -> GenerativeClusterMetrics:
@@ -597,368 +507,242 @@ class GenerativeClusterPlatform:
         fleet-wide EE control.  Returns per-replica + fleet token metrics
         covering every replica that decoded, including ones retired mid-run.
         """
-        self.balancer.reset()
-        self.autoscaler.reset()
-        self.autoscaler.set_bounds(self.min_replicas, self.max_replicas)
-
         pending = sorted(workload.sequences,
                          key=lambda s: (s.arrival_ms, s.sequence_id))
         tenant_runtime = build_sequence_runtime(pending, self.tenancy, self.seed)
-        num_sequences = len(pending)
         start = pending[0].arrival_ms if pending else 0.0
         mean_tokens = workload.mean_output_length() or 1.0
-
-        fleet = GenerativeFleetState()
-        fleet.obs = self.obs
-        for engine, profile in zip(self.engines, self.profiles):
-            fleet.add(engine, policy_factory(fleet.next_ordinal()), profile,
-                      mean_tokens, start, kv=self._kv_for(engine, profile))
-
-        if num_sequences == 0:
+        runner = _GenerativeRun(self, pending, policy_factory, mean_tokens,
+                                start, tenant_runtime=tenant_runtime)
+        fleet = runner.pool.fleet
+        if not pending:
             return self._collect(fleet, start, start)
 
-        runner = _GenerativeRun(self, pending, policy_factory, fleet,
-                                mean_tokens, start,
-                                tenant_runtime=tenant_runtime,
-                                faults=self.faults)
         runner.drive()
-        self.last_kernel_stats = runner.events.stats()
 
         end = max((e.last_completion_ms for e in fleet.entries
                    if np.isfinite(e.last_completion_ms)), default=start)
         metrics = self._collect(fleet, start, end)
-        metrics.crashes = runner.crashes
-        metrics.recoveries = runner.recoveries
-        metrics.requeued = runner.requeued
-        metrics.kernel_stats = self.last_kernel_stats
+        runner.stamp(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
                                                       tenant_runtime)
         return metrics
 
+    def _scale_out(self, ordinal: int) -> Tuple[ContinuousBatchingEngine,
+                                                ReplicaProfile]:
+        """The engine and profile a scale-out boot brings online (engines
+        are stateless, so every boot reuses the first one)."""
+        return self.engines[0], self.scale_out_profile
+
     def _collect(self, fleet: GenerativeFleetState, start_ms: float,
                  end_ms: float) -> GenerativeClusterMetrics:
-        fleet.finalize(end_ms)
-        for entry in fleet.entries:
-            if entry.metrics.tokens:
-                entry.metrics.makespan_ms = max(
-                    entry.last_completion_ms - start_ms, 1e-9)
-            if entry.kv is not None:
-                metrics = entry.metrics
-                metrics.kv_enabled = True
-                metrics.kv_hit_tokens = entry.kv.hit_tokens
-                metrics.kv_miss_tokens = entry.kv.miss_tokens
-                metrics.kv_evictions = entry.kv.evictions
-                metrics.kv_evicted_tokens = entry.kv.evicted_tokens
-                metrics.kv_recompute_tokens = entry.kv.recompute_tokens
-        decoded_anything = any(entry.metrics.tokens for entry in fleet.entries)
-        makespan = max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0
-        return GenerativeClusterMetrics(
-            replicas=[entry.metrics for entry in fleet.entries],
-            dispatch_counts=[entry.dispatched for entry in fleet.entries],
-            makespan_ms=makespan,
-            fleet_timeline=list(fleet.timeline),
-            replica_seconds=fleet.replica_seconds(end_ms),
-            replica_active_ms=fleet.active_replica_ms(end_ms),
-            replica_uptimes_ms=[entry.active_ms(end_ms)
-                                for entry in fleet.entries],
-        )
+        return GenerativeClusterMetrics(**decode_rollup(fleet, start_ms,
+                                                        end_ms))
 
 
-#: event kinds of the kernel-scheduled generative cluster run.
-_BOOT, _SLOT_FREE, _CRASH, _RECOVER, _EVICT = 0, 1, 2, 3, 4
+def decode_rollup(fleet: GenerativeFleetState, start_ms: float,
+                  end_ms: float) -> Dict[str, object]:
+    """Close a decode fleet's books at ``end_ms``.
 
-
-def _run_eviction(sim: SimPlatform, entry: GenerativeReplicaEntry,
-                  now_ms: float, slot_kind: int) -> None:
-    """Fire one replica's deferred KV-eviction event.
-
-    Evicts LRU residents until occupancy fits; a still-running victim's
-    recompute charge extends its decode-slot occupancy (the slot re-prefills
-    the evicted context before the stream can finish), so the freed-slot
-    event is re-armed at the later time.  Shared by the monolithic cluster
-    and the disaggregated decode pool.
+    Stamps every member's token metrics with its makespan and KV-cache
+    counters and returns the :class:`GenerativeClusterMetrics` fields the
+    fleet fills (a disaggregated run's decode pool fills the same ones).
     """
-    entry._kv_evict_pending = False
-    kv = entry.kv
-    if kv is None:
-        return
-    obs = entry.obs
-    for seq_id, recompute_ms in kv.evict_to_fit(now_ms):
-        if obs.enabled:
-            obs.annotate(seq_id, kv_evicted=True)
-        slot = entry.kv_slot_of.pop(seq_id, None)
-        if slot is None or recompute_ms <= 0.0:
-            continue
-        if entry.slots[slot] > now_ms + 1e-9:
-            entry.slots[slot] += recompute_ms
-            entry.last_completion_ms = max(entry.last_completion_ms,
-                                           entry.slots[slot])
+    fleet.finalize(end_ms)
+    for entry in fleet.entries:
+        metrics = entry.metrics
+        if metrics.tokens:
+            metrics.makespan_ms = max(entry.last_completion_ms - start_ms, 1e-9)
+        kv = entry.kv
+        if kv is not None:
+            metrics.kv_enabled = True
+            metrics.kv_hit_tokens = kv.hit_tokens
+            metrics.kv_miss_tokens = kv.miss_tokens
+            metrics.kv_evictions = kv.evictions
+            metrics.kv_evicted_tokens = kv.evicted_tokens
+            metrics.kv_recompute_tokens = kv.recompute_tokens
+    decoded_anything = any(entry.metrics.tokens for entry in fleet.entries)
+    return dict(
+        replicas=[entry.metrics for entry in fleet.entries],
+        dispatch_counts=[entry.dispatched for entry in fleet.entries],
+        makespan_ms=max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0,
+        fleet_timeline=list(fleet.timeline),
+        replica_seconds=fleet.replica_seconds(end_ms),
+        replica_active_ms=fleet.active_replica_ms(end_ms),
+        replica_uptimes_ms=[entry.active_ms(end_ms) for entry in fleet.entries],
+    )
+
+
+def kv_accountant(engine: ContinuousBatchingEngine, profile: ReplicaProfile,
+                  capacity: Optional[float],
+                  prefill: Optional[PrefillModel] = None
+                  ) -> Optional[KVCacheAccountant]:
+    """A fresh KV-cache accountant for one decode replica.
+
+    ``None`` (no cache model) unless the profile's ``kv_capacity_bytes`` or
+    the pool-wide ``capacity`` sets a budget.  Evicted context is recomputed
+    at ``prefill``'s chunked rate scaled by the replica's speed; without one
+    it is the engine's own in-slot prefill model or, for an engine without
+    one, a default :class:`PrefillModel` over the same timing spec.
+    """
+    if profile.kv_capacity_bytes is not None:
+        capacity = profile.kv_capacity_bytes
+    if capacity is None:
+        return None
+    if prefill is None:
+        prefill = engine.prefill
+    if prefill is None:
+        prefill = PrefillModel(engine.timing.spec)
+    recompute = prefill.chunk_time_ms() / prefill.tokens_per_chunk \
+        / profile.speed
+    return KVCacheAccountant(capacity, kv_bytes_per_token(engine.timing.spec),
+                             recompute_ms_per_token=recompute)
+
+
+class DecodePool(PoolState):
+    """A pool of continuous-batching decode replicas.
+
+    The monolithic generative fleet is one of these; a disaggregated fleet
+    feeds one from its prefill pool.  Every member — initial, scaled out or
+    recovered from a crash — gets a fresh token-exit policy from
+    ``policy_factory`` and a fresh :func:`kv_accountant` (a crash loses the
+    cache along with the queued work).  A member's freed decode slots fire
+    :data:`~repro.serving.pool.WAKE` events and its KV overflow an
+    :data:`~repro.serving.pool.EVICT` event; :class:`FleetRun` dispatches
+    both, so runners never see them.
+    """
+
+    def __init__(self, sim: SimPlatform, name: str, balancer: LoadBalancer,
+                 autoscaler: Autoscaler, band: Tuple[int, int], scale_out,
+                 initial, policy_factory: PolicyFactory, mean_tokens: float,
+                 kv_capacity: Optional[float], prefill: Optional[PrefillModel],
+                 ttft_slo_ms: Optional[float],
+                 runtime: Optional[TenantRuntime]) -> None:
+        self.policy_factory = policy_factory
+        self.mean_tokens = mean_tokens
+        self.kv_capacity = kv_capacity
+        self.prefill = prefill
+        self.ttft_slo_ms = ttft_slo_ms
+        super().__init__(sim, GenerativeFleetState(), name, balancer,
+                         autoscaler, band, self._spawn, scale_out, initial,
+                         runtime=runtime)
+
+    def _spawn(self, engine: ContinuousBatchingEngine, profile: ReplicaProfile,
+               now_ms: float) -> GenerativeReplicaEntry:
+        fleet = self.fleet
+        return fleet.add(engine, self.policy_factory(fleet.next_ordinal()),
+                         profile, self.mean_tokens, now_ms,
+                         kv=kv_accountant(engine, profile, self.kv_capacity,
+                                          self.prefill))
+
+    def serve(self, now_ms: float) -> bool:
+        """The slot phase; returns whether anything progressed.
+
+        Free decode slots of the dirty members claim their queue heads and
+        run the stream decode (deadline shedding included), then each
+        member's slot-free events are armed and any KV overflow schedules an
+        eviction.  A member with queued work and a free slot is always
+        dirty: claims leave either an empty queue or no free slot, slots
+        only free through their slot event, and routing wakes its target.
+        """
+        progressed = False
+        ttft_slo_ms = self.ttft_slo_ms
+        runtime = self.runtime
+        for entry in self.drain_dirty():
+            if entry.claim_streams(now_ms, ttft_slo_ms, runtime):
+                progressed = True
+            self._arm_slots(entry, now_ms)
+            kv = entry.kv
+            if kv is not None and not entry._kv_evict_pending \
+                    and kv.needs_eviction():
+                # Deferred to a same-timestamp event (rather than evicting
+                # inline) so eviction observes the timestamp's full admission
+                # state; ``_kv_evict_pending`` dedupes, and ``needs_eviction``
+                # requires an evictable non-MRU resident, so one
+                # oversubscribing sequence cannot re-arm the event forever.
+                entry._kv_evict_pending = True
+                self.sim.events.push(now_ms, EVICT, (self, entry))
+        return progressed
+
+    def evict(self, entry: GenerativeReplicaEntry, now_ms: float) -> None:
+        """Fire one member's deferred KV-eviction event.
+
+        Evicts LRU residents until occupancy fits; a still-running victim's
+        recompute charge extends its decode-slot occupancy (the slot
+        re-prefills the evicted context before the stream can finish), so
+        the freed-slot event is re-armed at the later time.
+        """
+        entry._kv_evict_pending = False
+        kv = entry.kv
+        if kv is None:
+            return
+        obs = entry.obs
+        for seq_id, recompute_ms in kv.evict_to_fit(now_ms):
             if obs.enabled:
-                obs.annotate(seq_id, kv_recompute_ms=recompute_ms)
-    _arm_slots(sim, entry, now_ms, slot_kind)
-    sim.wake(entry)
+                obs.annotate(seq_id, kv_evicted=True)
+            slot = entry.kv_slot_of.pop(seq_id, None)
+            if slot is None or recompute_ms <= 0.0:
+                continue
+            if entry.slots[slot] > now_ms + 1e-9:
+                entry.slots[slot] += recompute_ms
+                entry.last_completion_ms = max(entry.last_completion_ms,
+                                               entry.slots[slot])
+                if obs.enabled:
+                    obs.annotate(seq_id, kv_recompute_ms=recompute_ms)
+        self._arm_slots(entry, now_ms)
+        self.wake(entry)
+
+    def _arm_slots(self, entry: GenerativeReplicaEntry, now_ms: float) -> None:
+        """Register a slot-free wake-up per occupied decode slot.
+
+        ``_slot_armed`` remembers the completion time last armed per slot so
+        an unchanged slot is never double-registered.  Events never need
+        cancelling: a slot with a live future event is occupied, and claims
+        only ever take slots whose time has passed, so a stale record in
+        ``_slot_armed`` can never collide with a pending event.
+        """
+        armed = entry._slot_armed
+        for index, t in enumerate(entry.slots):
+            if t > now_ms + 1e-9 and armed.get(index) != t:
+                armed[index] = t
+                self.sim.events.push(t, WAKE, (self, entry))
 
 
-def _schedule_eviction(sim: SimPlatform, entry: GenerativeReplicaEntry,
-                       now_ms: float, evict_kind: int) -> None:
-    """Register a same-timestamp eviction event when occupancy overflowed.
-
-    Deferred to an event (rather than evicting inline during the claim pass)
-    so eviction observes the full admission state of the timestamp;
-    ``_kv_evict_pending`` dedupes, and ``needs_eviction`` requires an
-    evictable non-MRU resident, so a single oversubscribing sequence cannot
-    re-arm the event forever.
-    """
-    kv = entry.kv
-    if kv is not None and not entry._kv_evict_pending and kv.needs_eviction():
-        entry._kv_evict_pending = True
-        sim.events.push(now_ms, evict_kind, entry)
-
-
-def _arm_slots(sim: SimPlatform, entry: GenerativeReplicaEntry,
-               now_ms: float, kind: int) -> None:
-    """Register a slot-free event per occupied decode slot.
-
-    ``_slot_armed`` remembers the completion time last armed per slot so an
-    unchanged slot is never double-registered.  Events never need cancelling:
-    a slot with a live future event is occupied, and claims only ever take
-    slots whose time has passed, so a stale record in ``_slot_armed`` can
-    never collide with a pending event.
-    """
-    armed = entry._slot_armed
-    for index, t in enumerate(entry.slots):
-        if t > now_ms + 1e-9 and armed.get(index) != t:
-            armed[index] = t
-            sim.events.push(t, kind, entry)
-
-
-class _GenerativeRun(SimPlatform):
+class _GenerativeRun(FleetRun):
     """Kernel-scheduled execution of one :meth:`GenerativeClusterPlatform.run`.
 
-    Same phase order as the seed rescan loop (boots → admit → autoscale →
-    slot claims → retire); the slot-claim phase touches only the replicas
-    whose queue changed or whose decode slot freed, and the clock advances
-    through the event heap (slot completions, boots) plus the arrival cursor.
+    One decode pool.  Same phase order as the seed rescan loop (boots →
+    admit → autoscale → slot claims → retire); the slot-claim phase touches
+    only the replicas whose queue changed or whose decode slot freed, and
+    the clock advances through the event heap (slot completions, boots)
+    plus the arrival cursor.
     """
 
     def __init__(self, cluster: GenerativeClusterPlatform, pending: List,
-                 policy_factory: PolicyFactory, fleet: GenerativeFleetState,
-                 mean_tokens: float, start_ms: float,
-                 tenant_runtime: Optional[TenantRuntime] = None,
-                 faults: Optional[FaultSchedule] = None) -> None:
-        super().__init__(start_ms)
-        self.install_obs(cluster.obs, start_ms)
-        self.cluster = cluster
-        self.pending = pending
-        self.arrival_times = [s.arrival_ms for s in pending]
-        self.num_sequences = len(pending)
-        self.next_arrival = 0
-        self.policy_factory = policy_factory
-        self.fleet = fleet
-        self.mean_tokens = mean_tokens
-        self.pool = PoolState(fleet)
-        self.tenant_runtime = tenant_runtime
-        #: fault injection counters + the crashed hardware awaiting recovery.
-        self.crashes = 0
-        self.recoveries = 0
-        self.requeued = 0
-        self._crash_stock: List[Tuple[ContinuousBatchingEngine, ReplicaProfile]] = []
-        if faults is not None:
-            for fault in faults:
-                # A crash scheduled before the first arrival fires with it.
-                self.events.push(max(fault.crash_ms, start_ms), _CRASH, fault)
-        #: fixed-size fleet in band: the per-pass autoscaler consult is a
-        #: proven no-op, so the hot loop skips it entirely.
-        self._autoscaled = not pool_is_static(cluster.autoscaler, self.pool,
-                                              cluster.min_replicas,
-                                              cluster.max_replicas)
+                 policy_factory: PolicyFactory, mean_tokens: float,
+                 start_ms: float,
+                 tenant_runtime: Optional[TenantRuntime] = None) -> None:
+        super().__init__(pending, start_ms, cluster.obs, tenant_runtime)
+        self.pool = DecodePool(self, "serve", cluster.balancer,
+                               cluster.autoscaler,
+                               (cluster.min_replicas, cluster.max_replicas),
+                               cluster._scale_out,
+                               zip(cluster.engines, cluster.profiles),
+                               policy_factory, mean_tokens,
+                               cluster.kv_capacity, None, cluster.ttft_slo_ms,
+                               tenant_runtime)
+        self.pools = (self.pool,)
+        self.arm_faults(cluster.faults, lambda fault: self.pool)
 
-    # ------------------------------------------------------------------ gauges
-    def sample_gauges(self, now_ms: float) -> None:
-        obs = self.obs
-        pool = self.pool
-        depth = 0
-        busy = 0
-        kv_bytes = 0.0
-        kv_any = False
-        for entry in pool.serving:
-            depth += len(entry.queue)
-            busy += entry.busy_slots(now_ms)
-            if entry.kv is not None:
-                kv_any = True
-                kv_bytes += entry.kv.used_bytes()
-        pool_name = self.fleet.obs_pool
-        obs.gauge(now_ms, "queue_depth", depth, pool=pool_name)
-        obs.gauge(now_ms, "busy_slots", busy, pool=pool_name)
-        obs.gauge(now_ms, "active_replicas", len(pool.active), pool=pool_name)
-        if kv_any:
-            obs.gauge(now_ms, "kv_used_bytes", kv_bytes, pool=pool_name)
-        runtime = self.tenant_runtime
-        if runtime is not None:
-            backlog = tenant_backlog(
-                (sample.sequence_id for entry in pool.serving
-                 for sample in entry.queue), runtime.tenant_of)
-            for tenant, count in backlog.items():
-                obs.gauge(now_ms, "tenant_backlog", count, pool=pool_name,
-                          tenant=tenant)
-
-    # --------------------------------------------------------- kernel contract
-    def done(self, now_ms: float) -> bool:
-        if self.next_arrival < self.num_sequences:
-            return False
-        for entry in self.pool.serving:
-            if entry.queue or entry.busy_slots(now_ms):
-                return False
-        return True
-
-    def next_external_ms(self, now_ms: float) -> Optional[float]:
-        if self.next_arrival < self.num_sequences:
-            return self.arrival_times[self.next_arrival]
-        return None
-
-    def on_event(self, event) -> None:
-        kind = event.kind
-        if kind == _SLOT_FREE:
-            self.wake(event.payload)
-        elif kind == _EVICT:
-            _run_eviction(self, event.payload, self.clock.now_ms, _SLOT_FREE)
-        elif kind == _CRASH:
-            self._crash(event.payload, self.clock.now_ms)
-        elif kind == _RECOVER:
-            self._recover(self.clock.now_ms)
-        else:  # _BOOT: provisioning completed, bring the replica online.
-            pool = self.pool
-            pool.boots.remove(event)
-            cluster = self.cluster
-            entry = self.fleet.add(cluster.engines[0],
-                                   self.policy_factory(self.fleet.next_ordinal()),
-                                   cluster.scale_out_profile, self.mean_tokens,
-                                   self.clock.now_ms,
-                                   kv=cluster._kv_for(cluster.engines[0],
-                                                      cluster.scale_out_profile))
-            pool.add(entry)
-
-    # ------------------------------------------------------------------ faults
-    def _crash(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one decode replica; requeue queued sequences.
-
-        In-flight streams are salvaged (their tokens were recorded at slot
-        claim), queued sequences requeue to survivors through the balancer
-        (rank order preserved under tenancy), and the crashed hardware
-        boots back ``down_ms`` later.  The last active replica never
-        crashes, so conservation holds by construction.
-        """
-        pool = self.pool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        self.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.queue
-        victim.queue = []
-        self.crashes += 1
-        self._crash_stock.append((victim.engine, victim.profile))
-        self.events.push(now + fault.down_ms, _RECOVER, fault)
-        self.wake(victim)  # retire once its salvaged streams finish
-        if orphans:
-            balancer = self.cluster.balancer
-            handles = pool.handles
-            active = pool.active
-            runtime = self.tenant_runtime
-            obs = self.obs
-            for sample in orphans:
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"replica {index} of {len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.annotate(sample.sequence_id, requeued=True)
-                self.wake(entry)
-            self.requeued += len(orphans)
-
-    def _recover(self, now: float) -> None:
-        """Boot a replacement for the oldest still-unrecovered crash.
-
-        The replacement starts with a fresh (empty) KV accountant — a crash
-        loses the cache along with the queued work."""
-        engine, profile = self._crash_stock.pop(0)
-        entry = self.fleet.add(engine,
-                               self.policy_factory(self.fleet.next_ordinal()),
-                               profile, self.mean_tokens, now,
-                               kv=self.cluster._kv_for(engine, profile))
-        self.pool.add(entry)
-        self.recoveries += 1
-
-    # ------------------------------------------------------------------- pass
     def step(self, now: float) -> bool:
-        cluster = self.cluster
         pool = self.pool
-        active = pool.active
-        handles = pool.handles
-        arrivals = self.arrival_times
-        num_sequences = self.num_sequences
-        next_arrival = self.next_arrival
-
         # Phase 1: admit + dispatch every sequence that has arrived by now.
-        admitted = 0
-        if next_arrival < num_sequences \
-                and arrivals[next_arrival] <= now + 1e-9:
-            pending = self.pending
-            balancer = cluster.balancer
-            runtime = self.tenant_runtime
-            obs = self.obs
-            while (next_arrival < num_sequences
-                   and arrivals[next_arrival] <= now + 1e-9):
-                sample = pending[next_arrival]
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"replica {index} of {len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.admit(sample.sequence_id, sample.arrival_ms,
-                              kind="sequence", pool=entry.obs_pool,
-                              replica=entry.replica_id)
-                    if runtime is not None:
-                        obs.annotate(sample.sequence_id,
-                                     tenant=runtime.tenant_of.get(
-                                         sample.sequence_id))
-                entry.dispatched += 1
-                next_arrival += 1
-                admitted += 1
-                self.wake(entry)
-            self.next_arrival = next_arrival
-        if admitted:
-            cluster.autoscaler.observe_admitted(admitted, now)
-
+        self.admit_arrivals(pool, now)
         # Phase 2: autoscaler decision on the global clock.
-        if self._autoscaled:
-            scale_pool(self, pool, cluster.autoscaler, now,
-                       cluster.min_replicas, cluster.max_replicas, _BOOT)
-
-        # Phase 3 per dirty replica: free decode slots claim the queue head
-        # and run the stream decode (deadline shedding included).  A replica
-        # with queued work and a free slot is always dirty: claims leave
-        # either an empty queue or no free slot, slots only free through
-        # their slot event, and admissions wake their target.
-        progressed = False
-        ttft = cluster.ttft_slo_ms
-        runtime = self.tenant_runtime
-        for entry in self.drain_dirty():
-            if entry.claim_streams(now, ttft, runtime):
-                progressed = True
-            _arm_slots(self, entry, now, _SLOT_FREE)
-            _schedule_eviction(self, entry, now, _EVICT)
-
+        pool.scale(now)
+        # Phase 3 per dirty replica: free decode slots claim queue heads.
+        progressed = pool.serve(now)
         # Phase 4: drained replicas that have gone idle leave the fleet.
         pool.retire_idle(now)
         return progressed

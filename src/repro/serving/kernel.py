@@ -73,8 +73,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.recorder import NULL_RECORDER
 
-__all__ = ["Event", "EventQueue", "Clock", "SimPlatform", "PoolState",
-           "scale_pool", "pool_is_static"]
+__all__ = ["Event", "EventQueue", "Clock", "SimPlatform"]
 
 
 class Event:
@@ -228,122 +227,27 @@ class Clock:
         self.now_ms = start_ms
 
 
-class PoolState:
-    """Incrementally maintained membership views of one replica pool.
-
-    The seed loops rebuilt ``fleet.active()`` / ``fleet.serving()`` and the
-    handle index assignments from scratch at every timestamp.  Membership
-    only changes on boot, drain and retire, so the kernel keeps the three
-    views live instead: ``serving`` (entries order, ACTIVE + DRAINING),
-    ``active`` (entries order, balancer-visible) and the parallel ``handles``
-    list with positions assigned.  ``boots`` holds the in-flight scale-out
-    boot events and ``draining`` counts members awaiting retirement so the
-    retire scan can be skipped entirely for the common static-fleet case.
-    """
-
-    __slots__ = ("fleet", "serving", "active", "handles", "boots", "draining",
-                 "obs_name", "last_desired")
-
-    def __init__(self, fleet: Any, obs_name: str = "serve") -> None:
-        self.fleet = fleet
-        self.serving: List[Any] = list(fleet.entries)
-        self.active: List[Any] = []
-        self.handles: List[Any] = []
-        self.boots: List[Event] = []
-        self.draining = 0
-        #: Pool label on emitted gauges ("serve", "prefill", "decode").
-        self.obs_name = obs_name
-        #: Last autoscaler target emitted as a gauge (decision de-dup).
-        self.last_desired: Optional[int] = None
-        self.refresh_active()
-
-    def refresh_active(self) -> None:
-        active = [e for e in self.serving if e.status == "active"]
-        for position, entry in enumerate(active):
-            entry.handle.index = position
-        self.active = active
-        self.handles = [entry.handle for entry in active]
-
-    def add(self, entry: Any) -> None:
-        """Record a freshly booted member (already registered in the fleet)."""
-        self.serving.append(entry)
-        self.refresh_active()
-
-    def retire_idle(self, now_ms: float) -> None:
-        """Targeted version of ``BaseFleet.retire_idle`` over the live view."""
-        if not self.draining:
-            return
-        removed = False
-        for entry in self.serving:
-            if entry.status == "draining" and entry.is_idle(now_ms):
-                entry.status = "retired"
-                entry.retired_ms = now_ms
-                self.draining -= 1
-                removed = True
-        if removed:
-            self.serving = [e for e in self.serving if e.status != "retired"]
-
-
 class SimPlatform:
     """Base of the kernel-scheduled platforms: clock, heap and drive loop.
 
     Subclass responsibilities:
 
-    * call :meth:`EventQueue.push` (register) when a future occurrence is
-      scheduled and :meth:`EventQueue.cancel` when its condition changes;
-    * implement :meth:`wake` bookkeeping so :meth:`step` touches only the
-      replicas whose state changed since the last pass (the default
-      implementation keeps one dirty list; runners with several pools keep
-      their own);
+    * call :meth:`EventQueue.push` when a future occurrence is scheduled and
+      :meth:`EventQueue.cancel` when its condition changes;
+    * keep per-pool dirty sets (:class:`~repro.serving.pool.PoolState`) so
+      :meth:`step` touches only the replicas whose state changed since the
+      last pass;
     * keep :meth:`step`'s phase order identical to the seed loop it ports.
     """
 
     def __init__(self, start_ms: float = 0.0) -> None:
         self.clock = Clock(start_ms)
         self.events = EventQueue()
-        self._dirty: List[Any] = []
         #: Observability hooks; the shared no-op unless a runner installs a
         #: live :class:`~repro.obs.recorder.TraceRecorder`.
         self.obs = NULL_RECORDER
         self._gauge_next_ms: Optional[float] = None
         self._gauge_interval_ms: Optional[float] = None
-
-    # ------------------------------------------------------------- primitives
-    def register(self, time_ms: float, kind: int, payload: Any = None) -> Event:
-        """Schedule a future event (thin alias over ``events.push``)."""
-        return self.events.push(time_ms, kind, payload)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously registered event."""
-        self.events.cancel(event)
-
-    def wake(self, entry: Any) -> None:
-        """Mark a replica entry for re-evaluation in the next ``step`` pass."""
-        if not entry._kdirty:
-            entry._kdirty = True
-            self._dirty.append(entry)
-
-    def drain_dirty(self, dirty: Optional[List[Any]] = None) -> List[Any]:
-        """Take the current dirty set, in stable replica-id order.
-
-        Entries woken *during* the returned batch's processing land in the
-        next pass's set — mirroring how a seed-loop pass only acted on state
-        as of its start and re-ran on progress.
-        """
-        todo = self._dirty if dirty is None else dirty
-        if not todo:
-            return todo
-        if dirty is None:
-            self._dirty = []
-        else:
-            dirty_copy = list(todo)
-            del todo[:]
-            todo = dirty_copy
-        if len(todo) > 1:
-            todo.sort(key=_replica_id)
-        for entry in todo:
-            entry._kdirty = False
-        return todo
 
     # ------------------------------------------------- subclass contract
     def step(self, now_ms: float) -> bool:
@@ -420,66 +324,3 @@ class SimPlatform:
             clock.now_ms = target
             for event in events.pop_due(target):
                 self.on_event(event)
-
-
-def _replica_id(entry: Any) -> int:
-    return entry.replica_id
-
-
-def scale_pool(sim: SimPlatform, pool: PoolState, autoscaler: Any,
-               now_ms: float, min_replicas: int, max_replicas: int,
-               boot_kind: int) -> None:
-    """One autoscaler evaluation over a pool, the seed loops' "phase 2".
-
-    ``desired`` targets the number of ACTIVE replicas; boots already in
-    flight keep provisioning unless the policy asks to shrink below the
-    current active set (a "hold" during a boot is not a scale-in).
-    Scale-out registers one ``boot_kind`` event per new replica (the
-    subclass spawns on firing); scale-in cancels pending boots outright and
-    drains the newest active replicas down to the target.
-    """
-    desired = int(autoscaler.desired_replicas(now_ms, pool.handles))
-    desired = max(min_replicas, min(max_replicas, desired))
-    obs = sim.obs
-    if obs.enabled and desired != pool.last_desired:
-        # Decision series: one point per *change* of the clamped target, so
-        # the gauge reads as the autoscaler's step function, not a per-pass
-        # heartbeat.
-        obs.gauge(now_ms, "autoscaler_target", desired, pool=pool.obs_name)
-        pool.last_desired = desired
-    active = pool.active
-    provisioned = len(active) + len(pool.boots)
-    if desired > provisioned:
-        delay = max(float(autoscaler.provision_delay_ms), 1e-6)
-        for _ in range(desired - provisioned):
-            pool.boots.append(sim.events.push(now_ms + delay, boot_kind, pool))
-    elif desired < len(active):
-        for event in pool.boots:
-            sim.events.cancel(event)
-        pool.boots.clear()
-        fleet = pool.fleet
-        for entry in sorted(active,
-                            key=_negative_replica_id)[:len(active) - desired]:
-            fleet.drain(entry, now_ms)
-            pool.draining += 1
-        pool.refresh_active()
-
-
-def _negative_replica_id(entry: Any) -> int:
-    return -entry.replica_id
-
-
-def pool_is_static(autoscaler: Any, pool: PoolState, min_replicas: int,
-                   max_replicas: int) -> bool:
-    """True when :func:`scale_pool` is provably a no-op for the entire run.
-
-    With the exact ``FixedAutoscaler`` policy (stateless, side-effect free,
-    always proposing the current size) and a starting fleet inside the
-    replica band, every evaluation would return ``desired == provisioned``
-    and membership can never change — so the runners skip the per-pass
-    autoscaler consult entirely.  Subclasses and every other policy keep the
-    seed loops' evaluate-every-pass behaviour.
-    """
-    from repro.serving.autoscaler import FixedAutoscaler
-    return (type(autoscaler) is FixedAutoscaler
-            and min_replicas <= len(pool.active) <= max_replicas)

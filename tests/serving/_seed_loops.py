@@ -1,16 +1,18 @@
 """Reference event loops: the pre-kernel "rescan and advance" schedulers.
 
-These are verbatim copies of the three platform ``run()`` bodies as they
-stood before the port to :mod:`repro.serving.kernel` — the O(replicas)
+These are copies of the three platform ``run()`` bodies as they stood
+before the port to :mod:`repro.serving.kernel` — the O(replicas)
 per-timestamp rescans ending in the shared "collect wake times, filter
-finite, ``now = min(future)``" tail.  They exist for exactly one purpose:
-the kernel equivalence suite (``tests/serving/test_kernel_equivalence.py``)
+finite, ``now = min(future)``" tail.  They are the test suite's oracle: the
+kernel equivalence suite (``tests/serving/test_kernel_equivalence.py``)
 runs every scenario through both schedulers and asserts **bit-identical**
-metrics, which is the contract the tentpole refactor promises.
+metrics, and ``benchmarks/test_simspeed.py`` races the kernel against the
+classification loop.
 
 They are driven through the public platform objects (and reuse their
-helper methods: executor resolution, scale-out spawn, salvage, collection),
-so configuration handling cannot drift; only the *scheduling* differs.
+helper methods: executor resolution, scale-out hardware, salvage,
+collection), so configuration handling cannot drift; only the *scheduling*
+differs.
 
 Do not use these for real runs — they are the slow path by design — and do
 not "fix" them to match kernel behaviour: when the two disagree, the kernel
@@ -73,12 +75,14 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
             if due:
                 boot_times = [t for t in boot_times if t > now + 1e-9]
                 for _ in range(due):
-                    self._spawn(fleet, factory, now)
+                    fleet.add(self.replica_factory(),
+                              factory(fleet.next_ordinal()),
+                              self.scale_out_profile, now)
 
         active = fleet.active()
         for position, entry in enumerate(active):
-            entry.handle.index = position
-        handles = [entry.handle for entry in active]
+            entry.index = position
+        handles = active
 
         # Phase 1: admit + dispatch everything that has arrived by now.
         admitted = 0
@@ -111,14 +115,14 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
                 fleet.drain(entry, now)
             active = fleet.active()
             for position, entry in enumerate(active):
-                entry.handle.index = position
-            handles = [entry.handle for entry in active]
+                entry.index = position
+            handles = active
 
         # Phase 3: cluster-level drop salvage.
         if handles and (len(handles) > 1
                         or any(e.status == DRAINING and e.state.queue
                                for e in fleet.entries)):
-            rerouted += self._salvage_doomed(fleet, active, handles, now,
+            rerouted += self._salvage_doomed(fleet, active, now,
                                              rerouted_ids)
 
         next_arrival_ms = (pending[next_arrival].arrival_ms
@@ -215,8 +219,8 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
 
         active = fleet.active()
         for position, entry in enumerate(active):
-            entry.handle.index = position
-        handles = [entry.handle for entry in active]
+            entry.index = position
+        handles = active
 
         # Phase 1: admit + dispatch every sequence that has arrived by now.
         admitted = 0
@@ -249,8 +253,8 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
                 fleet.drain(entry, now)
             active = fleet.active()
             for position, entry in enumerate(active):
-                entry.handle.index = position
-            handles = [entry.handle for entry in active]
+                entry.index = position
+            handles = active
 
         # Phase 3 per serving replica: free decode slots claim queue heads.
         progressed = False
@@ -336,25 +340,33 @@ def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
                                 key=lambda e: -e.replica_id)[:len(active) - desired]:
                 fleet.drain(entry, now)
 
+    def add_prefill(fleet, now):
+        model, profile = self._scale_out_prefill(fleet.next_ordinal())
+        fleet.add(model, profile, self.prefill_batch, mean_prompt, now)
+
+    def add_decode(fleet, now):
+        engine, profile = self._scale_out_decode(fleet.next_ordinal())
+        fleet.add(engine, policy_factory(fleet.next_ordinal()), profile,
+                  mean_tokens, now)
+
     while (next_arrival < num_sequences
            or any(e.queue or e.in_flight for e in prefill_fleet.serving())
            or handoff
            or any(e.queue or e.busy_slots(now) for e in decode_fleet.serving())):
         # Phase 0: provisioning completes in either pool.
         for boots, fleet, add_fn in (
-                (prefill_boots, prefill_fleet, self._add_prefill),
-                (decode_boots, decode_fleet, self._add_decode)):
+                (prefill_boots, prefill_fleet, add_prefill),
+                (decode_boots, decode_fleet, add_decode)):
             due = sum(1 for t in boots if t <= now + 1e-9)
             if due:
                 boots[:] = [t for t in boots if t > now + 1e-9]
                 for _ in range(due):
-                    add_fn(fleet, policy_factory, mean_tokens, mean_prompt,
-                           now)
+                    add_fn(fleet, now)
 
         prefill_active = prefill_fleet.active()
         for position, entry in enumerate(prefill_active):
-            entry.handle.index = position
-        prefill_handles = [e.handle for e in prefill_active]
+            entry.index = position
+        prefill_handles = prefill_active
 
         # Phase 1: admit arrivals into the prefill pool.
         admitted = 0
@@ -410,8 +422,8 @@ def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
         # Phase 4: handoff — transferred sequences dispatch to decode.
         decode_active = decode_fleet.active()
         for position, entry in enumerate(decode_active):
-            entry.handle.index = position
-        decode_handles = [e.handle for e in decode_active]
+            entry.index = position
+        decode_handles = decode_active
         moved = 0
         while handoff and handoff[0][0] <= now + 1e-9:
             _, _, sample = heapq.heappop(handoff)

@@ -2,8 +2,8 @@
 
 The three serving platforms (classification cluster, generative cluster,
 prefill/decode disaggregation) run on the shared heap-scheduled kernel in
-:mod:`repro.serving.kernel`.  :mod:`repro.serving._seed_loops` preserves the
-pre-kernel O(replicas)-per-timestamp rescan loops verbatim as executable
+:mod:`repro.serving.kernel`.  ``tests/serving/_seed_loops.py`` preserves the
+pre-kernel O(replicas)-per-timestamp rescan loops as executable
 specifications; these tests drive both implementations over the same
 scenarios — every balancer, heterogeneous profiles, both autoscalers with
 boot/drain churn, SLO drops with salvage rerouting, TTFT shedding — and
@@ -24,17 +24,17 @@ from repro.core.generative import (build_disaggregated_platform,
                                    build_generative_cluster)
 from repro.generative.sequences import GenerativeWorkload, SequenceSample
 from repro.models.zoo import get_model
-from repro.serving._seed_loops import (seed_cluster_run, seed_disagg_run,
-                                       seed_generative_run)
-from repro.serving.autoscaler import PredictiveAutoscaler, ReactiveAutoscaler
+from repro.serving.autoscaler import (Autoscaler, PredictiveAutoscaler,
+                                      ReactiveAutoscaler)
 from repro.serving.cluster import ClusterPlatform
-from repro.serving.disagg import PrefillFleetState
-from repro.serving.generative_cluster import GenerativeFleetState
+from repro.serving.disagg import _DisaggRun
 from repro.serving.hf_pipelines import VanillaTokenPolicy
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.difficulty import InputSample
+from tests.serving._seed_loops import (seed_cluster_run, seed_disagg_run,
+                                       seed_generative_run)
 
 SPEC = get_model("t5-large")
 FAST = settings(max_examples=10, deadline=None)
@@ -304,6 +304,7 @@ def check_disagg(platform_fn, workload):
     seed_m = seed_disagg_run(platform_fn(), workload, vanilla_factory)
     kern_m = platform_fn().run(workload, vanilla_factory)
     assert_disagg_equal(seed_m, kern_m)
+    return kern_m
 
 
 @pytest.mark.parametrize("prefill_balancer,decode_balancer",
@@ -346,6 +347,30 @@ def test_disagg_autoscaled_pools_match_seed():
         bursty_workload(seed=9, prompts=True))
 
 
+def test_disagg_heterogeneous_autoscaled_pools_match_seed():
+    # Scale-out boots must pick the same fleet ordinal, and so the same
+    # profile from the configured band, as the seed loop's own boot path.
+    metrics = check_disagg(
+        lambda: build_disaggregated_platform(
+            "t5-large", prefill_replicas=2, decode_replicas=2,
+            max_batch_size=2, prefill_batch=2,
+            prefill_profiles=[2.0, 0.5], decode_profiles=[1.5, "0.5:0.7"],
+            prefill_autoscaler=ReactiveAutoscaler(scale_out_load=1.5,
+                                                  scale_in_load=0.3,
+                                                  cooldown_ms=200.0,
+                                                  provision_delay_ms=60.0),
+            decode_autoscaler=ReactiveAutoscaler(scale_out_load=2.0,
+                                                 scale_in_load=0.4,
+                                                 cooldown_ms=250.0,
+                                                 provision_delay_ms=80.0),
+            prefill_min_replicas=1, prefill_max_replicas=5,
+            decode_min_replicas=1, decode_max_replicas=6),
+        bursty_workload(seed=9, prompts=True))
+    # Both pools scaled out past their initial members.
+    assert metrics.num_prefill_replicas() > 2
+    assert metrics.num_replicas() > 2
+
+
 def test_disagg_ttft_shedding_matches_seed():
     check_disagg(
         lambda: build_disaggregated_platform(
@@ -357,20 +382,17 @@ def test_disagg_ttft_shedding_matches_seed():
 # --------------------------------------------------- autoscaler fix regressions
 
 class _FakeHandle:
-    """Minimal replica handle: fixed load signals + a profiled platform."""
-
-    class _Platform:
-        max_batch_size = 1
-
-        @staticmethod
-        def predicted_batch_time_ms(batch_size):
-            return 10.0  # 100 qps per replica
+    """Minimal replica view: fixed load signals + a profiled capacity."""
 
     class _Profile:
         speed = 1.0
 
-    platform = _Platform()
+    max_batch_size = 1
     profile = _Profile()
+
+    @staticmethod
+    def predicted_batch_time_ms(batch_size):
+        return 10.0  # 100 qps per replica
 
     def __init__(self, jobs=0.0, work_left=0.0):
         self._jobs = jobs
@@ -430,33 +452,38 @@ def test_reactive_cooldown_not_burned_at_min_replicas():
     assert scaler.desired_replicas(100.0, overloaded) == 3
 
 
+class _ScaleTo(Autoscaler):
+    """Asks for ``target`` active replicas whatever the load."""
+
+    name = "scale_to"
+    provision_delay_ms = 10.0
+
+    def __init__(self, target):
+        self.target = target
+
+    def desired_replicas(self, now_ms, replicas):
+        return self.target
+
+
 def test_disagg_scale_out_cycles_configured_profiles():
     platform = build_disaggregated_platform(
         "t5-large", prefill_replicas=2, decode_replicas=2, max_batch_size=2,
-        prefill_profiles=[2.0, 1.0], decode_profiles=[1.5, 0.5])
-
-    prefill_fleet = PrefillFleetState()
-    for profile in platform.prefill_profiles:
-        prefill_fleet.add(platform.prefill_model, profile,
-                          platform.prefill_batch, 1.0, 0.0)
-    decode_fleet = GenerativeFleetState()
-    for engine, profile in zip(platform.decode_engines,
-                               platform.decode_profiles):
-        decode_fleet.add(engine, vanilla_factory(decode_fleet.next_ordinal()),
-                         profile, 1.0, 0.0)
+        prefill_profiles=[2.0, 1.0], decode_profiles=[1.5, 0.5],
+        prefill_autoscaler=_ScaleTo(6), decode_autoscaler=_ScaleTo(6),
+        prefill_max_replicas=6, decode_max_replicas=6)
+    run = _DisaggRun(platform, [], vanilla_factory, 1.0, 1.0, 0.0)
+    # Each pool's autoscaler phase registers four boots; firing them takes
+    # the run's own boot path (FleetRun.on_event -> PoolState.boot).
+    for pool in run.pools:
+        pool.scale(0.0)
+    run.clock.now_ms = 10.0
+    for event in run.events.pop_due(10.0):
+        run.on_event(event)
 
     # Scaled-out replicas must carry the configured profile band, cycling
-    # through it, instead of booting default base-speed hardware.
-    speeds = []
-    for _ in range(4):
-        entry = platform._add_prefill(prefill_fleet, vanilla_factory,
-                                      1.0, 1.0, 10.0)
-        speeds.append(entry.profile.speed)
-    assert speeds == [2.0, 1.0, 2.0, 1.0]
-
-    speeds = []
-    for _ in range(4):
-        entry = platform._add_decode(decode_fleet, vanilla_factory,
-                                     1.0, 1.0, 10.0)
-        speeds.append(entry.profile.speed)
-    assert speeds == [1.5, 0.5, 1.5, 0.5]
+    # through it by fleet ordinal, instead of booting default base-speed
+    # hardware.
+    for pool, speeds in ((run.ppool, [2.0, 1.0]), (run.dpool, [1.5, 0.5])):
+        assert [e.profile.speed for e in pool.active] == speeds * 3
+        assert [e.added_ms for e in pool.active] == [0.0] * 2 + [10.0] * 4
+        assert not pool.boots
