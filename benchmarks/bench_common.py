@@ -10,15 +10,14 @@ milliseconds are simulated and are not expected to match the authors' testbed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict, Iterable, Sequence
 
-import numpy as np
-
+from repro.api import Experiment, RunReport
 from repro.workloads.nlp import make_nlp_workload
 from repro.workloads.video import make_video_workload
 
 __all__ = ["pct_win", "print_table", "cv_workload", "nlp_workload", "run_once",
-           "CV_BENCH_FRAMES", "NLP_BENCH_REQUESTS"]
+           "run_systems", "CV_BENCH_FRAMES", "NLP_BENCH_REQUESTS"]
 
 # Benchmark workload sizes: large enough for the adaptation loops to settle,
 # small enough for the whole harness to finish in minutes.
@@ -58,6 +57,14 @@ def nlp_workload(model: str, dataset: str = "amazon", seed: int = 2,
     """Review-stream workload paired with an NLP model."""
     return make_nlp_workload(dataset, num_requests=num_requests,
                              rate_qps=NLP_RATES_QPS.get(model, 20.0), seed=seed)
+
+
+def run_systems(model, workload, systems: Sequence[str],
+                **experiment) -> RunReport:
+    """Run registered ``systems`` on one configuration (a one-replica fleet
+    unless ``cluster=`` says otherwise)."""
+    return Experiment(model=model, workload=workload, **experiment) \
+        .run(list(systems))
 
 
 def pct_win(baseline: float, value: float) -> float:

@@ -149,6 +149,6 @@ def test_disaggregation_conserves_tokens_vs_single_engine(workload):
                         for replica in disagg.raw.metrics.replicas
                         for t in replica.tokens)
     single_ids = Counter((t.sequence_id, t.token_index)
-                         for t in single.raw.metrics.tokens)
+                         for t in single.raw.metrics.aggregate().tokens)
     assert fleet_ids == single_ids
     assert disagg.summary["shed"] == 0.0     # no SLO configured, nothing shed

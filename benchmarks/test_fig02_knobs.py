@@ -9,6 +9,7 @@ import pytest
 
 from bench_common import print_table, run_once
 from repro.core.pipeline import model_stack
+from repro.serving.cluster import ClusterPlatform
 from repro.serving.platform import VanillaExecutor
 from repro.serving.request import make_requests
 from repro.serving.tfserve import TFServingPlatform
@@ -37,7 +38,8 @@ def run_with_knob(model_name, workload, max_batch_size):
     spec, _profile, _pred, _cat, executor = model_stack(model_name)
     requests = make_requests(workload.trace, workload.arrival_times_ms, spec.default_slo_ms)
     platform = TFServingPlatform(max_batch_size=max_batch_size, batch_timeout_ms=8.0)
-    return platform.run(requests, VanillaExecutor(executor))
+    return ClusterPlatform([platform]).run(
+        requests, VanillaExecutor(executor)).aggregate()
 
 
 @pytest.mark.parametrize("model_name", sorted(CASES))

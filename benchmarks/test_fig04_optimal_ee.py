@@ -8,9 +8,8 @@ paper.  We regenerate the vanilla-vs-optimal latency CDF summary.
 import numpy as np
 import pytest
 
-from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_vanilla
+from bench_common import (cv_workload, nlp_workload, pct_win, print_table,
+                          run_once, run_systems)
 
 CASES = {"resnet50": ("cv", "urban-day"), "bert-base": ("nlp", "amazon")}
 
@@ -20,12 +19,10 @@ def test_fig04_optimal_exits_lower_latency(benchmark, model_name):
     kind, source = CASES[model_name]
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
-    def compare():
-        vanilla = run_vanilla(model_name, workload)
-        optimal = run_optimal_classification(model_name, workload)
-        return vanilla, optimal
-
-    vanilla, optimal = run_once(benchmark, compare)
+    report = run_once(benchmark, run_systems, model_name, workload,
+                      ["vanilla", "optimal"])
+    vanilla = report.result("vanilla").raw.aggregate()
+    optimal = report.result("optimal").raw
     rows = [{
         "model": model_name,
         "vanilla_p50_ms": vanilla.median_latency(),

@@ -7,8 +7,8 @@ alternatives, which the paper finds yields 1.3-5.4x lower median latencies.
 
 import pytest
 
-from bench_common import cv_workload, nlp_workload, print_table, run_once
-from repro.core.pipeline import run_apparate
+from bench_common import cv_workload, nlp_workload, print_table, run_once, run_systems
+from repro.api import ExitPolicySpec
 from repro.exits.ramps import RampStyle
 
 CASES = {
@@ -24,14 +24,15 @@ def test_fig08_lightweight_ramps_maximize_savings(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def sweep():
-        return {style: run_apparate(model_name, workload, ramp_style=style)
-                for style in styles}
+        return {style: run_systems(model_name, workload, ["apparate"],
+                                   ee=ExitPolicySpec(ramp_style=style))
+                .result("apparate") for style in styles}
 
     results = run_once(benchmark, sweep)
     rows = [{"model": model_name, "ramp_style": style.value,
-             "p50_ms": results[style].metrics.median_latency(),
-             "accuracy": results[style].metrics.accuracy(),
-             "active_ramps": results[style].controller.config.num_active()}
+             "p50_ms": results[style].summary["p50_ms"],
+             "accuracy": results[style].summary["accuracy"],
+             "active_ramps": results[style].summary["active_ramps"]}
             for style in styles]
     print_table("Figure 8 — ramp architecture comparison", rows)
 
@@ -40,7 +41,7 @@ def test_fig08_lightweight_ramps_maximize_savings(benchmark, model_name):
         heavy = results[style]
         # Shape: the lightweight default is at least as good as heavier styles
         # and never activates fewer ramps; every style meets the constraint.
-        assert light.metrics.median_latency() <= heavy.metrics.median_latency() * 1.05
-        assert light.controller.catalog.max_active_ramps() >= \
-            heavy.controller.catalog.max_active_ramps()
-        assert heavy.metrics.accuracy() >= 0.985
+        assert light.summary["p50_ms"] <= heavy.summary["p50_ms"] * 1.05
+        assert light.raw.fleet.primary().catalog.max_active_ramps() >= \
+            heavy.raw.fleet.primary().catalog.max_active_ramps()
+        assert heavy.summary["accuracy"] >= 0.985

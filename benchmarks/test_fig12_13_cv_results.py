@@ -6,12 +6,9 @@ stays within the 2% ramp budget of vanilla serving.  The paper's bands are
 40.5-91.5% median wins, with medians within ~20% of the optimal for CV.
 """
 
-import numpy as np
 import pytest
 
-from bench_common import cv_workload, pct_win, print_table, run_once
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_apparate, run_vanilla
+from bench_common import cv_workload, pct_win, print_table, run_once, run_systems
 
 CV_MODELS = ["resnet18", "resnet50", "resnet101", "vgg11", "vgg13", "vgg16"]
 
@@ -20,26 +17,23 @@ CV_MODELS = ["resnet18", "resnet50", "resnet101", "vgg11", "vgg13", "vgg16"]
 def test_fig12_fig13_cv_latency_wins_and_tails(benchmark, model_name):
     workload = cv_workload(model_name, "urban-day")
 
-    def compare():
-        vanilla = run_vanilla(model_name, workload)
-        apparate = run_apparate(model_name, workload)
-        optimal = run_optimal_classification(model_name, workload)
-        return vanilla, apparate, optimal
-
-    vanilla, apparate, optimal = run_once(benchmark, compare)
-    median_win = pct_win(vanilla.median_latency(), apparate.metrics.median_latency())
-    p25_win = pct_win(vanilla.p25_latency(), apparate.metrics.p25_latency())
-    optimal_win = pct_win(vanilla.median_latency(), float(np.median(optimal)))
+    report = run_once(benchmark, run_systems, model_name, workload,
+                      ["vanilla", "apparate", "optimal"])
+    vanilla, apparate, optimal = (report.result(name).summary for name in
+                                  ("vanilla", "apparate", "optimal"))
+    median_win = pct_win(vanilla["p50_ms"], apparate["p50_ms"])
+    p25_win = pct_win(vanilla["p25_ms"], apparate["p25_ms"])
+    optimal_win = pct_win(vanilla["p50_ms"], optimal["p50_ms"])
     rows = [{
         "model": model_name,
-        "vanilla_p50_ms": vanilla.median_latency(),
-        "apparate_p50_ms": apparate.metrics.median_latency(),
+        "vanilla_p50_ms": vanilla["p50_ms"],
+        "apparate_p50_ms": apparate["p50_ms"],
         "p50_win_%": median_win,
         "p25_win_%": p25_win,
         "optimal_win_%": optimal_win,
-        "apparate_p95_ms": apparate.metrics.p95_latency(),
-        "vanilla_p95_ms": vanilla.p95_latency(),
-        "accuracy": apparate.metrics.accuracy(),
+        "apparate_p95_ms": apparate["p95_ms"],
+        "vanilla_p95_ms": vanilla["p95_ms"],
+        "accuracy": apparate["accuracy"],
     }]
     print_table("Figures 12-13 — CV classification", rows)
 
@@ -47,8 +41,8 @@ def test_fig12_fig13_cv_latency_wins_and_tails(benchmark, model_name):
     assert 25.0 <= median_win <= 95.0
     assert median_win <= optimal_win + 5.0
     # Figure 13 shape: the tail stays within the 2% worst-case budget.
-    assert apparate.metrics.p95_latency() <= vanilla.p95_latency() * 1.03
+    assert apparate["p95_ms"] <= vanilla["p95_ms"] * 1.03
     # The 1% accuracy constraint holds (small slack for finite-window drift).
-    assert apparate.metrics.accuracy() >= 0.985
+    assert apparate["accuracy"] >= 0.985
     # Throughput is preserved: exits never change what the GPU executes.
-    assert apparate.metrics.throughput_qps() >= vanilla.throughput_qps() * 0.97
+    assert apparate["throughput_qps"] >= vanilla["throughput_qps"] * 0.97

@@ -7,12 +7,9 @@ an offline optimal (very large wins, unreachable) and a more realistic online
 optimal; Apparate lands much closer to the latter.
 """
 
-import numpy as np
 import pytest
 
-from bench_common import nlp_workload, pct_win, print_table, run_once
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_apparate, run_vanilla
+from bench_common import nlp_workload, pct_win, print_table, run_once, run_systems
 
 NLP_MODELS = ["distilbert-base", "bert-base", "bert-large", "gpt2-medium"]
 DATASETS = ["amazon", "imdb"]
@@ -23,19 +20,19 @@ DATASETS = ["amazon", "imdb"]
 def test_fig14_nlp_latency_cdfs(benchmark, model_name, dataset):
     workload = nlp_workload(model_name, dataset)
 
-    def compare():
-        return run_vanilla(model_name, workload), run_apparate(model_name, workload)
-
-    vanilla, apparate = run_once(benchmark, compare)
-    median_win = pct_win(vanilla.median_latency(), apparate.metrics.median_latency())
+    report = run_once(benchmark, run_systems, model_name, workload,
+                      ["vanilla", "apparate"])
+    vanilla = report.result("vanilla").summary
+    apparate = report.result("apparate").summary
+    median_win = pct_win(vanilla["p50_ms"], apparate["p50_ms"])
     rows = [{
         "model": model_name, "dataset": dataset,
-        "vanilla_p50_ms": vanilla.median_latency(),
-        "apparate_p50_ms": apparate.metrics.median_latency(),
+        "vanilla_p50_ms": vanilla["p50_ms"],
+        "apparate_p50_ms": apparate["p50_ms"],
         "p50_win_%": median_win,
-        "p25_win_%": pct_win(vanilla.p25_latency(), apparate.metrics.p25_latency()),
-        "accuracy": apparate.metrics.accuracy(),
-        "drop_rate": vanilla.drop_rate(),
+        "p25_win_%": pct_win(vanilla["p25_ms"], apparate["p25_ms"]),
+        "accuracy": apparate["accuracy"],
+        "drop_rate": vanilla["drop_rate"],
     }]
     print_table("Figure 14 — NLP classification", rows)
 
@@ -46,23 +43,20 @@ def test_fig14_nlp_latency_cdfs(benchmark, model_name, dataset):
     minimum_win = -2.0 if model_name == "distilbert-base" else 1.0
     assert median_win >= minimum_win
     assert median_win <= 40.0
-    assert apparate.metrics.accuracy() >= 0.98
-    assert apparate.metrics.throughput_qps() >= vanilla.throughput_qps() * 0.95
+    assert apparate["accuracy"] >= 0.98
+    assert apparate["throughput_qps"] >= vanilla["throughput_qps"] * 0.95
 
 
 @pytest.mark.parametrize("model_name", ["bert-base", "gpt2-medium"])
 def test_fig15_gap_to_optimal_exiting(benchmark, model_name):
     workload = nlp_workload(model_name, "amazon")
 
-    def compare():
-        vanilla = run_vanilla(model_name, workload)
-        apparate = run_apparate(model_name, workload)
-        optimal = run_optimal_classification(model_name, workload)
-        return vanilla, apparate, optimal
-
-    vanilla, apparate, optimal = run_once(benchmark, compare)
-    apparate_win = pct_win(vanilla.median_latency(), apparate.metrics.median_latency())
-    optimal_win = pct_win(vanilla.median_latency(), float(np.median(optimal)))
+    report = run_once(benchmark, run_systems, model_name, workload,
+                      ["vanilla", "apparate", "optimal"])
+    vanilla, apparate, optimal = (report.result(name).summary for name in
+                                  ("vanilla", "apparate", "optimal"))
+    apparate_win = pct_win(vanilla["p50_ms"], apparate["p50_ms"])
+    optimal_win = pct_win(vanilla["p50_ms"], optimal["p50_ms"])
     rows = [{"model": model_name, "apparate_win_%": apparate_win,
              "offline_optimal_win_%": optimal_win,
              "fraction_of_optimal": apparate_win / max(optimal_win, 1e-9)}]

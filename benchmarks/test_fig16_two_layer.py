@@ -7,9 +7,8 @@ the paper, and its medians win by 5.7-66.6% on the NLP workloads.
 
 import pytest
 
-from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.baselines.two_layer import run_two_layer
-from repro.core.pipeline import run_apparate
+from bench_common import (cv_workload, nlp_workload, pct_win, print_table,
+                          run_once, run_systems)
 
 CASES = {
     "vgg11": ("cv", "urban-day"),
@@ -24,25 +23,24 @@ def test_fig16_apparate_vs_two_layer(benchmark, model_name):
     kind, source = CASES[model_name]
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
-    def compare():
-        return run_apparate(model_name, workload), run_two_layer(model_name, workload)
-
-    apparate, two_layer = run_once(benchmark, compare)
-    two_layer_summary = two_layer.summary()
+    report = run_once(benchmark, run_systems, model_name, workload,
+                      ["apparate", "two_layer"])
+    apparate = report.result("apparate").summary
+    two_layer_summary = report.result("two_layer").summary
     rows = [{
         "model": model_name,
-        "apparate_p50_ms": apparate.metrics.median_latency(),
+        "apparate_p50_ms": apparate["p50_ms"],
         "two_layer_p50_ms": two_layer_summary["p50_ms"],
-        "apparate_p95_ms": apparate.metrics.p95_latency(),
+        "apparate_p95_ms": apparate["p95_ms"],
         "two_layer_p95_ms": two_layer_summary["p95_ms"],
-        "p95_win_%": pct_win(two_layer_summary["p95_ms"], apparate.metrics.p95_latency()),
-        "apparate_acc": apparate.metrics.accuracy(),
-        "two_layer_acc": two_layer.accuracy,
+        "p95_win_%": pct_win(two_layer_summary["p95_ms"], apparate["p95_ms"]),
+        "apparate_acc": apparate["accuracy"],
+        "two_layer_acc": two_layer_summary["accuracy"],
     }]
     print_table("Figure 16 — Apparate vs two-layer inference", rows)
 
     # Shape: Apparate's tails are strictly better (hard inputs never pay an
     # extra compressed-model pass), and its accuracy is no worse.
-    assert apparate.metrics.p95_latency() < two_layer_summary["p95_ms"]
+    assert apparate["p95_ms"] < two_layer_summary["p95_ms"]
     if kind == "nlp":
-        assert apparate.metrics.median_latency() < two_layer_summary["p50_ms"]
+        assert apparate["p50_ms"] < two_layer_summary["p50_ms"]

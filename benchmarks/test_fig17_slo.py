@@ -7,8 +7,7 @@ queueing).  The paper shows wins shrinking as SLOs grow from 1x to 4x.
 
 import pytest
 
-from bench_common import pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from bench_common import pct_win, print_table, run_once, run_systems
 from repro.models.zoo import get_model
 from repro.workloads.nlp import make_nlp_workload
 from repro.workloads.video import make_video_workload
@@ -27,25 +26,22 @@ def test_fig17_wins_shrink_with_looser_slos(benchmark, model_name):
     base_slo = get_model(model_name).default_slo_ms
 
     def sweep():
-        results = {}
-        for scale in SLO_SCALES:
-            slo = base_slo * scale
-            vanilla = run_vanilla(model_name, workload, slo_ms=slo)
-            apparate = run_apparate(model_name, workload, slo_ms=slo)
-            results[scale] = (vanilla, apparate)
-        return results
+        return {scale: run_systems(model_name, workload, ["vanilla", "apparate"],
+                                   slo_ms=base_slo * scale)
+                for scale in SLO_SCALES}
 
     results = run_once(benchmark, sweep)
     rows = []
     wins = {}
     for scale in SLO_SCALES:
-        vanilla, apparate = results[scale]
-        wins[scale] = pct_win(vanilla.median_latency(), apparate.metrics.median_latency())
+        vanilla = results[scale].result("vanilla").summary
+        apparate = results[scale].result("apparate").summary
+        wins[scale] = pct_win(vanilla["p50_ms"], apparate["p50_ms"])
         rows.append({"model": model_name, "slo_scale": scale,
-                     "vanilla_p50_ms": vanilla.median_latency(),
-                     "apparate_p50_ms": apparate.metrics.median_latency(),
+                     "vanilla_p50_ms": vanilla["p50_ms"],
+                     "apparate_p50_ms": apparate["p50_ms"],
                      "win_%": wins[scale],
-                     "avg_batch": vanilla.average_batch_size()})
+                     "avg_batch": vanilla["avg_batch_size"]})
     print_table("Figure 17 — SLO sensitivity", rows)
 
     # Shape: wins stay positive throughout, and for the queuing-dominated NLP

@@ -7,10 +7,7 @@ constraint while FREE's one-time tuning loses up to 5.5 points under drift.
 
 import pytest
 
-from bench_common import pct_win, print_table, run_once
-from repro.baselines.free import run_free_generative
-from repro.baselines.oracle import run_optimal_generative
-from repro.core.generative import run_generative_apparate, run_generative_vanilla
+from bench_common import pct_win, print_table, run_once, run_systems
 from repro.generative.sequences import make_generative_workload
 
 CASES = [
@@ -34,27 +31,25 @@ def workload_for(dataset):
 def test_fig18_generative_tpt(benchmark, model_name, dataset):
     workload = workload_for(dataset)
 
-    def compare():
-        vanilla = run_generative_vanilla(model_name, workload)
-        apparate = run_generative_apparate(model_name, workload)
-        free = run_free_generative(model_name, workload)
-        optimal = run_optimal_generative(model_name, workload)
-        return vanilla, apparate, free, optimal
-
-    vanilla, apparate, free, optimal = run_once(benchmark, compare)
-    apparate_win = pct_win(vanilla.median_tpt(), apparate.metrics.median_tpt())
-    free_win = pct_win(vanilla.median_tpt(), free.median_tpt())
-    optimal_win = pct_win(vanilla.median_tpt(), optimal.median_tpt())
+    report = run_once(benchmark, run_systems, model_name, workload,
+                      ["vanilla", "apparate", "free", "optimal"])
+    vanilla, apparate, free, optimal = (
+        report.result(name).summary
+        for name in ("vanilla", "apparate", "free", "optimal"))
+    apparate_win = pct_win(vanilla["tpt_p50_ms"], apparate["tpt_p50_ms"])
+    free_win = pct_win(vanilla["tpt_p50_ms"], free["tpt_p50_ms"])
+    optimal_win = pct_win(vanilla["tpt_p50_ms"], optimal["tpt_p50_ms"])
     rows = [{
         "model": model_name, "dataset": dataset,
-        "vanilla_tpt_ms": vanilla.median_tpt(),
-        "apparate_tpt_ms": apparate.metrics.median_tpt(),
+        "vanilla_tpt_ms": vanilla["tpt_p50_ms"],
+        "apparate_tpt_ms": apparate["tpt_p50_ms"],
         "apparate_win_%": apparate_win,
         "free_win_%": free_win,
         "optimal_win_%": optimal_win,
-        "apparate_acc": apparate.metrics.mean_sequence_accuracy(),
-        "free_acc": free.mean_sequence_accuracy(),
-        "apparate_p95/vanilla_p95": apparate.metrics.p95_tpt() / max(vanilla.p95_tpt(), 1e-9),
+        "apparate_acc": apparate["sequence_accuracy"],
+        "free_acc": free["sequence_accuracy"],
+        "apparate_p95/vanilla_p95": apparate["tpt_p95_ms"]
+        / max(vanilla["tpt_p95_ms"], 1e-9),
     }]
     print_table("Figure 18 — generative TPT", rows)
 
@@ -63,5 +58,5 @@ def test_fig18_generative_tpt(benchmark, model_name, dataset):
     # parallel decoding.
     assert apparate_win > 10.0
     assert apparate_win <= optimal_win + 3.0
-    assert apparate.metrics.mean_sequence_accuracy() >= 0.98
-    assert apparate.metrics.p95_tpt() <= vanilla.p95_tpt() * 1.35
+    assert apparate["sequence_accuracy"] >= 0.98
+    assert apparate["tpt_p95_ms"] <= vanilla["tpt_p95_ms"] * 1.35

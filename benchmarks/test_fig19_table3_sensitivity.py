@@ -6,8 +6,19 @@ budgets help only marginally (diminishing returns from overlapping ramps).
 
 import pytest
 
-from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from bench_common import (cv_workload, nlp_workload, pct_win, print_table,
+                          run_once, run_systems)
+from repro.api import ExitPolicySpec
+
+
+def _sweep(model_name, workload, **policies):
+    """Vanilla's summary and Apparate's result under each exit policy."""
+    vanilla = run_systems(model_name, workload, ["vanilla"]).result("vanilla")
+    return vanilla.summary, {
+        key: run_systems(model_name, workload, ["apparate"],
+                         ee=ExitPolicySpec(**{knob: key}))
+        .result("apparate")
+        for knob, keys in policies.items() for key in keys}
 
 ACCURACY_TARGETS = [0.01, 0.02, 0.05]
 RAMP_BUDGETS = [0.02, 0.05, 0.10]
@@ -19,26 +30,22 @@ def test_fig19_accuracy_constraint_sensitivity(benchmark, model_name):
     kind, source = CASES[model_name]
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
-    def sweep():
-        vanilla = run_vanilla(model_name, workload)
-        return vanilla, {target: run_apparate(model_name, workload, accuracy_constraint=target)
-                         for target in ACCURACY_TARGETS}
-
-    vanilla, results = run_once(benchmark, sweep)
+    vanilla, results = run_once(benchmark, _sweep, model_name, workload,
+                                accuracy_constraint=ACCURACY_TARGETS)
     rows = []
     wins = {}
     for target in ACCURACY_TARGETS:
-        wins[target] = pct_win(vanilla.median_latency(), results[target].metrics.median_latency())
+        wins[target] = pct_win(vanilla["p50_ms"], results[target].summary["p50_ms"])
         rows.append({"model": model_name, "accuracy_target_%": target * 100,
                      "win_%": wins[target],
-                     "achieved_accuracy": results[target].metrics.accuracy()})
+                     "achieved_accuracy": results[target].summary["accuracy"]})
     print_table("Figure 19 — accuracy-constraint sensitivity", rows)
 
     # Shape: loosening the constraint never reduces the achievable win, and
     # every run respects its own constraint (with finite-window slack).
     assert wins[0.05] >= wins[0.01] - 2.0
     for target in ACCURACY_TARGETS:
-        assert results[target].metrics.accuracy() >= 1.0 - target - 0.01
+        assert results[target].summary["accuracy"] >= 1.0 - target - 0.01
 
 
 @pytest.mark.parametrize("model_name", sorted(CASES))
@@ -46,20 +53,16 @@ def test_table3_ramp_budget_sensitivity(benchmark, model_name):
     kind, source = CASES[model_name]
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
-    def sweep():
-        vanilla = run_vanilla(model_name, workload)
-        return vanilla, {budget: run_apparate(model_name, workload, ramp_budget=budget)
-                         for budget in RAMP_BUDGETS}
-
-    vanilla, results = run_once(benchmark, sweep)
+    vanilla, results = run_once(benchmark, _sweep, model_name, workload,
+                                ramp_budget=RAMP_BUDGETS)
     rows = []
     wins = {}
     for budget in RAMP_BUDGETS:
-        wins[budget] = pct_win(vanilla.median_latency(), results[budget].metrics.median_latency())
+        wins[budget] = pct_win(vanilla["p50_ms"], results[budget].summary["p50_ms"])
         rows.append({"model": model_name, "ramp_budget_%": budget * 100,
                      "win_%": wins[budget],
-                     "active_ramps": results[budget].controller.config.num_active(),
-                     "p95_ms": results[budget].metrics.p95_latency()})
+                     "active_ramps": results[budget].summary["active_ramps"],
+                     "p95_ms": results[budget].summary["p95_ms"]})
     print_table("Table 3 — ramp-budget sensitivity", rows)
 
     # Shape: more budget never hurts much, and gains taper (diminishing returns).

@@ -77,7 +77,7 @@ def test_generative_cluster_four_systems_end_to_end(benchmark, workload):
         for replica in report.result("apparate").raw.metrics.replicas
         for t in replica.tokens)
     single_ids = sorted((t.sequence_id, t.token_index)
-                        for t in single.raw.metrics.tokens)
+                        for t in single.raw.metrics.aggregate().tokens)
     assert fleet_ids == single_ids
 
     # The headline: at matched accuracy, exits free decode slots fast enough

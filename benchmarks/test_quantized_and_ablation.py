@@ -9,8 +9,9 @@
 
 import pytest
 
-from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from bench_common import (cv_workload, nlp_workload, pct_win, print_table,
+                          run_once, run_systems)
+from repro.api import ExitPolicySpec
 from repro.models.quantization import quantized_spec
 from repro.models.zoo import get_model
 
@@ -24,24 +25,24 @@ def test_quantized_models_keep_most_of_the_wins(benchmark, base_name):
     base_workload = nlp_workload(base_name, "amazon")
 
     def compare():
-        vanilla_q = run_vanilla(spec, workload)
-        apparate_q = run_apparate(spec, workload)
-        vanilla_fp = run_vanilla(base_name, base_workload)
-        apparate_fp = run_apparate(base_name, base_workload)
-        return vanilla_q, apparate_q, vanilla_fp, apparate_fp
+        return (run_systems(spec, workload, ["vanilla", "apparate"]),
+                run_systems(base_name, base_workload, ["vanilla", "apparate"]))
 
-    vanilla_q, apparate_q, vanilla_fp, apparate_fp = run_once(benchmark, compare)
-    win_q = pct_win(vanilla_q.median_latency(), apparate_q.metrics.median_latency())
-    win_fp = pct_win(vanilla_fp.median_latency(), apparate_fp.metrics.median_latency())
+    quantized, full = run_once(benchmark, compare)
+    apparate_q = quantized.result("apparate").summary
+    win_q = pct_win(quantized.result("vanilla").summary["p50_ms"],
+                    apparate_q["p50_ms"])
+    win_fp = pct_win(full.result("vanilla").summary["p50_ms"],
+                     full.result("apparate").summary["p50_ms"])
     rows = [{"model": base_name, "fp_win_%": win_fp, "int8_win_%": win_q,
-             "int8_accuracy": apparate_q.metrics.accuracy()}]
+             "int8_accuracy": apparate_q["accuracy"]}]
     print_table("§4.2 — quantized models", rows)
 
     # Shape: wins persist on the quantized model (possibly milder) and the
     # accuracy constraint still holds.
     assert win_q > 0.0
     assert win_q <= win_fp + 5.0
-    assert apparate_q.metrics.accuracy() >= 0.98
+    assert apparate_q["accuracy"] >= 0.98
 
 
 @pytest.mark.parametrize("model_name,kind,source", [("resnet50", "cv", "urban-day"),
@@ -50,23 +51,25 @@ def test_ablation_disabling_ramp_adjustment_costs_wins(benchmark, model_name, ki
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def compare():
-        vanilla = run_vanilla(model_name, workload)
-        full = run_apparate(model_name, workload, ramp_adjustment_enabled=True)
-        no_adjust = run_apparate(model_name, workload, ramp_adjustment_enabled=False)
-        return vanilla, full, no_adjust
+        return tuple(
+            run_systems(model_name, workload, [system],
+                        ee=ExitPolicySpec(ramp_adjustment_enabled=enabled))
+            .result(system).summary
+            for system, enabled in (("vanilla", True), ("apparate", True),
+                                    ("apparate", False)))
 
     vanilla, full, no_adjust = run_once(benchmark, compare)
-    win_full = pct_win(vanilla.median_latency(), full.metrics.median_latency())
-    win_no_adjust = pct_win(vanilla.median_latency(), no_adjust.metrics.median_latency())
+    win_full = pct_win(vanilla["p50_ms"], full["p50_ms"])
+    win_no_adjust = pct_win(vanilla["p50_ms"], no_adjust["p50_ms"])
     rows = [{"model": model_name, "win_full_%": win_full,
              "win_no_adjustment_%": win_no_adjust,
-             "accuracy_no_adjustment": no_adjust.metrics.accuracy(),
-             "p95_ratio_no_adjustment": no_adjust.metrics.p95_latency()
-             / max(vanilla.p95_latency(), 1e-9)}]
+             "accuracy_no_adjustment": no_adjust["accuracy"],
+             "p95_ratio_no_adjustment": no_adjust["p95_ms"]
+             / max(vanilla["p95_ms"], 1e-9)}]
     print_table("§4.5 — ramp-adjustment ablation", rows)
 
     # Shape: ramp adjustment contributes part of the wins; without it the
     # system still meets accuracy and tail constraints.
     assert win_full >= win_no_adjust - 2.0
-    assert no_adjust.metrics.accuracy() >= 0.98
-    assert no_adjust.metrics.p95_latency() <= vanilla.p95_latency() * 1.05
+    assert no_adjust["accuracy"] >= 0.98
+    assert no_adjust["p95_ms"] <= vanilla["p95_ms"] * 1.05

@@ -9,9 +9,10 @@ a CV and an NLP workload.
 import numpy as np
 import pytest
 
-from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
+from bench_common import (cv_workload, nlp_workload, pct_win, print_table,
+                          run_once, run_systems)
 from repro.baselines.static_ee import _observation_matrices
-from repro.core.pipeline import model_stack, run_apparate, run_vanilla
+from repro.core.pipeline import model_stack
 from repro.exits.evaluation import evaluate_thresholds
 from repro.exits.placement import initial_ramp_selection
 from repro.exits.thresholds import tune_thresholds_greedy
@@ -53,11 +54,11 @@ def test_table1_one_time_tuning_loses_accuracy(benchmark, model_name):
     def evaluate_strategies():
         initial_acc, initial_savings = one_time_strategy(model_name, workload, "initial")
         sampled_acc, sampled_savings = one_time_strategy(model_name, workload, "sampled")
-        vanilla = run_vanilla(model_name, workload)
-        continual = run_apparate(model_name, workload)
-        continual_acc = continual.metrics.accuracy()
-        continual_savings = pct_win(vanilla.median_latency(),
-                                    continual.metrics.median_latency())
+        report = run_systems(model_name, workload, ["vanilla", "apparate"])
+        continual = report.result("apparate").summary
+        continual_acc = continual["accuracy"]
+        continual_savings = pct_win(report.result("vanilla").summary["p50_ms"],
+                                    continual["p50_ms"])
         return [
             {"strategy": "Initial Only", "accuracy": initial_acc, "savings_%": initial_savings},
             {"strategy": "Uniformly Sampled", "accuracy": sampled_acc, "savings_%": sampled_savings},

@@ -8,9 +8,10 @@ baselines does not beat Apparate's tails.
 
 import pytest
 
-from bench_common import cv_workload, nlp_workload, print_table, run_once
-from repro.baselines.static_ee import StaticEEVariant, run_static_ee
-from repro.core.pipeline import run_apparate, run_vanilla
+from bench_common import (cv_workload, nlp_workload, print_table, run_once,
+                          run_systems)
+from repro.api import ExitPolicySpec
+from repro.baselines.static_ee import StaticEEVariant
 from repro.exits.ramps import RampStyle
 
 CASES = {
@@ -26,22 +27,25 @@ def test_table2_static_ee_vs_apparate(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def compare():
-        vanilla = run_vanilla(model_name, workload)
-        apparate = run_apparate(model_name, workload)
-        static = {variant: run_static_ee(model_name, workload, variant, ramp_style=style)
-                  for variant in VARIANTS}
-        return vanilla, apparate, static
+        report = run_systems(model_name, workload, ["vanilla", "apparate"])
+        static = {variant: run_systems(
+                      model_name, workload, ["static_ee"],
+                      ee=ExitPolicySpec(ramp_style=style),
+                      overrides={"static_ee": {"variant": variant}})
+                  .result("static_ee").summary for variant in VARIANTS}
+        return (report.result("vanilla").summary,
+                report.result("apparate").summary, static)
 
     vanilla, apparate, static = run_once(benchmark, compare)
 
-    def row(name, metrics):
+    def row(name, summary):
         return {"system": name, "model": model_name,
-                "accuracy": metrics.accuracy(),
-                "p50_ms": metrics.median_latency(),
-                "p95_ms": metrics.p95_latency()}
+                "accuracy": summary["accuracy"],
+                "p50_ms": summary["p50_ms"],
+                "p95_ms": summary["p95_ms"]}
 
-    rows = [row("Apparate", apparate.metrics)]
-    rows += [row(f"static-{variant.value}", static[variant].metrics) for variant in VARIANTS]
+    rows = [row("Apparate", apparate)]
+    rows += [row(f"static-{variant.value}", static[variant]) for variant in VARIANTS]
     rows.append(row("vanilla", vanilla))
     print_table("Table 2 — existing EE models", rows)
 
@@ -50,12 +54,11 @@ def test_table2_static_ee_vs_apparate(benchmark, model_name):
     # noticeably more accuracy under drift (BranchyNet rows of Table 2); the
     # NLP baseline's always-on deep-pooler ramps tax its median latency
     # (DeeBERT rows of Table 2).
-    assert apparate.metrics.accuracy() >= 0.985
-    assert apparate.metrics.p95_latency() <= vanilla.p95_latency() * 1.03
-    worst_static = min(static[v].metrics.accuracy() for v in
+    assert apparate["accuracy"] >= 0.985
+    assert apparate["p95_ms"] <= vanilla["p95_ms"] * 1.03
+    worst_static = min(static[v]["accuracy"] for v in
                        (StaticEEVariant.SHARED, StaticEEVariant.PER_RAMP))
     if kind == "cv":
-        assert worst_static < apparate.metrics.accuracy()
+        assert worst_static < apparate["accuracy"]
     else:
-        assert apparate.metrics.median_latency() < \
-            static[StaticEEVariant.SHARED].metrics.median_latency()
+        assert apparate["p50_ms"] < static[StaticEEVariant.SHARED]["p50_ms"]

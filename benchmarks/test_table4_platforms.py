@@ -7,8 +7,8 @@ alters platform decisions.
 
 import pytest
 
-from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from bench_common import (cv_workload, nlp_workload, pct_win, print_table,
+                          run_once, run_systems)
 
 CASES = {"resnet50": ("cv", "urban-day"), "gpt2-medium": ("nlp", "amazon")}
 PLATFORMS = ["clockwork", "tfserve"]
@@ -22,9 +22,10 @@ def test_table4_platform_insensitivity(benchmark, model_name):
     def sweep():
         results = {}
         for platform in PLATFORMS:
-            vanilla = run_vanilla(model_name, workload, platform=platform)
-            apparate = run_apparate(model_name, workload, platform=platform)
-            results[platform] = (vanilla, apparate)
+            report = run_systems(model_name, workload, ["vanilla", "apparate"],
+                                 platform=platform)
+            results[platform] = (report.result("vanilla").summary,
+                                 report.result("apparate").summary)
         return results
 
     results = run_once(benchmark, sweep)
@@ -32,12 +33,12 @@ def test_table4_platform_insensitivity(benchmark, model_name):
     wins = {}
     for platform in PLATFORMS:
         vanilla, apparate = results[platform]
-        wins[platform] = pct_win(vanilla.median_latency(), apparate.metrics.median_latency())
+        wins[platform] = pct_win(vanilla["p50_ms"], apparate["p50_ms"])
         rows.append({"model": model_name, "platform": platform,
-                     "apparate_p50_ms": apparate.metrics.median_latency(),
-                     "apparate_p95_ms": apparate.metrics.p95_latency(),
+                     "apparate_p50_ms": apparate["p50_ms"],
+                     "apparate_p95_ms": apparate["p95_ms"],
                      "win_%": wins[platform],
-                     "accuracy": apparate.metrics.accuracy()})
+                     "accuracy": apparate["accuracy"]})
     print_table("Table 4 — serving-platform comparison", rows)
 
     # Shape: both platforms see a benefit and the relative wins are close
@@ -45,4 +46,4 @@ def test_table4_platform_insensitivity(benchmark, model_name):
     assert all(w > 0.0 for w in wins.values())
     assert abs(wins["clockwork"] - wins["tfserve"]) < 15.0
     for platform in PLATFORMS:
-        assert results[platform][1].metrics.accuracy() >= 0.98
+        assert results[platform][1]["accuracy"] >= 0.98

@@ -50,7 +50,7 @@ with a periodic sync — N× the tuning evidence, one warm-up).
 Run:  python examples/cluster_serving.py
 """
 
-from repro.core.pipeline import run_apparate_cluster, run_vanilla_cluster
+from repro.api import ClusterSpec, Experiment
 from repro.serving.cluster import balancer_names
 from repro.workloads import make_video_workload
 
@@ -65,28 +65,28 @@ def main() -> None:
     print(f"=== vanilla fleet, {REPLICAS} replicas, per balancer ===")
     print(f"{'balancer':<24s} {'p50 ms':>9s} {'p99 ms':>9s} {'tput qps':>9s} "
           f"{'drops':>7s} {'imbalance':>10s}")
+    def run(system, **cluster):
+        return Experiment(model="resnet50", workload=workload, seed=0,
+                          cluster=ClusterSpec(replicas=REPLICAS, **cluster)) \
+            .run([system]).result(system)
+
     for balancer in balancer_names("classification"):
-        fleet = run_vanilla_cluster("resnet50", workload, replicas=REPLICAS,
-                                    balancer=balancer, seed=0)
-        s = fleet.summary()
+        s = run("vanilla", balancer=balancer).summary
         print(f"{balancer:<24s} {s['p50_ms']:9.2f} {s['p99_ms']:9.2f} "
               f"{s['throughput_qps']:9.1f} {s['drop_rate']:7.2%} "
               f"{s['dispatch_imbalance']:10.2f}")
 
     print(f"\n=== Apparate fleet ({REPLICAS} replicas, join_shortest_queue) ===")
     for mode in ("independent", "shared"):
-        result = run_apparate_cluster("resnet50", workload, replicas=REPLICAS,
-                                      balancer="join_shortest_queue",
-                                      fleet_mode=mode, seed=0)
-        s = result.summary()
+        s = run("apparate", balancer="join_shortest_queue",
+                fleet_mode=mode).summary
         print(f"{mode:<12s} p50={s['p50_ms']:7.2f} ms  accuracy={s['accuracy']:.3f}  "
               f"exit rate={s['exit_rate']:.2%}  controllers={s['num_controllers']:.0f}  "
               f"threshold tunings={s['threshold_tunings']:.0f}")
 
     print("\nPer-replica view (independent mode):")
-    result = run_apparate_cluster("resnet50", workload, replicas=REPLICAS,
-                                  balancer="join_shortest_queue",
-                                  fleet_mode="independent", seed=0)
+    result = run("apparate", balancer="join_shortest_queue",
+                 fleet_mode="independent").raw
     for i, summary in enumerate(result.metrics.per_replica_summaries()):
         print(f"  replica {i}: served={summary['num_served']:.0f} "
               f"p50={summary['p50_ms']:.2f} ms exit rate={summary['exit_rate']:.2%}")

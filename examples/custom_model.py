@@ -11,7 +11,7 @@ Run:  python examples/custom_model.py
 """
 
 from repro import ModelSpec, Task, register_model
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment, ExitPolicySpec
 from repro.exits.placement import build_ramp_catalog
 from repro.exits.ramps import RampStyle
 from repro.graph.builders import build_resnet
@@ -53,16 +53,19 @@ def main() -> None:
 
     # 3. Serve a workload with the custom deployment knobs.
     workload = make_video_workload("crossroads", num_frames=4000, seed=3)
-    vanilla = run_vanilla(spec, workload, slo_ms=spec.default_slo_ms)
-    apparate = run_apparate(spec, workload, slo_ms=spec.default_slo_ms,
-                            accuracy_constraint=0.02, ramp_budget=0.03)
-    win = 100.0 * (vanilla.median_latency() - apparate.metrics.median_latency()) \
-        / vanilla.median_latency()
-    print(f"\nmedian latency: {vanilla.median_latency():.2f} ms -> "
-          f"{apparate.metrics.median_latency():.2f} ms ({win:.1f}% lower), "
-          f"accuracy {apparate.metrics.accuracy():.3f}, "
-          f"p95 {apparate.metrics.p95_latency():.2f} ms "
-          f"(vanilla {vanilla.p95_latency():.2f} ms)")
+    report = Experiment(model=spec, workload=workload,
+                        slo_ms=spec.default_slo_ms,
+                        ee=ExitPolicySpec(accuracy_constraint=0.02,
+                                          ramp_budget=0.03)) \
+        .run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").summary
+    apparate = report.result("apparate").summary
+    win = 100.0 * (vanilla["p50_ms"] - apparate["p50_ms"]) / vanilla["p50_ms"]
+    print(f"\nmedian latency: {vanilla['p50_ms']:.2f} ms -> "
+          f"{apparate['p50_ms']:.2f} ms ({win:.1f}% lower), "
+          f"accuracy {apparate['accuracy']:.3f}, "
+          f"p95 {apparate['p95_ms']:.2f} ms "
+          f"(vanilla {vanilla['p95_ms']:.2f} ms)")
 
 
 if __name__ == "__main__":

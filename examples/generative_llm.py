@@ -11,9 +11,7 @@ FREE's static tuning may not.
 Run:  python examples/generative_llm.py
 """
 
-from repro.baselines.free import run_free_generative
-from repro.baselines.oracle import run_optimal_generative
-from repro.core.generative import run_generative_apparate, run_generative_vanilla
+from repro.api import Experiment
 from repro.generative.sequences import make_generative_workload
 
 CASES = [
@@ -30,20 +28,22 @@ def main() -> None:
     for model, dataset in CASES:
         workload = make_generative_workload(dataset, num_sequences=150, rate_qps=2.0,
                                             seed=5, drift_amplitude=0.3, drift_mode="trend")
-        vanilla = run_generative_vanilla(model, workload)
-        apparate = run_generative_apparate(model, workload)
-        free = run_free_generative(model, workload)
-        optimal = run_optimal_generative(model, workload)
+        report = Experiment(model=model, workload=workload) \
+            .run(["vanilla", "apparate", "free", "optimal"])
+        vanilla, apparate, free, optimal = (
+            report.result(name).summary
+            for name in ("vanilla", "apparate", "free", "optimal"))
 
-        win = 100.0 * (vanilla.median_tpt() - apparate.metrics.median_tpt()) \
-            / vanilla.median_tpt()
-        print(f"{model:<12s} {dataset:<14s} {vanilla.median_tpt():12.2f} "
-              f"{apparate.metrics.median_tpt():13.2f} {win:7.1f} "
-              f"{free.median_tpt():9.2f} {optimal.median_tpt():12.2f} "
-              f"{apparate.metrics.mean_sequence_accuracy():.3f}/"
-              f"{free.mean_sequence_accuracy():.3f}")
+        win = 100.0 * (vanilla["tpt_p50_ms"] - apparate["tpt_p50_ms"]) \
+            / vanilla["tpt_p50_ms"]
+        print(f"{model:<12s} {dataset:<14s} {vanilla['tpt_p50_ms']:12.2f} "
+              f"{apparate['tpt_p50_ms']:13.2f} {win:7.1f} "
+              f"{free['tpt_p50_ms']:9.2f} {optimal['tpt_p50_ms']:12.2f} "
+              f"{apparate['sequence_accuracy']:.3f}/"
+              f"{free['sequence_accuracy']:.3f}")
 
-        policy = apparate.policy
+        # One replica, so one token policy.
+        policy = report.result("apparate").raw.policies[0]
         print(f"{'':12s} ramp settled at depth {policy.ramp_depth:.2f} "
               f"(threshold {policy.threshold:.2f}) after {policy.position_moves} moves "
               f"and {policy.threshold_tunings} threshold tunings")

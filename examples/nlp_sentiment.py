@@ -11,8 +11,7 @@ while the cascade suffers on tail latency.
 Run:  python examples/nlp_sentiment.py
 """
 
-from repro.baselines.two_layer import run_two_layer
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 from repro.workloads import make_nlp_workload
 
 CASES = [
@@ -30,17 +29,18 @@ def main() -> None:
           f"{'win %':>7s} {'2-layer p95':>12s} {'Apparate p95':>13s} {'accuracy':>9s}")
     for model, dataset, rate in CASES:
         workload = make_nlp_workload(dataset, num_requests=NUM_REQUESTS, rate_qps=rate, seed=11)
-        vanilla = run_vanilla(model, workload)
-        apparate = run_apparate(model, workload)
-        two_layer = run_two_layer(model, workload)
+        report = Experiment(model=model, workload=workload) \
+            .run(["vanilla", "apparate", "two_layer"])
+        vanilla, apparate, two_layer = (
+            report.result(name).summary
+            for name in ("vanilla", "apparate", "two_layer"))
 
-        win = 100.0 * (vanilla.median_latency() - apparate.metrics.median_latency()) \
-            / vanilla.median_latency()
-        print(f"{model:<16s} {dataset:<8s} {vanilla.median_latency():12.2f} "
-              f"{apparate.metrics.median_latency():13.2f} {win:7.1f} "
-              f"{two_layer.summary()['p95_ms']:12.2f} "
-              f"{apparate.metrics.p95_latency():13.2f} "
-              f"{apparate.metrics.accuracy():9.3f}")
+        win = 100.0 * (vanilla["p50_ms"] - apparate["p50_ms"]) / vanilla["p50_ms"]
+        print(f"{model:<16s} {dataset:<8s} {vanilla['p50_ms']:12.2f} "
+              f"{apparate['p50_ms']:13.2f} {win:7.1f} "
+              f"{two_layer['p95_ms']:12.2f} "
+              f"{apparate['p95_ms']:13.2f} "
+              f"{apparate['accuracy']:9.3f}")
 
 
 if __name__ == "__main__":

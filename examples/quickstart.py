@@ -8,7 +8,8 @@ policy once, and any set of registered systems (``vanilla``, ``apparate``,
 configuration:
 
 1. declare a video-analytics experiment on ResNet50 with the paper's default
-   knobs (1% accuracy constraint, 2% ramp budget);
+   knobs (1% accuracy constraint, 2% ramp budget), served by a one-replica
+   fleet (``Experiment``'s default, the paper's single-model setup);
 2. ``run`` vanilla serving, Apparate and the optimal oracle and print the
    cross-system comparison table;
 3. put the same experiment on a **fleet**: the cluster layer is a dynamic
@@ -54,7 +55,7 @@ def main() -> None:
           f"(exit rate {a['exit_rate']:.0%}, accuracy {a['accuracy']:.3f})")
 
     # The controller's runtime adaptation stats ride along on the result.
-    controller = report.result("apparate").raw.controller
+    controller = report.result("apparate").raw.fleet.primary()
     print(f"controller: {controller.stats.threshold_tunings} threshold tunings, "
           f"{controller.stats.ramp_adjustments} ramp adjustments")
     print(f"final configuration: {controller.config.describe()}")

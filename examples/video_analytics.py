@@ -9,10 +9,7 @@ miniature: expect 40-90% median latency wins with tails inside the 2% budget.
 Run:  python examples/video_analytics.py
 """
 
-import numpy as np
-
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 from repro.workloads import make_video_workload
 
 MODELS = ["resnet18", "resnet50", "vgg13"]
@@ -26,17 +23,18 @@ def main() -> None:
     for model in MODELS:
         for scene in SCENES:
             workload = make_video_workload(scene, num_frames=NUM_FRAMES, seed=7)
-            vanilla = run_vanilla(model, workload)
-            apparate = run_apparate(model, workload)
-            optimal = run_optimal_classification(model, workload)
+            report = Experiment(model=model, workload=workload) \
+                .run(["vanilla", "apparate", "optimal"])
+            vanilla, apparate, optimal = (
+                report.result(name).summary
+                for name in ("vanilla", "apparate", "optimal"))
 
-            win = 100.0 * (vanilla.median_latency() - apparate.metrics.median_latency()) \
-                / vanilla.median_latency()
-            p95_ratio = apparate.metrics.p95_latency() / max(vanilla.p95_latency(), 1e-9)
-            print(f"{model:<10s} {scene:<12s} {vanilla.median_latency():12.2f} "
-                  f"{apparate.metrics.median_latency():13.2f} {win:7.1f} "
-                  f"{float(np.median(optimal)):12.2f} "
-                  f"{apparate.metrics.accuracy():9.3f} {p95_ratio:10.3f}")
+            win = 100.0 * (vanilla["p50_ms"] - apparate["p50_ms"]) / vanilla["p50_ms"]
+            p95_ratio = apparate["p95_ms"] / max(vanilla["p95_ms"], 1e-9)
+            print(f"{model:<10s} {scene:<12s} {vanilla['p50_ms']:12.2f} "
+                  f"{apparate['p50_ms']:13.2f} {win:7.1f} "
+                  f"{optimal['p50_ms']:12.2f} "
+                  f"{apparate['accuracy']:9.3f} {p95_ratio:10.3f}")
 
 
 if __name__ == "__main__":

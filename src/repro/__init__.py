@@ -18,8 +18,10 @@ configuration and compares them:
 >>> report = exp.run(systems=["vanilla", "apparate"])
 >>> sweep = exp.sweep(replicas=[1, 2, 4])                  # doctest: +SKIP
 
-The object API (:class:`Apparate`) mirrors the paper's register/serve
-workflow, and the ``run_*`` helpers remain as shims over the registry.
+Every run is a fleet: ``Experiment``'s default :class:`ClusterSpec` is one
+replica, the paper's single-model serving setup, and ``report.kind`` is the
+model family (``classification`` or ``generative``).  The object API
+(:class:`Apparate`) mirrors the paper's register/serve workflow.
 
 Every serving platform — the classification cluster, the generative
 continuous-batching cluster and the disaggregated prefill/decode pools —
@@ -35,19 +37,9 @@ from repro.core import (
     Apparate,
     ApparateDeployment,
     ApparateController,
-    ApparateRunResult,
     ApparateClusterRunResult,
     FleetController,
-    GenerativeRunResult,
     GenerativeClusterRunResult,
-    run_apparate,
-    run_vanilla,
-    run_apparate_cluster,
-    run_vanilla_cluster,
-    run_generative_apparate,
-    run_generative_vanilla,
-    run_generative_apparate_cluster,
-    run_generative_vanilla_cluster,
 )
 from repro.models import ModelSpec, Task, get_model, list_models, register_model
 from repro.api import (
@@ -77,19 +69,9 @@ __all__ = [
     "Apparate",
     "ApparateDeployment",
     "ApparateController",
-    "ApparateRunResult",
     "ApparateClusterRunResult",
     "FleetController",
-    "GenerativeRunResult",
     "GenerativeClusterRunResult",
-    "run_apparate",
-    "run_vanilla",
-    "run_apparate_cluster",
-    "run_vanilla_cluster",
-    "run_generative_apparate",
-    "run_generative_vanilla",
-    "run_generative_apparate_cluster",
-    "run_generative_vanilla_cluster",
     "ModelSpec",
     "Task",
     "get_model",

@@ -1,7 +1,7 @@
 """``repro.api`` — the declarative facade over every serving system.
 
 One :class:`Experiment` describes a serving configuration (model, workload,
-optional cluster, exit policy); the **system registry** maps short names
+fleet, exit policy); the **system registry** maps short names
 (``vanilla``, ``apparate``, ``free``, ``optimal``, ``static_ee``,
 ``two_layer``) to uniform runners; ``Experiment.run(systems=[...])`` returns
 a :class:`RunReport` comparison and ``Experiment.sweep(replicas=[1, 2, 4])``
@@ -25,9 +25,8 @@ from repro.api.experiment import DEFAULT_SYSTEMS, Experiment
 from repro.api.registry import (SystemRunner, canonical_system_name, get_system,
                                 list_systems, register_system,
                                 system_descriptions)
-from repro.api.result import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
-                              KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG,
-                              RunReport, RunResult, SweepPoint, SweepReport,
+from repro.api.result import (KIND_CLASSIFICATION, KIND_GENERATIVE, RunReport,
+                              RunResult, SweepPoint, SweepReport,
                               labels_for_kind)
 from repro.api.specs import (WORKLOAD_KINDS, ClusterSpec, ExitPolicySpec,
                              TraceSpec, WorkloadSpec)
@@ -49,10 +48,7 @@ __all__ = [
     "SweepPoint",
     "SweepReport",
     "KIND_CLASSIFICATION",
-    "KIND_CLUSTER",
     "KIND_GENERATIVE",
-    "KIND_GENERATIVE_CLUSTER",
-    "KIND_GENERATIVE_DISAGG",
     "SystemRunner",
     "register_system",
     "get_system",

@@ -1,8 +1,9 @@
 """The declarative ``Experiment``: one entry point over all systems.
 
-An experiment declares *what* to serve (model + workload), *where* (single
-platform or a cluster spec) and *under which exit policy*; ``run`` executes
-any set of registered systems on that configuration and returns a
+An experiment declares *what* to serve (model + workload), *where* (the
+fleet a :class:`ClusterSpec` describes; one replica by default) and *under
+which exit policy*; ``run`` executes any set of registered systems on that
+configuration and returns a
 :class:`~repro.api.result.RunReport` for cross-system comparison, while
 ``sweep`` runs a parameter grid (replica counts, balancers, seeds, …) in one
 call.
@@ -24,9 +25,8 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Union)
 
 from repro.api.registry import canonical_system_name, get_system
-from repro.api.result import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
-                              KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG,
-                              RunReport, RunResult, SweepPoint, SweepReport)
+from repro.api.result import (KIND_CLASSIFICATION, KIND_GENERATIVE, RunReport,
+                              RunResult, SweepPoint, SweepReport)
 from repro.api.specs import ClusterSpec, ExitPolicySpec, WorkloadSpec
 from repro.models.zoo import ModelSpec, get_model
 
@@ -65,8 +65,9 @@ class Experiment:
         A :class:`WorkloadSpec` (materialized lazily, enabling sweeps over
         workload parameters) or an already-built workload object.
     cluster:
-        ``None`` for single-replica serving, or a :class:`ClusterSpec` for a
-        fleet behind a load balancer.
+        The :class:`ClusterSpec` fleet every system runs on.  The default
+        (also what ``None`` becomes) is one replica: the paper's
+        single-model serving setup is a fleet of one.
     ee:
         Early-exit policy knobs shared by the EE-capable systems.
     platform:
@@ -89,7 +90,7 @@ class Experiment:
 
     model: Union[str, ModelSpec]
     workload: Union[WorkloadSpec, Any]
-    cluster: Optional[ClusterSpec] = None
+    cluster: ClusterSpec = field(default_factory=ClusterSpec)
     ee: ExitPolicySpec = field(default_factory=ExitPolicySpec)
     platform: str = "clockwork"
     slo_ms: Optional[float] = None
@@ -100,6 +101,10 @@ class Experiment:
     trace: Any = None
 
     _workload_cache: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.cluster is None:
+            self.cluster = ClusterSpec()
 
     # ------------------------------------------------------------ properties
     @property
@@ -112,27 +117,17 @@ class Experiment:
 
     @property
     def kind(self) -> str:
-        """``classification``, ``cluster``, ``generative``,
-        ``generative_cluster`` or ``generative_disagg``."""
+        """``classification`` or ``generative``: the model family.  The
+        topology is ``cluster``'s; generative-only cluster knobs on a
+        classification model raise :class:`ValueError` here."""
         if self.is_generative:
-            if self.cluster is None:
-                return KIND_GENERATIVE
-            return KIND_GENERATIVE_DISAGG if self.cluster.disaggregate \
-                else KIND_GENERATIVE_CLUSTER
-        if self.cluster is not None:
-            if self.cluster.disaggregate:
-                raise ValueError(
-                    f"disaggregate=True requires a generative model; "
-                    f"{self.spec.name!r} is not generative")
-            if self.cluster.prefill_in_slot:
-                raise ValueError(
-                    f"prefill_in_slot=True requires a generative model; "
-                    f"{self.spec.name!r} is not generative")
-            if self.cluster.kv_capacity is not None:
-                raise ValueError(
-                    f"kv_capacity requires a generative model; "
-                    f"{self.spec.name!r} is not generative")
-            return KIND_CLUSTER
+            return KIND_GENERATIVE
+        for key, value in (("disaggregate", self.cluster.disaggregate),
+                           ("prefill_in_slot", self.cluster.prefill_in_slot),
+                           ("kv_capacity", self.cluster.kv_capacity is not None)):
+            if value:
+                raise ValueError(f"{key} requires a generative model; "
+                                 f"{self.spec.name!r} is not generative")
         return KIND_CLASSIFICATION
 
     # ---------------------------------------------------------- materialize
@@ -198,8 +193,7 @@ class Experiment:
             params["workload"] = {"kind": KIND_GENERATIVE if self.is_generative
                                   else "materialized",
                                   "name": getattr(self.workload, "name", "custom")}
-        if self.cluster is not None:
-            params["cluster"] = self.cluster.describe()
+        params["cluster"] = self.cluster.describe()
         params["ee"] = self.ee.describe()
         if self.trace is not None and self.trace is not False:
             from repro.obs import coerce_trace
@@ -324,7 +318,6 @@ class Experiment:
 
         replacements: Dict[str, Any] = dict(top)
         if cluster_updates:
-            base = self.cluster if self.cluster is not None else ClusterSpec(replicas=1)
             # Sweeping a pool knob implies disaggregated serving; without
             # this, pool axes on a monolithic base spec would be rejected by
             # ClusterSpec as dead configuration.
@@ -333,7 +326,8 @@ class Experiment:
             # Unknown cluster keys never reach this replace: sweep() rejects
             # any key outside _SWEEP_KEYS up front, with a ValueError naming
             # the key.
-            replacements["cluster"] = dataclasses.replace(base, **cluster_updates)
+            replacements["cluster"] = dataclasses.replace(self.cluster,
+                                                          **cluster_updates)
         if ee_updates:
             replacements["ee"] = dataclasses.replace(self.ee, **ee_updates)
         if workload_updates:

@@ -4,8 +4,8 @@ Every comparable system (Apparate, vanilla, the paper's baselines, future
 ROADMAP systems) registers once under a short name with the experiment kinds
 it supports.  ``Experiment.run(systems=[...])``, the CLI's ``--systems`` flag
 and the benchmarks all resolve systems through this registry, so adding a new
-system is one ``@register_system`` decorator — not an eleventh ad-hoc
-``run_*`` function threaded through every front end.
+system is one ``@register_system`` decorator, not an ad-hoc runner
+function threaded through every front end.
 """
 
 from __future__ import annotations
@@ -13,15 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.api.result import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
-                              KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG,
-                              RunResult)
+from repro.api.result import KIND_CLASSIFICATION, KIND_GENERATIVE, RunResult
 
 __all__ = ["SystemRunner", "register_system", "get_system", "list_systems",
            "canonical_system_name", "system_descriptions"]
 
-_ALL_KINDS = (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
-              KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG)
+_ALL_KINDS = (KIND_CLASSIFICATION, KIND_GENERATIVE)
 
 
 @dataclass(frozen=True)

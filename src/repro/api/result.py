@@ -2,7 +2,7 @@
 
 Every registered system returns a :class:`RunResult` with the same shape —
 a named-metric ``summary`` dict plus JSON-safe ``params``/``details`` and the
-legacy result object under ``raw`` — so comparison tables, sweeps, benchmarks
+system's own result object under ``raw`` — so comparison tables, sweeps, benchmarks
 and the CLI's ``--json`` mode all consume one schema instead of each system's
 ad-hoc return type.
 """
@@ -12,16 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["KIND_CLASSIFICATION", "KIND_CLUSTER", "KIND_GENERATIVE",
-           "KIND_GENERATIVE_CLUSTER", "KIND_GENERATIVE_DISAGG", "RunResult",
+__all__ = ["KIND_CLASSIFICATION", "KIND_GENERATIVE", "RunResult",
            "RunReport", "SweepPoint", "SweepReport", "METRIC_LABELS",
            "SYSTEM_DISPLAY_NAMES", "labels_for_kind"]
 
+#: The two experiment kinds, one per model family.  Topology (replicas,
+#: disaggregated pools) lives in ``params["cluster"]``, not in the kind.
 KIND_CLASSIFICATION = "classification"
-KIND_CLUSTER = "cluster"
 KIND_GENERATIVE = "generative"
-KIND_GENERATIVE_CLUSTER = "generative_cluster"
-KIND_GENERATIVE_DISAGG = "generative_disagg"
 
 #: Human-readable labels for the shared metric vocabulary.
 METRIC_LABELS = {
@@ -74,32 +72,27 @@ SYSTEM_DISPLAY_NAMES = {
 }
 
 #: Default metric rows shown per experiment kind (tables stay focused; the
-#: full summary is always available via ``to_json``).
+#: full summary is always available via ``to_json``).  A row a result does
+#: not report is skipped, so ``prefill_peak_replicas`` shows only for
+#: disaggregated runs.
 _DISPLAY_METRICS = {
     KIND_CLASSIFICATION: ("p25_ms", "p50_ms", "p95_ms", "p99_ms", "throughput_qps",
-                          "accuracy", "exit_rate", "drop_rate"),
-    KIND_CLUSTER: ("p50_ms", "p95_ms", "p99_ms", "throughput_qps", "accuracy",
-                   "drop_rate", "dispatch_imbalance", "exit_rate"),
-    KIND_GENERATIVE: ("tpt_p25_ms", "tpt_p50_ms", "tpt_p95_ms", "ttft_p99_ms",
-                      "sequence_accuracy", "exit_rate",
-                      "throughput_tokens_per_s"),
-    KIND_GENERATIVE_CLUSTER: ("tpt_p50_ms", "tpt_p95_ms", "token_p99_ms",
-                              "ttft_p99_ms", "sequence_accuracy", "exit_rate",
-                              "throughput_tokens_per_s", "dispatch_imbalance",
-                              "peak_replicas"),
-    KIND_GENERATIVE_DISAGG: ("ttft_p99_ms", "ttft_mean_ms", "tpt_p50_ms",
-                             "token_p99_ms", "sequence_accuracy", "exit_rate",
-                             "throughput_tokens_per_s", "peak_replicas",
-                             "prefill_peak_replicas"),
+                          "accuracy", "exit_rate", "drop_rate",
+                          "dispatch_imbalance"),
+    KIND_GENERATIVE: ("tpt_p25_ms", "tpt_p50_ms", "tpt_p95_ms", "token_p99_ms",
+                      "ttft_p99_ms", "sequence_accuracy", "exit_rate",
+                      "throughput_tokens_per_s", "peak_replicas",
+                      "prefill_peak_replicas"),
 }
 
 
 def labels_for_kind(kind: str) -> Dict[str, str]:
-    """Metric labels, specialized per kind (cluster metrics are fleet-wide)."""
+    """Metric labels for ``kind``; every run is a fleet, so throughput is
+    fleet-wide."""
     labels = dict(METRIC_LABELS)
-    if kind == KIND_CLUSTER:
+    if kind == KIND_CLASSIFICATION:
         labels["throughput_qps"] = "fleet throughput"
-    if kind in (KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG):
+    else:
         labels["throughput_tokens_per_s"] = "fleet tokens/s"
     return labels
 
@@ -125,8 +118,9 @@ class RunResult:
 
     ``summary`` holds the named metric keys (floats); ``details`` holds
     JSON-safe extras (per-replica dispatch counts, tuned thresholds, …);
-    ``raw`` keeps the system's legacy result object for code that wants the
-    full surface (and for the ``run_*`` shims, which return it).
+    ``raw`` keeps the system's own result object (fleet metrics, plus the
+    controllers or policies for the EE systems) for code that wants the
+    full surface.
 
     ``trace`` holds the live :class:`~repro.obs.TraceRecorder` when the
     experiment ran with ``trace=...`` (``None`` otherwise) — feed it to
@@ -150,7 +144,7 @@ class RunResult:
     def to_json(self) -> Dict[str, Any]:
         """Machine-readable dict (stable schema, numpy-free)."""
         return {
-            "schema": "repro.run_result/v1",
+            "schema": "repro.run_result/v2",
             "system": self.system,
             "kind": self.kind,
             "model": self.model,
@@ -223,7 +217,7 @@ class RunReport:
 
     def to_json(self) -> Dict[str, Any]:
         return {
-            "schema": "repro.run_report/v1",
+            "schema": "repro.run_report/v2",
             "params": _jsonable(self.params),
             "results": [r.to_json() for r in self.results],
         }
@@ -332,7 +326,7 @@ class SweepReport:
 
     def to_json(self) -> Dict[str, Any]:
         return {
-            "schema": "repro.sweep_report/v1",
+            "schema": "repro.sweep_report/v2",
             "base_params": _jsonable(self.base_params),
             "points": [{"params": _jsonable(p.params),
                         "report": None if p.report is None

@@ -191,11 +191,13 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Fleet shape, control topology and elasticity for cluster serving.
+    """Fleet shape, control topology and elasticity of an experiment.
 
-    ``replicas`` platforms sit behind ``balancer``; ``fleet_mode`` selects the
-    EE control topology (one controller per replica, or one shared controller
-    syncing every ``sync_period`` samples).  ``autoscaler`` makes the fleet
+    Every run is a fleet: the default spec is one replica, the paper's
+    single-model serving setup.  ``replicas`` platforms sit behind
+    ``balancer``; ``fleet_mode`` selects the EE control topology (one
+    controller per replica, or one shared controller syncing every
+    ``sync_period`` samples).  ``autoscaler`` makes the fleet
     elastic within ``[min_replicas, max_replicas]`` (defaults: 1 and
     ``2 * replicas`` when a scaler is enabled, frozen at ``replicas``
     otherwise), and ``profiles`` makes it heterogeneous — one
@@ -239,7 +241,7 @@ class ClusterSpec:
     bit-identical to the uncapped platforms.
     """
 
-    replicas: int = 2
+    replicas: int = 1
     balancer: Union[str, LoadBalancer] = "round_robin"
     fleet_mode: str = "independent"
     sync_period: int = 64

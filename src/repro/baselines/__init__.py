@@ -13,32 +13,28 @@
 * :mod:`repro.baselines.free` — FREE-style generative early exiting: a single
   fixed ramp whose position/threshold are tuned once on bootstrap data
   (§4.4, Figure 18).
+
+Each is a registered system (``optimal``, ``static_ee``, ``two_layer``,
+``free``): run them with ``Experiment(...).run([...])``.
 """
 
 from repro.baselines.oracle import (
     OracleTokenPolicy,
     optimal_exit_depths,
     optimal_latencies,
-    run_optimal_classification,
-    run_optimal_generative,
 )
-from repro.baselines.static_ee import StaticEEVariant, StaticEEResult, run_static_ee
-from repro.baselines.two_layer import TwoLayerSystem, TwoLayerResult, run_two_layer
-from repro.baselines.free import FreeTokenPolicy, calibrate_free_policy, run_free_generative
+from repro.baselines.static_ee import StaticEEVariant, StaticEEResult
+from repro.baselines.two_layer import TwoLayerSystem, TwoLayerResult
+from repro.baselines.free import FreeTokenPolicy, calibrate_free_policy
 
 __all__ = [
     "OracleTokenPolicy",
     "optimal_exit_depths",
     "optimal_latencies",
-    "run_optimal_classification",
-    "run_optimal_generative",
     "StaticEEVariant",
     "StaticEEResult",
-    "run_static_ee",
     "TwoLayerSystem",
     "TwoLayerResult",
-    "run_two_layer",
     "FreeTokenPolicy",
     "calibrate_free_policy",
-    "run_free_generative",
 ]

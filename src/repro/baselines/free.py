@@ -11,20 +11,19 @@ Apparate's adaptive ramp stays within it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.generative import generative_ramp_depths
+from repro.core.generative import GenerativeFleet, generative_ramp_depths
 from repro.exits.ramps import RampStyle, ramp_overhead_fraction
-from repro.generative.decoding import DecodeTimingModel
 from repro.generative.parallel import TokenFeedback
 from repro.generative.sequences import GenerativeWorkload
 from repro.models.prediction import PredictionModel, ramp_error_score
 from repro.models.zoo import ModelSpec, get_model
-from repro.serving.hf_pipelines import ContinuousBatchingEngine, GenerativeMetrics, TokenDecision
+from repro.serving.hf_pipelines import TokenDecision
 
-__all__ = ["FreeTokenPolicy", "calibrate_free_policy", "run_free_generative"]
+__all__ = ["FreeTokenPolicy", "calibrate_free_policy"]
 
 
 @dataclass
@@ -86,104 +85,23 @@ def calibrate_free_policy(prediction: PredictionModel, workload: GenerativeWorkl
     return best_depth, best_threshold
 
 
-def _free_generative_impl(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                          accuracy_constraint: float = 0.01, max_batch_size: int = 8,
-                          calibration_fraction: float = 0.03,
-                          seed: int = 0,
-                          ttft_slo_ms: Optional[float] = None,
-                          obs=None) -> GenerativeMetrics:
-    from repro.core.generative import _normalize_ttft_slo
-    spec = get_model(model) if isinstance(model, str) else model
-    prediction = PredictionModel(spec, seed=seed)
-    depths = generative_ramp_depths(spec, seed=seed)
-    depth, threshold = calibrate_free_policy(prediction, workload, depths,
-                                             accuracy_constraint=accuracy_constraint,
-                                             calibration_fraction=calibration_fraction)
-    policy = FreeTokenPolicy(prediction=prediction, ramp_depth=depth, threshold=threshold)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    timing = DecodeTimingModel(spec, ramp_overhead_fraction=overhead)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms))
-    if obs is not None:
-        engine.obs = obs
-    return engine.run(workload, policy)
-
-
 def _free_generative_cluster_impl(model: Union[str, ModelSpec],
                                   workload: GenerativeWorkload,
-                                  replicas: int = 2, balancer="round_robin",
+                                  fleet: GenerativeFleet,
                                   accuracy_constraint: float = 0.01,
-                                  max_batch_size: int = 8,
                                   calibration_fraction: float = 0.03,
-                                  seed: int = 0, autoscaler="none",
-                                  min_replicas=None, max_replicas=None,
-                                  profiles=None, prefill_in_slot: bool = False,
-                                  ttft_slo_ms: Optional[float] = None,
-                                  tenancy=None, faults=None, kv_capacity=None,
-                                  obs=None):
-    """FREE at fleet scale: one (depth, threshold) pair calibrated once on the
-    leading workload slice, then deployed frozen on every replica (including
-    any the autoscaler boots mid-run) — no runtime adaptation anywhere."""
-    from repro.core.generative import build_generative_cluster
+                                  seed: int = 0):
+    """FREE on a generative fleet: one (depth, threshold) pair calibrated
+    once on the leading workload slice, then deployed frozen on every decode
+    replica (including any the autoscaler boots mid-run) — no runtime
+    adaptation anywhere."""
     spec = get_model(model) if isinstance(model, str) else model
-    policy = _calibrated_free_policy(spec, workload, accuracy_constraint,
-                                     calibration_fraction, seed)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    cluster = build_generative_cluster(spec, replicas, balancer=balancer,
-                                       max_batch_size=max_batch_size,
-                                       ramp_overhead=overhead, seed=seed,
-                                       profiles=profiles, autoscaler=autoscaler,
-                                       min_replicas=min_replicas,
-                                       max_replicas=max_replicas,
-                                       prefill_in_slot=prefill_in_slot,
-                                       ttft_slo_ms=ttft_slo_ms,
-                                       tenancy=tenancy, faults=faults,
-                                       kv_capacity=kv_capacity, obs=obs)
-    return cluster.run(workload, lambda ordinal: policy)
-
-
-def _calibrated_free_policy(spec: ModelSpec, workload: GenerativeWorkload,
-                            accuracy_constraint: float,
-                            calibration_fraction: float,
-                            seed: int) -> FreeTokenPolicy:
-    """One-time (depth, threshold) calibration shared by the fleet impls."""
     prediction = PredictionModel(spec, seed=seed)
     depths = generative_ramp_depths(spec, seed=seed)
     depth, threshold = calibrate_free_policy(prediction, workload, depths,
                                              accuracy_constraint=accuracy_constraint,
                                              calibration_fraction=calibration_fraction)
-    return FreeTokenPolicy(prediction=prediction, ramp_depth=depth,
-                           threshold=threshold)
-
-
-def _free_generative_disagg_impl(model: Union[str, ModelSpec],
-                                 workload: GenerativeWorkload,
-                                 accuracy_constraint: float = 0.01,
-                                 max_batch_size: int = 8,
-                                 calibration_fraction: float = 0.03,
-                                 seed: int = 0, **pool_kwargs):
-    """FREE on disaggregated pools: the frozen calibrated policy runs on
-    every decode replica; the prefill pool is policy-free."""
-    from repro.core.generative import build_disaggregated_platform
-    spec = get_model(model) if isinstance(model, str) else model
-    policy = _calibrated_free_policy(spec, workload, accuracy_constraint,
-                                     calibration_fraction, seed)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    platform = build_disaggregated_platform(spec, max_batch_size=max_batch_size,
-                                            ramp_overhead=overhead, seed=seed,
-                                            **pool_kwargs)
+    policy = FreeTokenPolicy(prediction=prediction, ramp_depth=depth,
+                             threshold=threshold)
+    platform = fleet(ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD))
     return platform.run(workload, lambda ordinal: policy)
-
-
-def run_free_generative(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                        accuracy_constraint: float = 0.01, max_batch_size: int = 8,
-                        seed: int = 0) -> GenerativeMetrics:
-    """Serve a generative workload with the FREE baseline.
-
-    Equivalent to ``Experiment(...).run(systems=["free"])``.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    experiment = Experiment(model=model, workload=workload,
-                            ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["free"]).result("free").raw

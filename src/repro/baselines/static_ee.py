@@ -23,19 +23,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.pipeline import Workload, build_platform, model_stack
+from repro.core.pipeline import Fleet, Workload, model_stack
 from repro.exits.config import EEConfig
 from repro.exits.evaluation import evaluate_thresholds
 from repro.exits.ramps import RampStyle
 from repro.exits.thresholds import tune_thresholds_greedy
 from repro.models.prediction import PredictionModel, ramp_error_score
 from repro.models.zoo import ModelSpec, get_model
-from repro.serving.metrics import ServingMetrics
+from repro.serving.metrics import ClusterMetrics
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request, make_requests
 from repro.workloads.difficulty import DifficultyTrace
 
-__all__ = ["StaticEEVariant", "StaticEEResult", "run_static_ee", "calibrate_static_thresholds"]
+__all__ = ["StaticEEVariant", "StaticEEResult", "calibrate_static_thresholds"]
 
 
 class StaticEEVariant(str, enum.Enum):
@@ -50,7 +50,7 @@ class StaticEEVariant(str, enum.Enum):
 class StaticEEResult:
     """Outcome of serving with a static EE baseline."""
 
-    metrics: ServingMetrics
+    metrics: ClusterMetrics
     thresholds: List[float]
     ramp_depths: List[float]
 
@@ -123,13 +123,12 @@ class _StaticEEExecutor:
         )
 
 
-def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload,
+def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload, fleet: Fleet,
                     variant: StaticEEVariant = StaticEEVariant.SHARED,
                     ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                    platform: str = "clockwork", slo_ms: Optional[float] = None,
+                    slo_ms: Optional[float] = None,
                     accuracy_constraint: float = 0.01, calibration_fraction: float = 0.10,
-                    max_batch_size: int = 16, seed: int = 0,
-                    obs=None) -> StaticEEResult:
+                    seed: int = 0) -> StaticEEResult:
     spec, profile, prediction, catalog, executor = model_stack(
         model, seed=seed, ramp_budget=1.0, ramp_style=ramp_style)
     slo = slo_ms if slo_ms is not None else spec.default_slo_ms
@@ -154,36 +153,8 @@ def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload,
                                              accuracy_constraint=accuracy_constraint)
 
     requests = make_requests(workload.trace, workload.arrival_times_ms, slo)
-    engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                            obs=obs)
+    # The executor is frozen (no adaptation), so every replica shares it.
     static_executor = _StaticEEExecutor(executor, ramp_ids, depths, thresholds,
                                         overhead_fractions)
-    metrics = engine.run(requests, static_executor)
+    metrics = fleet(profile).run(requests, static_executor)
     return StaticEEResult(metrics=metrics, thresholds=thresholds, ramp_depths=depths)
-
-
-def run_static_ee(model: Union[str, ModelSpec], workload: Workload,
-                  variant: StaticEEVariant = StaticEEVariant.SHARED,
-                  ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                  platform: str = "clockwork", slo_ms: Optional[float] = None,
-                  accuracy_constraint: float = 0.01, calibration_fraction: float = 0.10,
-                  max_batch_size: int = 16, seed: int = 0) -> StaticEEResult:
-    """Serve ``workload`` with a BranchyNet/DeeBERT-style static EE model.
-
-    ``ramp_style`` selects BranchyNet-like lightweight ramps (CV) or
-    DeeBERT-like deep-pooler ramps (NLP).  ``variant`` selects the tuning
-    strategy; the ``oracle`` variant calibrates on the full test stream.
-
-    Equivalent to ``Experiment(...).run(systems=["static_ee"])`` with the
-    variant/calibration knobs passed as per-system overrides.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    experiment = Experiment(
-        model=model, workload=workload,
-        ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint,
-                          ramp_style=ramp_style),
-        platform=platform, slo_ms=slo_ms, max_batch_size=max_batch_size,
-        seed=seed,
-        overrides={"static_ee": {"variant": variant,
-                                 "calibration_fraction": calibration_fraction}})
-    return experiment.run(["static_ee"]).result("static_ee").raw

@@ -18,13 +18,13 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.pipeline import Workload, _vanilla_impl, model_stack
+from repro.core.pipeline import (Fleet, Workload, _vanilla_cluster_impl,
+                                 model_stack)
 from repro.models.prediction import PredictionModel, ramp_error_score
 from repro.models.zoo import ModelSpec, Task, get_model
-from repro.serving.metrics import ServingMetrics
 from repro.workloads.difficulty import DifficultyTrace
 
-__all__ = ["TwoLayerSystem", "TwoLayerResult", "run_two_layer"]
+__all__ = ["TwoLayerSystem", "TwoLayerResult"]
 
 
 @dataclass
@@ -96,13 +96,20 @@ _DEFAULTS = {
 }
 
 
-def _two_layer_impl(model: Union[str, ModelSpec], workload: Workload,
-                    platform: str = "clockwork", slo_ms: Optional[float] = None,
+def _two_layer_impl(model: Union[str, ModelSpec], workload: Workload, fleet: Fleet,
+                    slo_ms: Optional[float] = None,
                     accuracy_constraint: float = 0.01, calibration_fraction: float = 1.0,
                     capability_depth: Optional[float] = None,
                     runtime_fraction: Optional[float] = None,
-                    max_batch_size: int = 16, seed: int = 0,
-                    obs=None) -> TwoLayerResult:
+                    seed: int = 0) -> TwoLayerResult:
+    """Serve ``workload`` with a two-layer (compressed + base) system.
+
+    As in the paper, the evaluation is favourable to the baseline: by default
+    the escalation threshold is calibrated on the full stream (so the system
+    operates within the same accuracy budget as Apparate), and the costs of
+    hosting the compressed model and of moving data between the two models
+    are ignored.
+    """
     spec, _profile, prediction, _catalog, _executor = model_stack(model, seed=seed)
     defaults = _DEFAULTS.get(spec.task, _DEFAULTS[Task.NLP_CLASSIFICATION])
     system = TwoLayerSystem(
@@ -118,8 +125,8 @@ def _two_layer_impl(model: Union[str, ModelSpec], workload: Workload,
     # Like the oracle, the two-layer comparator replays the vanilla run's
     # schedule and discounts latencies analytically, so recorded spans show
     # the vanilla serving timeline.
-    vanilla = _vanilla_impl(spec, workload, platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed, obs=obs)
+    vanilla = _vanilla_cluster_impl(spec, workload, fleet, slo_ms=slo_ms,
+                            seed=seed).aggregate()
 
     required = prediction.required_depths(workload.trace.raw_difficulty)
     sharpness = workload.trace.sharpness
@@ -149,32 +156,3 @@ def _two_layer_impl(model: Union[str, ModelSpec], workload: Workload,
     return TwoLayerResult(latencies_ms=np.asarray(latencies, dtype=float),
                           accuracy=correct_count / n,
                           escalation_rate=escalations / n)
-
-
-def run_two_layer(model: Union[str, ModelSpec], workload: Workload,
-                  platform: str = "clockwork", slo_ms: Optional[float] = None,
-                  accuracy_constraint: float = 0.01, calibration_fraction: float = 1.0,
-                  capability_depth: Optional[float] = None,
-                  runtime_fraction: Optional[float] = None,
-                  max_batch_size: int = 16, seed: int = 0) -> TwoLayerResult:
-    """Serve ``workload`` with a two-layer (compressed + base) system.
-
-    As in the paper, the evaluation is favourable to the baseline: by default
-    the escalation threshold is calibrated on the full stream (so the system
-    operates within the same accuracy budget as Apparate), and the costs of
-    hosting the compressed model and of moving data between the two models
-    are ignored.
-
-    Equivalent to ``Experiment(...).run(systems=["two_layer"])`` with the
-    cascade shape passed as per-system overrides.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    experiment = Experiment(
-        model=model, workload=workload,
-        ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-        platform=platform, slo_ms=slo_ms, max_batch_size=max_batch_size,
-        seed=seed,
-        overrides={"two_layer": {"calibration_fraction": calibration_fraction,
-                                 "capability_depth": capability_depth,
-                                 "runtime_fraction": runtime_fraction}})
-    return experiment.run(["two_layer"]).result("two_layer").raw

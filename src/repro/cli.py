@@ -12,18 +12,20 @@ system registry (``repro.api.list_systems()``).
     Serve a classification workload and print the cross-system comparison.
     ``--systems`` picks the systems (default ``vanilla,apparate``; the
     baselines ``static_ee``, ``two_layer`` and ``optimal`` are also
-    registered).  With ``--replicas N`` (plus ``--balancer`` and
-    ``--fleet-mode``) the same comparison runs on an N-replica cluster;
-    ``--autoscaler reactive --min-replicas 1 --max-replicas 8`` makes the
-    fleet elastic and ``--replica-profiles 2,2,0.5,0.5`` heterogeneous.
+    registered).  Every run is a fleet: ``--replicas N`` (default 1, the
+    paper's single-model setup) replicas behind ``--balancer``, with
+    ``--fleet-mode`` EE control; ``--autoscaler reactive --min-replicas 1
+    --max-replicas 8`` makes the fleet elastic and ``--replica-profiles
+    2,2,0.5,0.5`` heterogeneous.
 
 ``repro-apparate generate --model t5-large --dataset cnn-dailymail``
     Serve a generative workload; ``--systems`` may add ``free`` and
-    ``optimal`` (``--with-baselines`` is a shorthand for both).  With
-    ``--replicas N`` the token-level engines run on the fleet control plane —
-    the same ``--balancer``/``--autoscaler``/``--min-replicas``/
+    ``optimal`` (``--with-baselines`` is a shorthand for both).  The
+    token-level engines run on the same fleet control plane and take the
+    same ``--replicas``/``--balancer``/``--autoscaler``/``--min-replicas``/
     ``--max-replicas``/``--replica-profiles`` flags as ``classify``, with
-    balancers costing replicas by outstanding decode work.
+    balancers costing replicas by outstanding decode work;
+    ``--disaggregate`` splits the fleet into prefill and decode pools.
 
 ``repro-apparate sweep --replicas 1,2,4 --balancer round_robin,jsq``
     Run a parameter grid over replica counts / balancers / fleet modes in one
@@ -135,17 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--ramp-budget", type=float, default=0.02)
     classify.add_argument("--seed", type=int, default=0)
     classify.add_argument("--replicas", type=int, default=1,
-                          help="number of model replicas (>1 enables cluster serving)")
-    classify.add_argument("--balancer", default=None, type=_balancer_arg,
+                          help="number of model replicas (default: 1)")
+    classify.add_argument("--balancer", default="round_robin", type=_balancer_arg,
                           choices=list(balancer_names("classification")),
-                          help="load-balancing policy for cluster serving "
-                               "(default: round_robin)")
-    classify.add_argument("--fleet-mode", default=None,
+                          help="load-balancing policy (default: round_robin)")
+    classify.add_argument("--fleet-mode", default="independent",
                           choices=["independent", "shared"],
                           help="EE control topology: one controller per replica "
                                "(independent, the default) or one shared fleet "
                                "controller with periodic sync")
-    classify.add_argument("--autoscaler", default=None,
+    classify.add_argument("--autoscaler", default="none",
                           choices=list(AUTOSCALER_NAMES),
                           help="fleet autoscaling policy (default: none, a "
                                "fixed fleet)")
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="multi-tenant mix as 'name:key=value,...;...' "
                                "(keys: weight/share/priority/slo/ttft/exits), "
                                "e.g. 'chat:weight=4;batch:priority=batch'")
-    classify.add_argument("--tenant-policy", default=None,
+    classify.add_argument("--tenant-policy", default="weighted_fair",
                           choices=list(TENANT_POLICIES),
                           help="dispatch discipline across tenants "
                                "(default: weighted_fair)")
@@ -191,21 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--with-baselines", action="store_true",
                           help="also run the FREE baseline and the optimal oracle")
     generate.add_argument("--replicas", type=int, default=1,
-                          help="number of decode replicas (>1 enables "
-                               "generative cluster serving)")
-    generate.add_argument("--balancer", default=None, type=_balancer_arg,
+                          help="number of decode replicas (default: 1)")
+    generate.add_argument("--balancer", default="round_robin", type=_balancer_arg,
                           choices=list(balancer_names("generative")),
-                          help="load-balancing policy for cluster serving "
+                          help="load-balancing policy "
                                "(default: round_robin; work-aware policies "
                                "cost replicas by outstanding decode tokens; "
                                "kv_aware_least_work / prefix_affinity also "
                                "read each replica's KV-cache state)")
-    generate.add_argument("--fleet-mode", default=None,
+    generate.add_argument("--fleet-mode", default="independent",
                           choices=["independent", "shared"],
                           help="token-EE control topology: one policy per "
                                "replica (independent, the default) or one "
                                "fleet-wide policy fed by every replica")
-    generate.add_argument("--autoscaler", default=None,
+    generate.add_argument("--autoscaler", default="none",
                           choices=list(AUTOSCALER_NAMES),
                           help="fleet autoscaling policy (default: none, a "
                                "fixed fleet)")
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="multi-tenant mix as 'name:key=value,...;...' "
                                "(keys: weight/share/priority/slo/ttft/exits), "
                                "e.g. 'chat:weight=4;batch:priority=batch'")
-    generate.add_argument("--tenant-policy", default=None,
+    generate.add_argument("--tenant-policy", default="weighted_fair",
                           choices=list(TENANT_POLICIES),
                           help="dispatch discipline across tenants "
                                "(default: weighted_fair)")
@@ -383,17 +383,16 @@ def _print_win_line(report: RunReport) -> None:
     if "vanilla" not in systems or "apparate" not in systems:
         return
     v, a = report.result("vanilla").summary, report.result("apparate").summary
-    if report.kind in ("generative", "generative_cluster", "generative_disagg"):
+    if report.kind == "generative":
         win = 100.0 * (v["tpt_p50_ms"] - a["tpt_p50_ms"]) / max(v["tpt_p50_ms"], 1e-9)
         details = report.result("apparate").details
         print(f"median TPT win: {win:.1f}%  (ramp depth {details['ramp_depth']:.2f}, "
               f"threshold {details['threshold']:.2f})")
-        if report.kind in ("generative_cluster", "generative_disagg"):
-            p99_win = 100.0 * (v["token_p99_ms"] - a["token_p99_ms"]) \
-                / max(v["token_p99_ms"], 1e-9)
-            print(f"per-token p99 win: {p99_win:.1f}%  "
-                  f"({a['deferred_flushes']:.0f} deferred flushes)")
-        if report.kind == "generative_disagg":
+        p99_win = 100.0 * (v["token_p99_ms"] - a["token_p99_ms"]) \
+            / max(v["token_p99_ms"], 1e-9)
+        print(f"per-token p99 win: {p99_win:.1f}%  "
+              f"({a['deferred_flushes']:.0f} deferred flushes)")
+        if report.params["cluster"]["disaggregate"]:
             ttft_win = 100.0 * (v["ttft_p99_ms"] - a["ttft_p99_ms"]) \
                 / max(v["ttft_p99_ms"], 1e-9)
             print(f"TTFT p99 win: {ttft_win:.1f}%")
@@ -403,7 +402,7 @@ def _print_win_line(report: RunReport) -> None:
 
 
 def _print_dispatch_lines(report: RunReport) -> None:
-    """Per-replica dispatch counts for every cluster system that reports them."""
+    """Per-replica dispatch counts for every system that reports them."""
     counts = {r.system: r.details["dispatch_counts"] for r in report.results
               if r.details.get("dispatch_counts")}
     if not counts:
@@ -502,7 +501,7 @@ def _print_kv_lines(report: RunReport) -> None:
 
 
 def _print_fleet_stats(report: RunReport) -> None:
-    """EE-control adaptation stats for cluster systems that carry them."""
+    """EE-control adaptation stats for the systems that carry them."""
     for result in report.results:
         summary = result.summary
         if "num_controllers" not in summary:
@@ -551,13 +550,32 @@ def _write_traces(report: RunReport, path: str) -> None:
         print(f"wrote {result.system} trace to {out}", file=sys.stderr)
 
 
-def _tenancy_header(cluster: Optional[ClusterSpec]) -> str:
-    parts = ""
-    if cluster is not None and cluster.tenants is not None:
-        parts += f" tenants={cluster.tenants.describe()}"
-    if cluster is not None and cluster.faults is not None:
-        parts += f" faults={cluster.faults.describe()}"
-    return parts
+def _fleet_header(cluster: ClusterSpec) -> str:
+    """The run header's fleet part: pools or replicas, then tenants/faults."""
+    if cluster.disaggregate:
+        prefill_band = cluster.resolved_prefill_band()
+        decode_band = cluster.resolved_decode_band()
+        header = (f" disaggregated prefill={cluster.resolved_prefill_replicas()}"
+                  f"[{prefill_band[0]}..{prefill_band[1]},"
+                  f"{cluster.prefill_autoscaler_name()}]"
+                  f" decode={cluster.resolved_decode_replicas()}"
+                  f"[{decode_band[0]}..{decode_band[1]},"
+                  f"{cluster.decode_autoscaler_name()}]")
+    else:
+        header = (f" replicas={cluster.replicas} "
+                  f"balancer={cluster.balancer_name()} "
+                  f"fleet-mode={cluster.fleet_mode}")
+        if cluster.autoscaler_name() != "none":
+            header += (f" autoscaler={cluster.autoscaler_name()}"
+                       f"[{cluster.resolved_min_replicas()}"
+                       f"..{cluster.resolved_max_replicas()}]")
+    if cluster.kv_capacity is not None:
+        header += f" kv-capacity={cluster.kv_capacity:.4g}B"
+    if cluster.tenants is not None:
+        header += f" tenants={cluster.tenants.describe()}"
+    if cluster.faults is not None:
+        header += f" faults={cluster.faults.describe()}"
+    return header
 
 
 def _classification_experiment(args: argparse.Namespace) -> Experiment:
@@ -568,25 +586,12 @@ def _classification_experiment(args: argparse.Namespace) -> Experiment:
                                   rate=args.rate)
     ee = ExitPolicySpec(accuracy_constraint=args.accuracy_constraint,
                         ramp_budget=args.ramp_budget)
-    replicas = int(args.replicas)
-    cluster: Optional[ClusterSpec] = None
-    fleet_flags = any(value is not None for value in
-                      (args.autoscaler, args.min_replicas, args.max_replicas,
-                       args.replica_profiles, args.tenants, args.faults))
-    if replicas != 1 or fleet_flags:
-        cluster = ClusterSpec(replicas=replicas,
-                              balancer=args.balancer or "round_robin",
-                              fleet_mode=args.fleet_mode or "independent",
-                              autoscaler=args.autoscaler or "none",
-                              min_replicas=args.min_replicas,
-                              max_replicas=args.max_replicas,
-                              profiles=args.replica_profiles,
-                              tenants=args.tenants,
-                              tenant_policy=args.tenant_policy or "weighted_fair",
-                              faults=args.faults)
-    elif args.balancer or args.fleet_mode:
-        print("note: --balancer/--fleet-mode only apply to cluster serving; "
-              "pass --replicas N (N > 1) to enable it", file=sys.stderr)
+    cluster = ClusterSpec(replicas=int(args.replicas), balancer=args.balancer,
+                          fleet_mode=args.fleet_mode, autoscaler=args.autoscaler,
+                          min_replicas=args.min_replicas,
+                          max_replicas=args.max_replicas,
+                          profiles=args.replica_profiles, tenants=args.tenants,
+                          tenant_policy=args.tenant_policy, faults=args.faults)
     return Experiment(model=spec, workload=workload, cluster=cluster, ee=ee,
                       platform=args.platform, seed=args.seed,
                       trace=_trace_spec(args))
@@ -600,18 +605,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
         return 0
-    header = (f"model={experiment.spec.name} workload={args.workload} "
-              f"platform={args.platform} requests={args.requests}")
-    if experiment.cluster is not None:
-        cluster = experiment.cluster
-        header += (f" replicas={cluster.replicas} balancer={cluster.balancer_name()} "
-                   f"fleet-mode={cluster.fleet_mode}")
-        if cluster.autoscaler_name() != "none":
-            header += (f" autoscaler={cluster.autoscaler_name()}"
-                       f"[{cluster.resolved_min_replicas()}"
-                       f"..{cluster.resolved_max_replicas()}]")
-    header += _tenancy_header(experiment.cluster)
-    print(header)
+    print(f"model={experiment.spec.name} workload={args.workload} "
+          f"platform={args.platform} requests={args.requests}"
+          + _fleet_header(experiment.cluster))
     print(report.format_table())
     _print_dispatch_lines(report)
     _print_fleet_size_lines(report)
@@ -636,60 +632,38 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                             if args.prefix_share is not None else 0.8,
                             prefix_tokens=args.prefix_tokens
                             if args.prefix_tokens is not None else 256)
-    replicas = int(args.replicas)
-    cluster: Optional[ClusterSpec] = None
     if args.ttft_slo is not None and args.ttft_slo <= 0:
         # An explicit flag value gets explicit validation (the zero-means-off
         # rule exists only to absorb model default_slo_ms=0.0 internally).
         raise ValueError(f"--ttft-slo must be positive, got {args.ttft_slo}")
-    disagg_flags = args.disaggregate or any(
+    disaggregate = args.disaggregate or any(
         value is not None for value in
         (args.prefill_replicas, args.decode_replicas,
          args.prefill_autoscaler, args.decode_autoscaler))
-    fleet_flags = args.prefill_in_slot or any(
-        value is not None for value in
-        (args.autoscaler, args.min_replicas, args.max_replicas,
-         args.replica_profiles, args.tenants, args.faults,
-         args.kv_capacity))
-    if disagg_flags and args.prefill_in_slot:
+    if disaggregate and args.prefill_in_slot:
         raise ValueError("--prefill-in-slot is the monolithic deployment; "
                          "it cannot be combined with --disaggregate")
-    if disagg_flags:
+    fleet = dict(replicas=int(args.replicas), balancer=args.balancer,
+                 fleet_mode=args.fleet_mode, autoscaler=args.autoscaler,
+                 kv_capacity=args.kv_capacity, tenants=args.tenants,
+                 tenant_policy=args.tenant_policy, faults=args.faults)
+    if disaggregate:
         # Fleet-wide --min/--max-replicas and --replica-profiles apply to the
         # decode pool (the pool --replicas sizes by default); the prefill
         # pool is bounded by its own autoscaler band.
-        cluster = ClusterSpec(replicas=replicas,
-                              balancer=args.balancer or "round_robin",
-                              fleet_mode=args.fleet_mode or "independent",
-                              autoscaler=args.autoscaler or "none",
-                              disaggregate=True,
+        cluster = ClusterSpec(disaggregate=True,
                               prefill_replicas=args.prefill_replicas,
                               decode_replicas=args.decode_replicas,
                               prefill_autoscaler=args.prefill_autoscaler,
                               decode_autoscaler=args.decode_autoscaler,
                               decode_min_replicas=args.min_replicas,
                               decode_max_replicas=args.max_replicas,
-                              decode_profiles=args.replica_profiles,
-                              kv_capacity=args.kv_capacity,
-                              tenants=args.tenants,
-                              tenant_policy=args.tenant_policy or "weighted_fair",
-                              faults=args.faults)
-    elif replicas != 1 or fleet_flags:
-        cluster = ClusterSpec(replicas=replicas,
-                              balancer=args.balancer or "round_robin",
-                              fleet_mode=args.fleet_mode or "independent",
-                              autoscaler=args.autoscaler or "none",
-                              min_replicas=args.min_replicas,
+                              decode_profiles=args.replica_profiles, **fleet)
+    else:
+        cluster = ClusterSpec(min_replicas=args.min_replicas,
                               max_replicas=args.max_replicas,
                               profiles=args.replica_profiles,
-                              prefill_in_slot=args.prefill_in_slot,
-                              kv_capacity=args.kv_capacity,
-                              tenants=args.tenants,
-                              tenant_policy=args.tenant_policy or "weighted_fair",
-                              faults=args.faults)
-    elif args.balancer or args.fleet_mode:
-        print("note: --balancer/--fleet-mode only apply to cluster serving; "
-              "pass --replicas N (N > 1) to enable it", file=sys.stderr)
+                              prefill_in_slot=args.prefill_in_slot, **fleet)
     experiment = Experiment(
         model=spec, workload=workload, cluster=cluster,
         ee=ExitPolicySpec(accuracy_constraint=args.accuracy_constraint),
@@ -701,31 +675,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_json(), indent=2))
         return 0
     header = f"model={spec.name} dataset={args.dataset} sequences={args.sequences}"
-    if cluster is not None and cluster.disaggregate:
-        prefill_band = cluster.resolved_prefill_band()
-        decode_band = cluster.resolved_decode_band()
-        header += (f" disaggregated prefill={cluster.resolved_prefill_replicas()}"
-                   f"[{prefill_band[0]}..{prefill_band[1]},"
-                   f"{cluster.prefill_autoscaler_name()}]"
-                   f" decode={cluster.resolved_decode_replicas()}"
-                   f"[{decode_band[0]}..{decode_band[1]},"
-                   f"{cluster.decode_autoscaler_name()}]")
-    elif cluster is not None:
-        header += (f" replicas={cluster.replicas} "
-                   f"balancer={cluster.balancer_name()} "
-                   f"fleet-mode={cluster.fleet_mode}")
-        if cluster.autoscaler_name() != "none":
-            header += (f" autoscaler={cluster.autoscaler_name()}"
-                       f"[{cluster.resolved_min_replicas()}"
-                       f"..{cluster.resolved_max_replicas()}]")
-    if cluster is not None and cluster.kv_capacity is not None:
-        header += f" kv-capacity={cluster.kv_capacity:.4g}B"
     if workload.prefix_groups:
         header += (f" prefix={workload.prefix_groups}x"
                    f"{workload.prefix_tokens}tok"
                    f"@{workload.prefix_share:.0%}")
-    header += _tenancy_header(cluster)
-    print(header)
+    print(header + _fleet_header(cluster))
     print(report.format_table())
     _print_dispatch_lines(report)
     _print_fleet_size_lines(report)

@@ -4,29 +4,17 @@ The public entry points are:
 
 * :class:`repro.api.Experiment` — the declarative facade: one configuration,
   any set of registered systems (``vanilla``, ``apparate``, the baselines),
-  cross-system reports and parameter sweeps;
+  cross-system reports and parameter sweeps.  Every run is a fleet (one
+  replica by default), with EE control per replica or shared fleet-wide via
+  :class:`repro.core.controller.FleetController`;
 * :class:`repro.core.apparate.Apparate` — register a model, let the system
-  prepare it with early exits, and serve workloads on a chosen platform;
-* the ``run_*`` helpers below — one-call serving runs kept as thin shims
-  over the system registry (classification, generative, and fleet-scale
-  cluster serving with EE control per replica or shared fleet-wide via
-  :class:`repro.core.controller.FleetController`).
+  prepare it with early exits, and serve workloads on a chosen platform.
 """
 
 from repro.core.apparate import Apparate, ApparateDeployment, PreparationReport
 from repro.core.controller import ApparateController, ControllerStats, FleetController
-from repro.core.pipeline import (ApparateClusterRunResult, ApparateRunResult,
-                                 run_apparate, run_apparate_cluster,
-                                 run_vanilla, run_vanilla_cluster)
-from repro.core.generative import (
-    ApparateTokenPolicy,
-    GenerativeClusterRunResult,
-    GenerativeRunResult,
-    run_generative_apparate,
-    run_generative_apparate_cluster,
-    run_generative_vanilla,
-    run_generative_vanilla_cluster,
-)
+from repro.core.pipeline import ApparateClusterRunResult
+from repro.core.generative import ApparateTokenPolicy, GenerativeClusterRunResult
 
 __all__ = [
     "Apparate",
@@ -35,17 +23,7 @@ __all__ = [
     "ApparateController",
     "ControllerStats",
     "FleetController",
-    "ApparateRunResult",
     "ApparateClusterRunResult",
-    "run_apparate",
-    "run_vanilla",
-    "run_apparate_cluster",
-    "run_vanilla_cluster",
     "ApparateTokenPolicy",
-    "GenerativeRunResult",
     "GenerativeClusterRunResult",
-    "run_generative_apparate",
-    "run_generative_vanilla",
-    "run_generative_apparate_cluster",
-    "run_generative_vanilla_cluster",
 ]

@@ -7,9 +7,10 @@ Workflow (mirroring the paper's system architecture):
    feasible ramp positions (cut vertices), sizes lightweight ramps, trains
    them on bootstrap data and deploys the EE-enabled model with evenly spaced
    ramps whose thresholds all start at 0.
-2. ``serve`` a workload on a chosen serving platform.  During serving the
-   controller continuously tunes thresholds (accuracy preservation) and
-   adjusts the active ramp set (latency optimization).
+2. ``serve`` a workload on a chosen serving platform (a fleet of one
+   replica).  During serving the controller continuously tunes thresholds
+   (accuracy preservation) and adjusts the active ramp set (latency
+   optimization).
 
 The class is a thin orchestration layer over :mod:`repro.core.pipeline`; it
 exists so that the examples read like the real system's user-facing API.
@@ -20,14 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.core.controller import ApparateController
-from repro.core.pipeline import ApparateExecutor, ApparateRunResult, Workload, \
-    build_platform, model_stack
+from repro.core.controller import FleetController
+from repro.core.pipeline import (ApparateClusterRunResult, ApparateExecutor,
+                                 Workload, build_cluster, model_stack)
 from repro.exits.placement import initial_ramp_selection
 from repro.exits.ramps import RampStyle
 from repro.exits.training import RampTrainer, RampTrainingReport
 from repro.models.zoo import ModelSpec, get_model
-from repro.serving.metrics import ServingMetrics
+from repro.serving.cluster import ClusterPlatform
+from repro.serving.metrics import ClusterMetrics
 from repro.serving.platform import VanillaExecutor
 from repro.serving.request import make_requests
 
@@ -59,30 +61,38 @@ class ApparateDeployment:
     preparation: PreparationReport
     _stack: tuple = field(repr=False, default=())
 
-    def new_controller(self) -> ApparateController:
-        _spec, profile, _prediction, catalog, _executor = self._stack
-        return ApparateController(self.spec, catalog, profile,
-                                  accuracy_constraint=self.accuracy_constraint)
-
     def serve(self, workload: Workload, platform: str = "clockwork",
-              max_batch_size: int = 16, drop_expired: bool = True) -> ApparateRunResult:
-        """Serve a workload with Apparate managing exits on the given platform."""
-        _spec, profile, _prediction, _catalog, executor = self._stack
-        controller = self.new_controller()
-        requests = make_requests(workload.trace, workload.arrival_times_ms, self.slo_ms)
-        engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                                drop_expired=drop_expired)
-        metrics = engine.run(requests, ApparateExecutor(executor, controller))
-        return ApparateRunResult(metrics=metrics, controller=controller)
+              max_batch_size: int = 16,
+              drop_expired: bool = True) -> ApparateClusterRunResult:
+        """Serve a workload with Apparate managing exits on one replica of
+        the given platform."""
+        _spec, profile, _prediction, catalog, executor = self._stack
+        controllers = FleetController(self.spec, catalog, profile, 1,
+                                      accuracy_constraint=self.accuracy_constraint)
+        metrics = self._fleet(platform, max_batch_size, drop_expired).run(
+            self._requests(workload),
+            ApparateExecutor(executor, controllers.replica_controller(0)))
+        return ApparateClusterRunResult(metrics=metrics, fleet=controllers)
 
     def serve_vanilla(self, workload: Workload, platform: str = "clockwork",
-                      max_batch_size: int = 16, drop_expired: bool = True) -> ServingMetrics:
+                      max_batch_size: int = 16,
+                      drop_expired: bool = True) -> ClusterMetrics:
         """Serve the same workload with the original model (for comparison)."""
-        _spec, profile, _prediction, _catalog, executor = self._stack
-        requests = make_requests(workload.trace, workload.arrival_times_ms, self.slo_ms)
-        engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                                drop_expired=drop_expired)
-        return engine.run(requests, VanillaExecutor(executor))
+        _spec, _profile, _prediction, _catalog, executor = self._stack
+        return self._fleet(platform, max_batch_size, drop_expired).run(
+            self._requests(workload), VanillaExecutor(executor))
+
+    def _fleet(self, platform: str, max_batch_size: int,
+               drop_expired: bool) -> ClusterPlatform:
+        """One replica of ``platform``: the paper's single-model setup."""
+        _spec, profile, _prediction, _catalog, _executor = self._stack
+        return build_cluster(platform, profile, 1,
+                             max_batch_size=max_batch_size,
+                             drop_expired=drop_expired)
+
+    def _requests(self, workload: Workload):
+        return make_requests(workload.trace, workload.arrival_times_ms,
+                             self.slo_ms)
 
 
 class Apparate:

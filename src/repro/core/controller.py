@@ -234,18 +234,24 @@ class FleetController:
     warm-up, as a newly booted machine would), shared mode hands it a synced
     view of the fleet controller (it serves the converged configuration
     immediately).
+
+    ``ramp_adjustment_enabled=False`` is the §4.5 ablation switch: every
+    controller keeps its initial ramp set for the whole run.
     """
 
     MODES = ("independent", "shared")
 
     def __init__(self, spec: ModelSpec, catalog: RampCatalog, profile: LatencyProfile,
                  num_replicas: int, mode: str = "independent",
-                 sync_period: int = 64, **controller_kwargs) -> None:
+                 sync_period: int = 64, ramp_adjustment_enabled: bool = True,
+                 **controller_kwargs) -> None:
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
         mode = mode.lower()
         if mode not in self.MODES:
             raise ValueError(f"unknown fleet mode {mode!r}; choose from {self.MODES}")
+        if not ramp_adjustment_enabled:
+            controller_kwargs["ramp_adjustment_period"] = 10 ** 9
         self.mode = mode
         self.num_replicas = int(num_replicas)
         self.sync_period = int(sync_period)

@@ -19,8 +19,8 @@ instance (see :func:`repro.generative.parallel.truncate_feedback`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,26 +35,19 @@ from repro.models.zoo import ModelSpec, get_model
 from repro.serving.autoscaler import (Autoscaler, build_autoscaler,
                                       canonical_autoscaler_name)
 from repro.serving.cluster import LoadBalancer
-from repro.serving.disagg import DisaggregatedMetrics, DisaggregatedPlatform
-from repro.serving.fleet import ReplicaProfile
+from repro.serving.disagg import DisaggregatedPlatform
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
-                                              GenerativeClusterPlatform,
-                                              PolicyFactory)
-from repro.serving.hf_pipelines import (
-    ContinuousBatchingEngine,
-    GenerativeMetrics,
-    TokenDecision,
-    TokenExitPolicy,
-    VanillaTokenPolicy,
-)
+                                              GenerativeClusterPlatform)
+from repro.serving.hf_pipelines import ContinuousBatchingEngine, TokenDecision
 
-__all__ = ["ApparateTokenPolicy", "GenerativeRunResult",
-           "GenerativeClusterRunResult", "build_generative_cluster",
-           "build_disaggregated_platform",
-           "run_generative_vanilla", "run_generative_apparate",
-           "run_generative_vanilla_cluster", "run_generative_apparate_cluster",
-           "run_generative_vanilla_disagg", "run_generative_apparate_disagg",
+__all__ = ["ApparateTokenPolicy", "GenerativeClusterRunResult",
+           "build_generative_cluster", "build_disaggregated_platform",
            "generative_ramp_depths"]
+
+#: ``fleet(ramp_overhead)`` builds the run's generative fleet (one decode
+#: pool, or prefill and decode pools) for a decode head of that overhead.
+GenerativeFleet = Callable[[float], Union[GenerativeClusterPlatform,
+                                          DisaggregatedPlatform]]
 
 
 def generative_ramp_depths(model: Union[str, ModelSpec], seed: int = 0) -> List[float]:
@@ -180,26 +173,8 @@ class ApparateTokenPolicy:
 
 
 @dataclass
-class GenerativeRunResult:
-    """Outcome of one generative Apparate run."""
-
-    metrics: GenerativeMetrics
-    policy: ApparateTokenPolicy
-
-    def summary(self) -> Dict[str, float]:
-        data = self.metrics.summary()
-        data.update({
-            "ramp_depth": self.policy.ramp_depth,
-            "threshold": self.policy.threshold,
-            "threshold_tunings": float(self.policy.threshold_tunings),
-            "position_moves": float(self.policy.position_moves),
-        })
-        return data
-
-
-@dataclass
 class GenerativeClusterRunResult:
-    """Outcome of one Apparate generative *cluster* run.
+    """Outcome of one generative Apparate run.
 
     ``policies`` holds the per-replica token policies in ordinal order; in
     ``shared`` fleet mode every entry is the same object (one fleet-wide
@@ -228,43 +203,6 @@ class GenerativeClusterRunResult:
             data["ramp_depth"] = float(np.mean([p.ramp_depth for p in unique]))
             data["threshold"] = float(np.mean([p.threshold for p in unique]))
         return data
-
-
-# ---------------------------------------------------------------------------
-# Generative serving implementations (called through the system registry).
-# ---------------------------------------------------------------------------
-
-def _generative_vanilla_impl(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                             max_batch_size: int = 8, seed: int = 0,
-                             ttft_slo_ms: Optional[float] = None,
-                             obs=None) -> GenerativeMetrics:
-    spec = get_model(model) if isinstance(model, str) else model
-    timing = DecodeTimingModel(spec, ramp_overhead_fraction=0.0)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms))
-    if obs is not None:
-        engine.obs = obs
-    return engine.run(workload, VanillaTokenPolicy())
-
-
-def _generative_apparate_impl(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                              accuracy_constraint: float = 0.01, max_batch_size: int = 8,
-                              flush_limit: int = 8, seed: int = 0,
-                              ttft_slo_ms: Optional[float] = None,
-                              obs=None) -> GenerativeRunResult:
-    spec = get_model(model) if isinstance(model, str) else model
-    prediction = PredictionModel(spec, seed=seed)
-    depths = generative_ramp_depths(spec, seed=seed)
-    policy = ApparateTokenPolicy(prediction, depths, accuracy_constraint=accuracy_constraint)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    timing = DecodeTimingModel(spec, ramp_overhead_fraction=overhead)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      flush_limit=flush_limit,
-                                      ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms))
-    if obs is not None:
-        engine.obs = obs
-    metrics = engine.run(workload, policy)
-    return GenerativeRunResult(metrics=metrics, policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -345,88 +283,6 @@ def build_generative_cluster(model: Union[str, ModelSpec], replicas: int,
         tenancy=tenancy, faults=faults, kv_capacity=kv_capacity, obs=obs)
 
 
-def _generative_vanilla_cluster_impl(model: Union[str, ModelSpec],
-                                     workload: GenerativeWorkload,
-                                     replicas: int = 2,
-                                     balancer: Union[str, LoadBalancer] = "round_robin",
-                                     max_batch_size: int = 8, seed: int = 0,
-                                     autoscaler: Union[str, Autoscaler, None] = "none",
-                                     min_replicas: Optional[int] = None,
-                                     max_replicas: Optional[int] = None,
-                                     profiles: Optional[Sequence] = None,
-                                     prefill_in_slot: bool = False,
-                                     ttft_slo_ms: Optional[float] = None,
-                                     tenancy=None, faults=None,
-                                     kv_capacity: Optional[float] = None,
-                                     obs=None) -> GenerativeClusterMetrics:
-    cluster = build_generative_cluster(model, replicas, balancer=balancer,
-                                       max_batch_size=max_batch_size,
-                                       ramp_overhead=0.0, seed=seed,
-                                       profiles=profiles, autoscaler=autoscaler,
-                                       min_replicas=min_replicas,
-                                       max_replicas=max_replicas,
-                                       prefill_in_slot=prefill_in_slot,
-                                       ttft_slo_ms=ttft_slo_ms,
-                                       tenancy=tenancy, faults=faults,
-                                       kv_capacity=kv_capacity, obs=obs)
-    # The vanilla policy is stateless: every replica (including scaled-out
-    # ones) shares it.
-    policy = VanillaTokenPolicy()
-    return cluster.run(workload, lambda ordinal: policy)
-
-
-def _generative_apparate_cluster_impl(model: Union[str, ModelSpec],
-                                      workload: GenerativeWorkload,
-                                      replicas: int = 2,
-                                      balancer: Union[str, LoadBalancer] = "round_robin",
-                                      fleet_mode: str = "independent",
-                                      accuracy_constraint: float = 0.01,
-                                      max_batch_size: int = 8,
-                                      flush_limit: int = 8, seed: int = 0,
-                                      autoscaler: Union[str, Autoscaler, None] = "none",
-                                      min_replicas: Optional[int] = None,
-                                      max_replicas: Optional[int] = None,
-                                      profiles: Optional[Sequence] = None,
-                                      prefill_in_slot: bool = False,
-                                      ttft_slo_ms: Optional[float] = None,
-                                      tenancy=None, faults=None,
-                                      kv_capacity: Optional[float] = None,
-                                      obs=None) -> GenerativeClusterRunResult:
-    if fleet_mode not in FleetController.MODES:
-        raise ValueError(f"unknown fleet mode {fleet_mode!r}; "
-                         f"choose from {tuple(FleetController.MODES)}")
-    spec = get_model(model) if isinstance(model, str) else model
-    prediction = PredictionModel(spec, seed=seed)
-    depths = generative_ramp_depths(spec, seed=seed)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    cluster = build_generative_cluster(model, replicas, balancer=balancer,
-                                       max_batch_size=max_batch_size,
-                                       flush_limit=flush_limit,
-                                       ramp_overhead=overhead, seed=seed,
-                                       profiles=profiles, autoscaler=autoscaler,
-                                       min_replicas=min_replicas,
-                                       max_replicas=max_replicas,
-                                       prefill_in_slot=prefill_in_slot,
-                                       ttft_slo_ms=ttft_slo_ms,
-                                       tenancy=tenancy, faults=faults,
-                                       kv_capacity=kv_capacity, obs=obs)
-
-    policies: List[ApparateTokenPolicy] = []
-    shared = ApparateTokenPolicy(prediction, depths,
-                                 accuracy_constraint=accuracy_constraint) \
-        if fleet_mode == "shared" else None
-
-    def policy_factory(ordinal: int) -> ApparateTokenPolicy:
-        policy = shared if shared is not None else ApparateTokenPolicy(
-            prediction, depths, accuracy_constraint=accuracy_constraint)
-        policies.append(policy)
-        return policy
-
-    metrics = cluster.run(workload, policy_factory)
-    return GenerativeClusterRunResult(metrics=metrics, policies=policies,
-                                      fleet_mode=fleet_mode)
-
-
 # ---------------------------------------------------------------------------
 # Prefill/decode disaggregated serving (two pools on one global clock; see
 # repro.serving.disagg).
@@ -501,38 +357,28 @@ def build_disaggregated_platform(model: Union[str, ModelSpec],
         tenancy=tenancy, faults=faults, kv_capacity=kv_capacity, obs=obs)
 
 
-def _generative_vanilla_disagg_impl(model: Union[str, ModelSpec],
-                                    workload: GenerativeWorkload,
-                                    max_batch_size: int = 8, seed: int = 0,
-                                    **pool_kwargs) -> DisaggregatedMetrics:
-    platform = build_disaggregated_platform(model, max_batch_size=max_batch_size,
-                                            ramp_overhead=0.0, seed=seed,
-                                            **pool_kwargs)
-    policy = VanillaTokenPolicy()
-    return platform.run(workload, lambda ordinal: policy)
+# ---------------------------------------------------------------------------
+# Serving implementation (called through the system registry).
+# ---------------------------------------------------------------------------
 
-
-def _generative_apparate_disagg_impl(model: Union[str, ModelSpec],
-                                     workload: GenerativeWorkload,
-                                     fleet_mode: str = "independent",
-                                     accuracy_constraint: float = 0.01,
-                                     max_batch_size: int = 8,
-                                     flush_limit: int = 8, seed: int = 0,
-                                     **pool_kwargs) -> GenerativeClusterRunResult:
-    """Apparate on the disaggregated platform: per-decode-replica (or one
-    fleet-wide, with ``fleet_mode="shared"``) adaptive token policies; the
-    prefill pool is policy-free (no tokens are released there)."""
+def _generative_apparate_cluster_impl(model: Union[str, ModelSpec],
+                                      workload: GenerativeWorkload,
+                                      fleet: GenerativeFleet,
+                                      fleet_mode: str = "independent",
+                                      accuracy_constraint: float = 0.01,
+                                      seed: int = 0
+                                      ) -> GenerativeClusterRunResult:
+    """Apparate on a generative fleet: per-decode-replica (or one fleet-wide,
+    with ``fleet_mode="shared"``) adaptive token policies.  ``fleet`` builds
+    the platform for the decode head's ramp overhead; a disaggregated
+    fleet's prefill pool is policy-free (no tokens are released there)."""
     if fleet_mode not in FleetController.MODES:
         raise ValueError(f"unknown fleet mode {fleet_mode!r}; "
                          f"choose from {tuple(FleetController.MODES)}")
     spec = get_model(model) if isinstance(model, str) else model
     prediction = PredictionModel(spec, seed=seed)
     depths = generative_ramp_depths(spec, seed=seed)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    platform = build_disaggregated_platform(model, max_batch_size=max_batch_size,
-                                            flush_limit=flush_limit,
-                                            ramp_overhead=overhead, seed=seed,
-                                            **pool_kwargs)
+    platform = fleet(ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD))
 
     policies: List[ApparateTokenPolicy] = []
     shared = ApparateTokenPolicy(prediction, depths,
@@ -548,137 +394,3 @@ def _generative_apparate_disagg_impl(model: Union[str, ModelSpec],
     metrics = platform.run(workload, policy_factory)
     return GenerativeClusterRunResult(metrics=metrics, policies=policies,
                                       fleet_mode=fleet_mode)
-
-
-# ---------------------------------------------------------------------------
-# One-call generative runs: thin shims over the system registry.
-# ---------------------------------------------------------------------------
-
-def run_generative_vanilla(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                           max_batch_size: int = 8, seed: int = 0) -> GenerativeMetrics:
-    """Serve a generative workload with the original model (no exits).
-
-    Equivalent to ``Experiment(...).run(systems=["vanilla"])``.
-    """
-    from repro.api import Experiment
-    experiment = Experiment(model=model, workload=workload,
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_generative_apparate(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                            accuracy_constraint: float = 0.01, max_batch_size: int = 8,
-                            flush_limit: int = 8, seed: int = 0) -> GenerativeRunResult:
-    """Serve a generative workload with Apparate's adaptive single ramp.
-
-    Equivalent to ``Experiment(...).run(systems=["apparate"])``.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    experiment = Experiment(model=model, workload=workload,
-                            ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-                            max_batch_size=max_batch_size, seed=seed,
-                            overrides={"apparate": {"flush_limit": flush_limit}})
-    return experiment.run(["apparate"]).result("apparate").raw
-
-
-def run_generative_vanilla_cluster(model: Union[str, ModelSpec],
-                                   workload: GenerativeWorkload,
-                                   replicas: int = 2,
-                                   balancer: Union[str, LoadBalancer] = "round_robin",
-                                   max_batch_size: int = 8, seed: int = 0,
-                                   autoscaler: Union[str, Autoscaler, None] = "none",
-                                   min_replicas: Optional[int] = None,
-                                   max_replicas: Optional[int] = None,
-                                   profiles: Optional[Sequence] = None
-                                   ) -> GenerativeClusterMetrics:
-    """Serve a generative workload with a fleet of the original model.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["vanilla"])``.
-    """
-    from repro.api import ClusterSpec, Experiment
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          autoscaler=autoscaler, min_replicas=min_replicas,
-                          max_replicas=max_replicas, profiles=profiles)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_generative_apparate_cluster(model: Union[str, ModelSpec],
-                                    workload: GenerativeWorkload,
-                                    replicas: int = 2,
-                                    balancer: Union[str, LoadBalancer] = "round_robin",
-                                    fleet_mode: str = "independent",
-                                    accuracy_constraint: float = 0.01,
-                                    max_batch_size: int = 8,
-                                    flush_limit: int = 8, seed: int = 0,
-                                    autoscaler: Union[str, Autoscaler, None] = "none",
-                                    min_replicas: Optional[int] = None,
-                                    max_replicas: Optional[int] = None,
-                                    profiles: Optional[Sequence] = None
-                                    ) -> GenerativeClusterRunResult:
-    """Serve a generative workload across a fleet of Apparate decode replicas.
-
-    ``fleet_mode`` selects the token-level EE control topology: ``independent``
-    gives each replica its own :class:`ApparateTokenPolicy`; ``shared`` feeds
-    every replica's token feedback into one fleet-wide policy.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["apparate"])``.
-    """
-    from repro.api import ClusterSpec, Experiment, ExitPolicySpec
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          fleet_mode=fleet_mode, autoscaler=autoscaler,
-                          min_replicas=min_replicas, max_replicas=max_replicas,
-                          profiles=profiles)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-                            max_batch_size=max_batch_size, seed=seed,
-                            overrides={"apparate": {"flush_limit": flush_limit}})
-    return experiment.run(["apparate"]).result("apparate").raw
-
-
-def run_generative_vanilla_disagg(model: Union[str, ModelSpec],
-                                  workload: GenerativeWorkload,
-                                  prefill_replicas: int = 2,
-                                  decode_replicas: int = 2,
-                                  max_batch_size: int = 8, seed: int = 0,
-                                  **cluster_kwargs) -> DisaggregatedMetrics:
-    """Serve a generative workload on disaggregated prefill/decode pools
-    with the original model (no exits).
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(disaggregate=True,
-    ...)).run(["vanilla"])``; extra keywords go to :class:`ClusterSpec`.
-    """
-    from repro.api import ClusterSpec, Experiment
-    cluster = ClusterSpec(replicas=max(prefill_replicas, decode_replicas),
-                          disaggregate=True,
-                          prefill_replicas=prefill_replicas,
-                          decode_replicas=decode_replicas, **cluster_kwargs)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_generative_apparate_disagg(model: Union[str, ModelSpec],
-                                   workload: GenerativeWorkload,
-                                   prefill_replicas: int = 2,
-                                   decode_replicas: int = 2,
-                                   fleet_mode: str = "independent",
-                                   accuracy_constraint: float = 0.01,
-                                   max_batch_size: int = 8, seed: int = 0,
-                                   **cluster_kwargs) -> GenerativeClusterRunResult:
-    """Serve a generative workload on disaggregated prefill/decode pools
-    with Apparate's adaptive token exits on the decode pool.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(disaggregate=True,
-    ...)).run(["apparate"])``; extra keywords go to :class:`ClusterSpec`.
-    """
-    from repro.api import ClusterSpec, Experiment, ExitPolicySpec
-    cluster = ClusterSpec(replicas=max(prefill_replicas, decode_replicas),
-                          disaggregate=True, fleet_mode=fleet_mode,
-                          prefill_replicas=prefill_replicas,
-                          decode_replicas=decode_replicas, **cluster_kwargs)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["apparate"]).result("apparate").raw

@@ -1,28 +1,26 @@
 """Classification serving pipelines: vanilla and Apparate-managed.
 
 These helpers glue together the substrates for one serving run: build the
-model graph, latency profile and prediction model; construct the requested
-platform; and run the workload through either the vanilla executor or the
-Apparate executor (which consults the controller for the deployed EE
-configuration before every batch and streams feedback back afterwards).
+model graph, latency profile and prediction model; construct a fleet of the
+requested platform; and run the workload through either the vanilla
+executor or the Apparate executor (which consults its controller for the
+deployed EE configuration before every batch and streams feedback back
+afterwards).
 
-The public ``run_vanilla`` / ``run_apparate`` / ``run_*_cluster`` entry
-points are thin shims over the system registry: each builds a declarative
-:class:`repro.api.Experiment` and delegates to the registered system
-(``vanilla`` or ``apparate``), so new front ends (the CLI's ``--systems``
-flag, sweeps, benchmarks) and these legacy helpers all execute the exact
-same code path.  The serving logic itself lives in the private ``_*_impl``
-functions that the registry runners call.
+The ``_*_impl`` functions are what the system registry
+(:mod:`repro.api.systems`) calls; ``fleet(profile)`` builds the run's
+:class:`~repro.serving.cluster.ClusterPlatform` from the experiment's
+:class:`~repro.api.specs.ClusterSpec` (one replica by default).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.controller import ApparateController, FleetController
+from repro.core.controller import FleetController
 from repro.exits.placement import RampCatalog, build_ramp_catalog
 from repro.exits.ramps import RampStyle
 from repro.graph.builders import build_graph_for_model
@@ -34,36 +32,19 @@ from repro.serving.autoscaler import (Autoscaler, build_autoscaler,
                                       canonical_autoscaler_name)
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.cluster import ClusterPlatform, LoadBalancer, ReplicaProfile
-from repro.serving.metrics import ClusterMetrics, ServingMetrics
+from repro.serving.metrics import ClusterMetrics
 from repro.serving.platform import BatchResult, ServingPlatform, VanillaExecutor
 from repro.serving.request import Request, make_requests
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.nlp import NLPWorkload
 from repro.workloads.video import VideoWorkload
 
-__all__ = ["ApparateExecutor", "ApparateRunResult", "ApparateClusterRunResult",
-           "build_platform", "build_cluster", "run_vanilla", "run_apparate",
-           "run_vanilla_cluster", "run_apparate_cluster", "model_stack"]
+__all__ = ["ApparateExecutor", "ApparateClusterRunResult", "build_platform",
+           "build_cluster", "model_stack"]
 
 Workload = Union[VideoWorkload, NLPWorkload]
-
-
-@dataclass
-class ApparateRunResult:
-    """Outcome of one Apparate serving run."""
-
-    metrics: ServingMetrics
-    controller: ApparateController
-
-    def summary(self) -> Dict[str, float]:
-        data = self.metrics.summary()
-        data.update({
-            "threshold_tunings": float(self.controller.stats.threshold_tunings),
-            "ramp_adjustments": float(self.controller.stats.ramp_adjustments),
-            "ramp_set_changes": float(self.controller.stats.ramp_set_changes),
-            "active_ramps": float(self.controller.config.num_active()),
-        })
-        return data
+#: ``fleet(profile)`` builds the run's fleet on the model's latency profile.
+Fleet = Callable[[LatencyProfile], ClusterPlatform]
 
 
 @dataclass
@@ -76,6 +57,8 @@ class ApparateClusterRunResult:
     def summary(self) -> Dict[str, float]:
         data = self.metrics.summary()
         data.update(self.fleet.stats_summary())
+        data["active_ramps"] = float(np.mean(
+            [c.config.num_active() for c in self.fleet.controllers]))
         return data
 
 
@@ -137,8 +120,8 @@ def _graph_name(spec: ModelSpec) -> str:
 
 
 def build_platform(platform: str, profile: LatencyProfile, max_batch_size: int = 16,
-                   batch_timeout_ms: float = 5.0, drop_expired: bool = True,
-                   obs=None) -> ServingPlatform:
+                   batch_timeout_ms: float = 5.0,
+                   drop_expired: bool = True) -> ServingPlatform:
     """Construct a serving platform by name (``clockwork`` or ``tfserve``)."""
     platform = platform.lower()
     if platform == "clockwork":
@@ -151,8 +134,6 @@ def build_platform(platform: str, profile: LatencyProfile, max_batch_size: int =
                                    profile=profile)
     else:
         raise ValueError(f"unknown platform {platform!r}")
-    if obs is not None:
-        engine.obs = obs
     return engine
 
 
@@ -225,220 +206,41 @@ def _resolve_autoscaler(autoscaler: Union[str, Autoscaler, None],
     return build_autoscaler(key)
 
 
-def _vanilla_impl(model: Union[str, ModelSpec], workload: Workload,
-                  platform: str = "clockwork", slo_ms: Optional[float] = None,
-                  max_batch_size: int = 16, seed: int = 0,
-                  drop_expired: bool = True, obs=None) -> ServingMetrics:
-    spec, profile, _prediction, _catalog, executor = model_stack(model, seed=seed)
-    slo = slo_ms if slo_ms is not None else spec.default_slo_ms
-    requests = _workload_requests(workload, slo)
-    engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                            drop_expired=drop_expired, obs=obs)
-    return engine.run(requests, VanillaExecutor(executor))
-
-
-def _apparate_impl(model: Union[str, ModelSpec], workload: Workload,
-                   platform: str = "clockwork", slo_ms: Optional[float] = None,
-                   accuracy_constraint: float = 0.01, ramp_budget: float = 0.02,
-                   ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                   max_batch_size: int = 16, seed: int = 0,
-                   drop_expired: bool = True,
-                   ramp_adjustment_enabled: bool = True,
-                   initial_ramp_ids: Optional[Sequence[int]] = None,
-                   obs=None) -> ApparateRunResult:
-    spec, profile, _prediction, catalog, executor = model_stack(
-        model, seed=seed, ramp_budget=ramp_budget, ramp_style=ramp_style)
-    slo = slo_ms if slo_ms is not None else spec.default_slo_ms
-    requests = _workload_requests(workload, slo)
-
-    controller = ApparateController(spec, catalog, profile,
-                                    accuracy_constraint=accuracy_constraint,
-                                    initial_ramp_ids=initial_ramp_ids)
-    if not ramp_adjustment_enabled:
-        # Ablation switch (§4.5): keep the initial ramp set for the whole run.
-        controller.ramp_adjustment_period = 10 ** 9
-
-    engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                            drop_expired=drop_expired, obs=obs)
-    metrics = engine.run(requests, ApparateExecutor(executor, controller))
-    return ApparateRunResult(metrics=metrics, controller=controller)
-
-
 def _vanilla_cluster_impl(model: Union[str, ModelSpec], workload: Workload,
-                          replicas: int = 2,
-                          balancer: Union[str, LoadBalancer] = "round_robin",
-                          platform: str = "clockwork", slo_ms: Optional[float] = None,
-                          max_batch_size: int = 16, seed: int = 0,
-                          drop_expired: bool = True,
-                          autoscaler: Union[str, Autoscaler, None] = "none",
-                          min_replicas: Optional[int] = None,
-                          max_replicas: Optional[int] = None,
-                          profiles: Optional[Sequence] = None,
-                          tenancy=None, faults=None, obs=None) -> ClusterMetrics:
+                          fleet: Fleet, slo_ms: Optional[float] = None,
+                          seed: int = 0) -> ClusterMetrics:
     spec, profile, _prediction, _catalog, executor = model_stack(model, seed=seed)
     slo = slo_ms if slo_ms is not None else spec.default_slo_ms
-    requests = _workload_requests(workload, slo)
-    cluster = build_cluster(platform, profile, replicas, balancer=balancer,
-                            max_batch_size=max_batch_size,
-                            drop_expired=drop_expired, seed=seed,
-                            profiles=profiles,
-                            autoscaler=_resolve_autoscaler(autoscaler, slo),
-                            min_replicas=min_replicas, max_replicas=max_replicas,
-                            tenancy=tenancy, faults=faults, obs=obs)
     # The vanilla executor is stateless, so every replica can share it
     # (including replicas the autoscaler brings online mid-run).
-    return cluster.run(requests, VanillaExecutor(executor))
+    return fleet(profile).run(_workload_requests(workload, slo),
+                              VanillaExecutor(executor))
 
 
 def _apparate_cluster_impl(model: Union[str, ModelSpec], workload: Workload,
-                           replicas: int = 2,
-                           balancer: Union[str, LoadBalancer] = "round_robin",
-                           fleet_mode: str = "independent", sync_period: int = 64,
-                           platform: str = "clockwork", slo_ms: Optional[float] = None,
-                           accuracy_constraint: float = 0.01, ramp_budget: float = 0.02,
+                           fleet: Fleet, fleet_mode: str = "independent",
+                           sync_period: int = 64, slo_ms: Optional[float] = None,
+                           accuracy_constraint: float = 0.01,
+                           ramp_budget: float = 0.02,
                            ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                           max_batch_size: int = 16, seed: int = 0,
-                           drop_expired: bool = True,
-                           initial_ramp_ids: Optional[Sequence[int]] = None,
-                           autoscaler: Union[str, Autoscaler, None] = "none",
-                           min_replicas: Optional[int] = None,
-                           max_replicas: Optional[int] = None,
-                           profiles: Optional[Sequence] = None,
-                           tenancy=None, faults=None, obs=None
+                           seed: int = 0, ramp_adjustment_enabled: bool = True,
+                           initial_ramp_ids: Optional[Sequence[int]] = None
                            ) -> ApparateClusterRunResult:
     spec, profile, _prediction, catalog, executor = model_stack(
         model, seed=seed, ramp_budget=ramp_budget, ramp_style=ramp_style)
     slo = slo_ms if slo_ms is not None else spec.default_slo_ms
-    requests = _workload_requests(workload, slo)
-
-    fleet = FleetController(spec, catalog, profile, replicas, mode=fleet_mode,
-                            sync_period=sync_period,
-                            accuracy_constraint=accuracy_constraint,
-                            initial_ramp_ids=initial_ramp_ids)
-    cluster = build_cluster(platform, profile, replicas, balancer=balancer,
-                            max_batch_size=max_batch_size,
-                            drop_expired=drop_expired, seed=seed,
-                            profiles=profiles,
-                            autoscaler=_resolve_autoscaler(autoscaler, slo),
-                            min_replicas=min_replicas, max_replicas=max_replicas,
-                            tenancy=tenancy, faults=faults, obs=obs)
+    cluster = fleet(profile)
+    controllers = FleetController(spec, catalog, profile, cluster.num_replicas,
+                                  mode=fleet_mode, sync_period=sync_period,
+                                  ramp_adjustment_enabled=ramp_adjustment_enabled,
+                                  accuracy_constraint=accuracy_constraint,
+                                  initial_ramp_ids=initial_ramp_ids)
     # Executors come from a factory keyed by replica ordinal so replicas the
     # autoscaler adds mid-run get their own controller view (fresh controller
     # in independent mode, synced view of the shared one otherwise).
     metrics = cluster.run(
-        requests,
-        executor_factory=lambda i: ApparateExecutor(executor,
-                                                    fleet.replica_controller(i)))
-    fleet.flush()
-    return ApparateClusterRunResult(metrics=metrics, fleet=fleet)
-
-
-# ---------------------------------------------------------------------------
-# One-call serving runs: thin shims over the system registry.
-# ---------------------------------------------------------------------------
-
-def run_vanilla(model: Union[str, ModelSpec], workload: Workload,
-                platform: str = "clockwork", slo_ms: Optional[float] = None,
-                max_batch_size: int = 16, seed: int = 0,
-                drop_expired: bool = True) -> ServingMetrics:
-    """Serve ``workload`` with the original (non-EE) model.
-
-    Equivalent to ``Experiment(...).run(systems=["vanilla"])``.
-    """
-    from repro.api import Experiment
-    experiment = Experiment(model=model, workload=workload, platform=platform,
-                            slo_ms=slo_ms, max_batch_size=max_batch_size,
-                            seed=seed, drop_expired=drop_expired)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_apparate(model: Union[str, ModelSpec], workload: Workload,
-                 platform: str = "clockwork", slo_ms: Optional[float] = None,
-                 accuracy_constraint: float = 0.01, ramp_budget: float = 0.02,
-                 ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                 max_batch_size: int = 16, seed: int = 0,
-                 drop_expired: bool = True,
-                 ramp_adjustment_enabled: bool = True,
-                 initial_ramp_ids: Optional[Sequence[int]] = None) -> ApparateRunResult:
-    """Serve ``workload`` with Apparate managing early exits on top of the platform.
-
-    Equivalent to ``Experiment(...).run(systems=["apparate"])``.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    ee = ExitPolicySpec(accuracy_constraint=accuracy_constraint,
-                        ramp_budget=ramp_budget, ramp_style=ramp_style,
-                        initial_ramp_ids=initial_ramp_ids,
-                        ramp_adjustment_enabled=ramp_adjustment_enabled)
-    experiment = Experiment(model=model, workload=workload, ee=ee,
-                            platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed,
-                            drop_expired=drop_expired)
-    return experiment.run(["apparate"]).result("apparate").raw
-
-
-def run_vanilla_cluster(model: Union[str, ModelSpec], workload: Workload,
-                        replicas: int = 2, balancer: Union[str, LoadBalancer] = "round_robin",
-                        platform: str = "clockwork", slo_ms: Optional[float] = None,
-                        max_batch_size: int = 16, seed: int = 0,
-                        drop_expired: bool = True,
-                        autoscaler: Union[str, Autoscaler, None] = "none",
-                        min_replicas: Optional[int] = None,
-                        max_replicas: Optional[int] = None,
-                        profiles: Optional[Sequence] = None) -> ClusterMetrics:
-    """Serve ``workload`` with a fleet of the original (non-EE) model.
-
-    ``autoscaler`` (with the ``min_replicas``/``max_replicas`` band) makes the
-    fleet elastic; ``profiles`` makes it heterogeneous.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["vanilla"])``.
-    """
-    from repro.api import ClusterSpec, Experiment
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          autoscaler=autoscaler, min_replicas=min_replicas,
-                          max_replicas=max_replicas, profiles=profiles)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed,
-                            drop_expired=drop_expired)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_apparate_cluster(model: Union[str, ModelSpec], workload: Workload,
-                         replicas: int = 2,
-                         balancer: Union[str, LoadBalancer] = "round_robin",
-                         fleet_mode: str = "independent", sync_period: int = 64,
-                         platform: str = "clockwork", slo_ms: Optional[float] = None,
-                         accuracy_constraint: float = 0.01, ramp_budget: float = 0.02,
-                         ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                         max_batch_size: int = 16, seed: int = 0,
-                         drop_expired: bool = True,
-                         initial_ramp_ids: Optional[Sequence[int]] = None,
-                         autoscaler: Union[str, Autoscaler, None] = "none",
-                         min_replicas: Optional[int] = None,
-                         max_replicas: Optional[int] = None,
-                         profiles: Optional[Sequence] = None
-                         ) -> ApparateClusterRunResult:
-    """Serve ``workload`` across a fleet of Apparate-managed replicas.
-
-    ``fleet_mode`` selects the EE control topology: ``independent`` gives each
-    replica its own :class:`ApparateController`; ``shared`` aggregates the
-    fleet's profiling feedback into one controller with a periodic sync of
-    ``sync_period`` samples per replica (see :class:`FleetController`).
-    ``autoscaler``/``min_replicas``/``max_replicas`` make the fleet elastic
-    and ``profiles`` heterogeneous, exactly as in :func:`run_vanilla_cluster`.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["apparate"])``.
-    """
-    from repro.api import ClusterSpec, Experiment, ExitPolicySpec
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          fleet_mode=fleet_mode, sync_period=sync_period,
-                          autoscaler=autoscaler, min_replicas=min_replicas,
-                          max_replicas=max_replicas, profiles=profiles)
-    ee = ExitPolicySpec(accuracy_constraint=accuracy_constraint,
-                        ramp_budget=ramp_budget, ramp_style=ramp_style,
-                        initial_ramp_ids=initial_ramp_ids)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            ee=ee, platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed,
-                            drop_expired=drop_expired)
-    return experiment.run(["apparate"]).result("apparate").raw
+        _workload_requests(workload, slo),
+        executor_factory=lambda i: ApparateExecutor(
+            executor, controllers.replica_controller(i)))
+    controllers.flush()
+    return ApparateClusterRunResult(metrics=metrics, fleet=controllers)

@@ -396,11 +396,12 @@ def _scale_result(result: BatchResult, speed: float) -> BatchResult:
 class ClusterPlatform:
     """A dynamic fleet of replica platforms behind one load balancer.
 
-    The run loop mirrors the single-replica ``ServingPlatform.run`` semantics
-    per replica (including the forced-progress livelock guard) while advancing
-    a shared clock over mutable membership: the autoscaler may add replicas
-    (online after its provisioning delay) or drain them (they finish in-flight
-    work, then retire) at any step.
+    The run steps every replica's batching phases (including the
+    forced-progress livelock guard) on a shared clock over mutable
+    membership: the autoscaler may add replicas (online after its
+    provisioning delay) or drain them (they finish in-flight work, then
+    retire) at any step.  A one-replica cluster is the single-model serving
+    setup of the paper.
 
     Parameters
     ----------

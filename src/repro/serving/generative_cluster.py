@@ -13,8 +13,9 @@ clock:
 * each replica models the accelerator as ``max_batch_size`` concurrent decode
   slots; an admitted sequence waits in the replica's queue for a free slot and
   is then decoded as its own stream — per-token exits, deferred tails and
-  forced flushes follow §3.4 exactly (the stream decode is *shared code* with
-  the single-replica engine, so one replica reproduces it bit-for-bit);
+  forced flushes follow §3.4 exactly
+  (:meth:`~repro.serving.hf_pipelines.ContinuousBatchingEngine.decode_stream`),
+  and a one-replica fleet is the paper's single-engine setup;
 * the pluggable :class:`~repro.serving.cluster.LoadBalancer` policies operate
   unchanged, but are costed by outstanding **decode work** — queued tokens ×
   the replica's depth-scaled expected step time — rather than request count,
@@ -425,7 +426,7 @@ class GenerativeClusterPlatform:
     phase for phase — boot, admit/dispatch, autoscale, serve, retire, advance
     the shared clock — with the classification replica step replaced by slot
     claiming: a free decode slot claims the replica's queue head and runs the
-    stream decode shared with the single-replica engine.
+    engine's stream decode.
 
     Parameters
     ----------

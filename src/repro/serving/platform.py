@@ -11,11 +11,11 @@ occupancy time plus, for every request in the batch, the offset (from batch
 start) at which its *result* is released and bookkeeping about exits.  For a
 vanilla model every result is released when the batch finishes.
 
-The event loop is *steppable*: the ``admit`` / ``expire`` / ``select`` /
-``dispatch`` / ``complete`` phases operate on an explicit :class:`ReplicaState`
-so that a fleet scheduler can interleave many replica timelines on one global
-clock (see :mod:`repro.serving.cluster`).  :meth:`ServingPlatform.run` composes
-the same phases for the single-replica case.
+A platform has no event loop of its own: the ``admit`` / ``expire`` /
+``select`` / ``dispatch`` / ``complete`` phases operate on an explicit
+:class:`ReplicaState`, and the fleet runner of
+:class:`~repro.serving.cluster.ClusterPlatform` steps every replica's phases
+on the kernel's global clock — a single replica is a fleet of one.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ class VanillaExecutor:
 class ReplicaState:
     """Mutable serving state of one replica's queue and accelerator.
 
-    The single-replica :meth:`ServingPlatform.run` loop owns one of these; a
-    cluster scheduler owns one per replica and steps them on a shared clock.
+    The fleet runner owns one per replica and steps them on a shared clock.
     ``responded_ids`` guards the conservation invariant: every request is
     answered (served or dropped) exactly once.
     """
@@ -105,7 +104,7 @@ class ReplicaState:
     #: size of the batch currently occupying the accelerator (until busy_until_ms).
     serving_batch_size: int = 0
     responded_ids: Set[int] = field(default_factory=set)
-    #: replica ordinal stamped onto recorded spans (0 for single-replica runs).
+    #: replica ordinal stamped onto recorded spans.
     obs_replica: int = 0
 
     def queue_length(self) -> int:
@@ -144,7 +143,8 @@ class ServingPlatform(abc.ABC):
 
         An empty batch with a finite wake-up time means "wait"; an empty batch
         with ``wake_up <= now`` must never be returned when the queue is
-        non-empty (the run loop guards against livelock by forcing progress).
+        non-empty (the fleet runner guards against livelock by forcing
+        progress).
         """
 
     def predicted_batch_time_ms(self, batch_size: int) -> Optional[float]:
@@ -243,50 +243,3 @@ class ServingPlatform(abc.ABC):
                 obs.close(request_id, release, outcome="served",
                           exited=bool(result.exited[i]),
                           batch_size=batch_size)
-
-    # --------------------------------------------------------------- main loop
-    def run(self, requests: Sequence[Request], executor: BatchExecutorFn) -> ServingMetrics:
-        """Serve all requests and return the aggregated metrics."""
-        state = self.new_state()
-        pending = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-        num_requests = len(pending)
-        if num_requests == 0:
-            return state.metrics
-
-        next_arrival = 0
-        now = pending[0].arrival_ms
-
-        while next_arrival < num_requests or state.queue:
-            # Admit everything that has arrived by now.
-            while next_arrival < num_requests and pending[next_arrival].arrival_ms <= now + 1e-9:
-                self.admit(state, pending[next_arrival])
-                next_arrival += 1
-
-            if not state.queue:
-                now = pending[next_arrival].arrival_ms
-                continue
-
-            self.expire(state, now)
-            if not state.queue:
-                continue
-
-            batch, wake_up = self.select(state, now)
-            if not batch:
-                # The policy wants to wait for more requests (or a timeout).
-                next_event = pending[next_arrival].arrival_ms if next_arrival < num_requests else np.inf
-                target = min(wake_up, next_event)
-                if not np.isfinite(target) or target <= now + 1e-9:
-                    # Nothing left to wait for: force progress with what we have.
-                    batch = self.force_batch(state)
-                else:
-                    now = target
-                    continue
-
-            self.dispatch(state, batch)
-            result = executor(batch, now)
-            self.complete(state, batch, result, now)
-            now += result.gpu_time_ms
-
-        first_arrival = pending[0].arrival_ms
-        state.metrics.makespan_ms = max(now - first_arrival, 1e-9)
-        return state.metrics

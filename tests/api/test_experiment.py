@@ -1,14 +1,12 @@
-"""Tests for the declarative Experiment facade: runs, shims, sweeps, JSON."""
+"""Tests for the declarative Experiment facade: runs, sweeps, JSON."""
 
 import json
 
 import pytest
 
 from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, WorkloadSpec,
-                       KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE)
-from repro.core.generative import run_generative_apparate
-from repro.core.pipeline import run_apparate, run_apparate_cluster, run_vanilla
-from repro.baselines.static_ee import StaticEEVariant, run_static_ee
+                       KIND_CLASSIFICATION, KIND_GENERATIVE)
+from repro.baselines.static_ee import StaticEEVariant
 
 
 WORKLOAD = WorkloadSpec("video", "urban-day", requests=500)
@@ -17,9 +15,16 @@ WORKLOAD = WorkloadSpec("video", "urban-day", requests=500)
 # ------------------------------------------------------------------- basics
 
 def test_kind_dispatch():
-    assert Experiment(model="resnet50", workload=WORKLOAD).kind == KIND_CLASSIFICATION
+    """The kind is the model family; the topology lives in the cluster spec,
+    and "no cluster" is a fleet of one."""
+    single = Experiment(model="resnet50", workload=WORKLOAD)
+    assert single.kind == KIND_CLASSIFICATION
+    assert single.cluster == ClusterSpec() == ClusterSpec(replicas=1)
     assert Experiment(model="resnet50", workload=WORKLOAD,
-                      cluster=ClusterSpec(replicas=2)).kind == KIND_CLUSTER
+                      cluster=None).cluster == single.cluster
+    assert single.describe()["cluster"]["replicas"] == 1
+    assert Experiment(model="resnet50", workload=WORKLOAD,
+                      cluster=ClusterSpec(replicas=2)).kind == KIND_CLASSIFICATION
     generative = Experiment(model="t5-large",
                             workload=WorkloadSpec("generative", requests=10))
     assert generative.kind == KIND_GENERATIVE
@@ -47,8 +52,9 @@ def test_run_rejects_unsupported_system_for_kind():
     with pytest.raises(ValueError, match="free"):
         Experiment(model="resnet50", workload=WORKLOAD).run(["free"])
     with pytest.raises(ValueError, match="static_ee"):
-        Experiment(model="resnet50", workload=WORKLOAD,
-                   cluster=ClusterSpec(replicas=2)).run(["static_ee"])
+        Experiment(model="t5-large",
+                   workload=WorkloadSpec("generative", requests=5)) \
+            .run(["static_ee"])
 
 
 def test_spec_validation_names_the_offending_value():
@@ -64,53 +70,47 @@ def test_spec_validation_names_the_offending_value():
         ExitPolicySpec(accuracy_constraint=-0.5)
 
 
-# ---------------------------------------------------------------- shim parity
-
-def test_run_vanilla_shim_equals_experiment(small_video_workload):
-    shim = run_vanilla("resnet50", small_video_workload, seed=4)
-    report = Experiment(model="resnet50", workload=small_video_workload,
-                        seed=4).run(["vanilla"])
-    assert shim.summary() == report.result("vanilla").summary
-
-
-def test_run_apparate_shim_equals_experiment(small_video_workload):
-    shim = run_apparate("resnet50", small_video_workload, seed=4,
-                        accuracy_constraint=0.02)
-    report = Experiment(model="resnet50", workload=small_video_workload, seed=4,
-                        ee=ExitPolicySpec(accuracy_constraint=0.02)) \
-        .run(["apparate"])
-    assert shim.summary() == report.result("apparate").summary
-
-
-def test_cluster_shim_equals_experiment(small_video_workload):
-    shim = run_apparate_cluster("resnet50", small_video_workload, replicas=2,
-                                balancer="join_shortest_queue",
-                                fleet_mode="shared", seed=4)
-    cluster = ClusterSpec(replicas=2, balancer="join_shortest_queue",
-                          fleet_mode="shared")
-    report = Experiment(model="resnet50", workload=small_video_workload,
-                        cluster=cluster, seed=4).run(["apparate"])
-    assert shim.summary() == report.result("apparate").summary
-
-
-def test_generative_shim_equals_experiment(small_generative_workload):
-    shim = run_generative_apparate("t5-large", small_generative_workload, seed=4)
-    report = Experiment(model="t5-large", workload=small_generative_workload,
-                        seed=4).run(["apparate"])
-    assert shim.summary() == report.result("apparate").summary
-
+# ----------------------------------------------------------- system knobs
 
 def test_system_overrides_reach_the_runner(small_video_workload):
     """Per-system overrides carry knobs only one system understands."""
-    shim = run_static_ee("resnet50", small_video_workload,
-                         variant=StaticEEVariant.PER_RAMP, seed=4)
     report = Experiment(
         model="resnet50", workload=small_video_workload, seed=4,
-        overrides={"static_ee": {"variant": StaticEEVariant.PER_RAMP}}) \
+        overrides={"static_ee": {"variant": StaticEEVariant.PER_RAMP,
+                                 "calibration_fraction": 0.2}}) \
         .run(["static_ee"])
     result = report.result("static_ee")
     assert result.details["variant"] == "per_ramp"
-    assert shim.summary() == result.summary
+    assert result.raw.thresholds == result.details["thresholds"]
+    assert len(result.details["thresholds"]) == result.summary["num_ramps"]
+
+
+def test_ramp_adjustment_switch_holds_on_every_fleet():
+    """Regression: the ablation switch used to be dropped on cluster specs,
+    so a 2-replica fleet still ran 8 ramp adjustments here."""
+    workload = WorkloadSpec("video", "urban-day", requests=1200, rate=60.0)
+    ee = ExitPolicySpec(ramp_adjustment_enabled=False)
+    for cluster in (ClusterSpec(), ClusterSpec(replicas=2)):
+        result = Experiment(model="resnet50", workload=workload, ee=ee,
+                            cluster=cluster).run(["apparate"]).result("apparate")
+        assert result.summary["ramp_adjustments"] == 0.0
+        assert result.summary["ramp_set_changes"] == 0.0
+        assert result.summary["threshold_tunings"] > 0.0
+
+
+def test_static_baselines_honour_drop_expired():
+    """Regression: static_ee and two_layer used to drop expired requests
+    whatever ``drop_expired`` said (static_ee dropped 80% of this overload
+    either way)."""
+    workload = WorkloadSpec("video", "urban-day", requests=1500, rate=300.0)
+    dropping, keeping = (
+        Experiment(model="resnet50", workload=workload, drop_expired=drop)
+        .run(["static_ee", "two_layer"]) for drop in (True, False))
+    assert dropping.result("static_ee").summary["drop_rate"] > 0.5
+    assert keeping.result("static_ee").summary["drop_rate"] == 0.0
+    assert keeping.result("static_ee").summary["num_served"] == 1500.0
+    assert dropping.result("two_layer").raw.latencies_ms.size < 1500
+    assert keeping.result("two_layer").raw.latencies_ms.size == 1500
 
 
 def test_generative_cluster_runs_every_generative_system():
@@ -119,7 +119,7 @@ def test_generative_cluster_runs_every_generative_system():
     experiment = Experiment(model="t5-large",
                             workload=WorkloadSpec("generative", requests=24),
                             cluster=ClusterSpec(replicas=4))
-    assert experiment.kind == "generative_cluster"
+    assert experiment.kind == KIND_GENERATIVE
     report = experiment.run(["vanilla", "apparate", "free", "optimal"])
     for system in ("vanilla", "apparate", "free", "optimal"):
         summary = report.result(system).summary
@@ -133,11 +133,11 @@ def test_remaining_unsupported_combinations_name_the_offenders():
     generative_cluster = Experiment(
         model="t5-large", workload=WorkloadSpec("generative", requests=5),
         cluster=ClusterSpec(replicas=2))
-    with pytest.raises(ValueError, match="static_ee.*generative_cluster.*t5-large"):
+    with pytest.raises(ValueError, match="static_ee.*generative.*t5-large"):
         generative_cluster.run(["static_ee"])
     with pytest.raises(ValueError, match="two_layer"):
         generative_cluster.run(["two_layer"])
-    with pytest.raises(ValueError, match="free.*cluster.*resnet50"):
+    with pytest.raises(ValueError, match="free.*classification.*resnet50"):
         Experiment(model="resnet50", workload=WORKLOAD,
                    cluster=ClusterSpec(replicas=2)).run(["free"])
 
@@ -200,7 +200,7 @@ def test_sweep_over_replicas_and_balancer():
         {"replicas": 1, "balancer": "join_shortest_queue"},
     ]
     for point in sweep:
-        assert point.report.result("vanilla").kind == KIND_CLUSTER
+        assert point.report.result("vanilla").kind == KIND_CLASSIFICATION
         assert point.report.result("vanilla").metric("num_served") == 300.0
 
 
@@ -275,7 +275,8 @@ def test_disagg_kind_dispatch_and_validation():
     generative = WorkloadSpec("generative", requests=10)
     disagg = Experiment(model="t5-large", workload=generative,
                         cluster=ClusterSpec(replicas=2, disaggregate=True))
-    assert disagg.kind == "generative_disagg"
+    assert disagg.kind == KIND_GENERATIVE
+    assert disagg.describe()["cluster"]["disaggregate"] is True
     # A non-generative model cannot disaggregate.
     with pytest.raises(ValueError, match="disaggregate.*generative"):
         Experiment(model="resnet50", workload=WORKLOAD,
@@ -343,7 +344,8 @@ def test_disagg_runs_every_generative_system():
     report = experiment.run(["vanilla", "apparate", "free", "optimal"])
     for system in ("vanilla", "apparate", "free", "optimal"):
         result = report.result(system)
-        assert result.kind == "generative_disagg"
+        assert result.kind == KIND_GENERATIVE
+        assert result.params["cluster"]["disaggregate"] is True
         assert result.summary["prefill_replicas"] == 1.0
         assert result.summary["num_replicas"] == 3.0
         assert {"ttft_p99_ms", "ttft_mean_ms", "transfer_ms_mean",
@@ -376,7 +378,7 @@ def test_sweep_accepts_pool_keys_and_implies_disaggregate():
     assert len(sweep) == 2
     for point in sweep:
         result = point.report.result("vanilla")
-        assert result.kind == "generative_disagg"
+        assert result.kind == KIND_GENERATIVE
         assert result.params["cluster"]["disaggregate"] is True
     assert [p.params["prefill_replicas"] for p in sweep] == [1, 2]
     assert sweep.results("vanilla")[0].summary["prefill_replicas"] == 1.0
@@ -399,7 +401,9 @@ def test_report_to_json_round_trips():
                         workload=WorkloadSpec("video", requests=200), seed=1) \
         .run(["vanilla", "apparate"])
     payload = json.loads(json.dumps(report.to_json()))
-    assert payload["schema"] == "repro.run_report/v1"
+    assert payload["schema"] == "repro.run_report/v2"
+    assert payload["results"][0]["schema"] == "repro.run_result/v2"
+    assert payload["params"]["cluster"]["replicas"] == 1
     assert [r["system"] for r in payload["results"]] == ["vanilla", "apparate"]
     assert payload["results"][0]["summary"]["num_served"] == 200.0
     assert payload["params"]["model"] == "resnet50"

@@ -4,8 +4,7 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.api import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
-                       KIND_GENERATIVE_CLUSTER, REGISTERED_SYSTEMS,
+from repro.api import (KIND_CLASSIFICATION, REGISTERED_SYSTEMS,
                        canonical_system_name, get_system, list_systems,
                        register_system, system_descriptions)
 
@@ -16,30 +15,20 @@ def test_registry_matches_canonical_set():
 
 
 def test_registry_completeness_vs_public_api():
-    """Every public ``run_*`` entry point has a registry counterpart.
+    """The registry is the only public way to run a system.
 
-    This is the guard against the pre-registry drift where new systems grew
-    ad-hoc runner functions that no shared front end could reach.
+    This is the guard against the pre-registry drift where systems grew
+    ad-hoc ``run_*`` functions that no shared front end could reach: no
+    public module exports one, and every registered system serves at least
+    one experiment kind.
     """
-    run_function_to_system = {
-        "run_vanilla": ("vanilla", KIND_CLASSIFICATION),
-        "run_apparate": ("apparate", KIND_CLASSIFICATION),
-        "run_vanilla_cluster": ("vanilla", KIND_CLUSTER),
-        "run_apparate_cluster": ("apparate", KIND_CLUSTER),
-        "run_generative_vanilla": ("vanilla", KIND_GENERATIVE),
-        "run_generative_apparate": ("apparate", KIND_GENERATIVE),
-        "run_generative_vanilla_cluster": ("vanilla", KIND_GENERATIVE_CLUSTER),
-        "run_generative_apparate_cluster": ("apparate", KIND_GENERATIVE_CLUSTER),
-        "run_free_generative": ("free", KIND_GENERATIVE),
-        "run_optimal_classification": ("optimal", KIND_CLASSIFICATION),
-        "run_optimal_generative": ("optimal", KIND_GENERATIVE),
-        "run_static_ee": ("static_ee", KIND_CLASSIFICATION),
-        "run_two_layer": ("two_layer", KIND_CLASSIFICATION),
-    }
-    for function_name, (system, kind) in run_function_to_system.items():
-        runner = get_system(system)
-        assert runner.supports(kind), \
-            f"{function_name} maps to {system!r} which does not support {kind}"
+    import repro.baselines
+    import repro.core
+    for module in (repro, repro.api, repro.core, repro.baselines):
+        runners = [name for name in module.__all__ if name.startswith("run_")]
+        assert runners == [], f"{module.__name__} exports {runners}"
+    for name in list_systems():
+        assert get_system(name).kinds, f"system {name!r} serves no kind"
 
 
 def test_every_registered_name_is_exported():

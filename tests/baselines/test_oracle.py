@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.api import Experiment
 from repro.baselines.oracle import (
     OracleTokenPolicy,
     optimal_exit_depths,
     optimal_latencies,
-    run_optimal_classification,
-    run_optimal_generative,
 )
-from repro.core.pipeline import run_vanilla
 from repro.models.prediction import PredictionModel
 from repro.models.zoo import get_model
 from repro.workloads.difficulty import DifficultyTrace
+
+
+def run(model, workload, system):
+    """One system's raw result on a one-replica fleet."""
+    return Experiment(model=model, workload=workload).run([system]) \
+        .result(system).raw
 
 
 def test_optimal_exit_depths_pick_earliest_sufficient_ramp(resnet50_stack):
@@ -35,7 +39,7 @@ def test_optimal_exit_depths_without_candidates(resnet50_stack):
 
 def test_optimal_latencies_never_exceed_vanilla(resnet50_stack, small_video_workload):
     spec, _profile, prediction, catalog, _exec = resnet50_stack
-    vanilla = run_vanilla("resnet50", small_video_workload)
+    vanilla = run("resnet50", small_video_workload, "vanilla").aggregate()
     optimal = optimal_latencies(vanilla, small_video_workload.trace, prediction,
                                 [r.depth_fraction for r in catalog.ramps])
     vanilla_lat = vanilla.latencies()
@@ -44,8 +48,8 @@ def test_optimal_latencies_never_exceed_vanilla(resnet50_stack, small_video_work
 
 
 def test_run_optimal_classification_beats_vanilla_median(small_video_workload):
-    vanilla = run_vanilla("resnet50", small_video_workload)
-    optimal = run_optimal_classification("resnet50", small_video_workload)
+    vanilla = run("resnet50", small_video_workload, "vanilla")
+    optimal = run("resnet50", small_video_workload, "optimal")
     assert np.median(optimal) < vanilla.median_latency()
 
 
@@ -60,8 +64,7 @@ def test_oracle_token_policy_exits_correctly(resnet50_stack):
 
 
 def test_run_optimal_generative_dominates_vanilla(small_generative_workload):
-    from repro.core.generative import run_generative_vanilla
-    vanilla = run_generative_vanilla("t5-large", small_generative_workload)
-    optimal = run_optimal_generative("t5-large", small_generative_workload)
+    vanilla = run("t5-large", small_generative_workload, "vanilla").aggregate()
+    optimal = run("t5-large", small_generative_workload, "optimal").aggregate()
     assert optimal.median_tpt() < vanilla.median_tpt()
     assert optimal.mean_sequence_accuracy() == pytest.approx(1.0)

@@ -3,30 +3,36 @@
 import numpy as np
 import pytest
 
-from repro.baselines.free import FreeTokenPolicy, calibrate_free_policy, run_free_generative
-from repro.baselines.static_ee import (
-    StaticEEVariant,
-    calibrate_static_thresholds,
-    run_static_ee,
-)
-from repro.baselines.two_layer import TwoLayerSystem, run_two_layer
+from repro.api import Experiment
+from repro.baselines.free import FreeTokenPolicy, calibrate_free_policy
+from repro.baselines.static_ee import StaticEEVariant, calibrate_static_thresholds
+from repro.baselines.two_layer import TwoLayerSystem
 from repro.core.generative import generative_ramp_depths
-from repro.core.pipeline import run_apparate, run_vanilla
 from repro.models.prediction import PredictionModel
 from repro.models.zoo import get_model
+
+
+def run(model, workload, system, **overrides):
+    """One system's :class:`RunResult` on a one-replica fleet, with
+    per-system override knobs."""
+    return Experiment(model=model, workload=workload,
+                      overrides={system: overrides}) \
+        .run([system]).result(system)
 
 
 # --------------------------------------------------------------------- static
 
 
 def test_static_shared_variant_uses_one_threshold(resnet50_stack, small_video_workload):
-    result = run_static_ee("resnet50", small_video_workload, StaticEEVariant.SHARED)
+    result = run("resnet50", small_video_workload, "static_ee",
+                 variant=StaticEEVariant.SHARED).raw
     assert len(set(np.round(result.thresholds, 6))) == 1
     assert len(result.ramp_depths) >= 8
 
 
 def test_static_per_ramp_variant_allows_distinct_thresholds(small_video_workload):
-    result = run_static_ee("resnet50", small_video_workload, StaticEEVariant.PER_RAMP)
+    result = run("resnet50", small_video_workload, "static_ee",
+                 variant=StaticEEVariant.PER_RAMP).raw
     assert len(result.thresholds) == len(result.ramp_depths)
 
 
@@ -48,19 +54,22 @@ def test_static_calibration_respects_constraint_on_calibration_data(resnet50_sta
 
 def test_static_ee_loses_more_accuracy_than_apparate(small_video_workload):
     """Table 2: one-time tuning degrades under drift; Apparate does not."""
-    static = run_static_ee("resnet50", small_video_workload, StaticEEVariant.SHARED)
-    apparate = run_apparate("resnet50", small_video_workload)
-    assert apparate.metrics.accuracy() >= static.metrics.accuracy()
+    static = run("resnet50", small_video_workload, "static_ee",
+                 variant=StaticEEVariant.SHARED)
+    apparate = run("resnet50", small_video_workload, "apparate")
+    assert apparate.summary["accuracy"] >= static.summary["accuracy"]
 
 
 def test_static_oracle_variant_calibrates_on_test_stream(small_video_workload):
-    oracle = run_static_ee("resnet50", small_video_workload, StaticEEVariant.ORACLE)
-    shared = run_static_ee("resnet50", small_video_workload, StaticEEVariant.SHARED)
-    assert oracle.metrics.accuracy() >= shared.metrics.accuracy() - 0.02
+    oracle = run("resnet50", small_video_workload, "static_ee",
+                 variant=StaticEEVariant.ORACLE)
+    shared = run("resnet50", small_video_workload, "static_ee",
+                 variant=StaticEEVariant.SHARED)
+    assert oracle.summary["accuracy"] >= shared.summary["accuracy"] - 0.02
 
 
 def test_static_summary_fields(small_video_workload):
-    summary = run_static_ee("resnet50", small_video_workload).summary()
+    summary = run("resnet50", small_video_workload, "static_ee").summary
     assert "num_ramps" in summary and "p50_ms" in summary
 
 
@@ -79,7 +88,7 @@ def test_two_layer_calibration_monotone(resnet50_stack):
 
 
 def test_two_layer_latency_structure(small_video_workload):
-    result = run_two_layer("resnet50", small_video_workload)
+    result = run("resnet50", small_video_workload, "two_layer").raw
     spec = get_model("resnet50")
     compressed_time = 0.40 * spec.bs1_latency_ms
     assert result.latencies_ms.min() >= compressed_time - 1e-6
@@ -89,15 +98,15 @@ def test_two_layer_latency_structure(small_video_workload):
 
 def test_two_layer_escalated_inputs_slower_than_vanilla(small_nlp_workload):
     """Hard inputs pay compressed + base model time (worse tails than Apparate)."""
-    vanilla = run_vanilla("bert-base", small_nlp_workload)
-    two_layer = run_two_layer("bert-base", small_nlp_workload)
-    assert two_layer.summary()["p95_ms"] > vanilla.p95_latency()
+    vanilla = run("bert-base", small_nlp_workload, "vanilla")
+    two_layer = run("bert-base", small_nlp_workload, "two_layer")
+    assert two_layer.summary["p95_ms"] > vanilla.summary["p95_ms"]
 
 
 def test_two_layer_apparate_wins_p95(small_nlp_workload):
-    apparate = run_apparate("bert-base", small_nlp_workload)
-    two_layer = run_two_layer("bert-base", small_nlp_workload)
-    assert apparate.metrics.p95_latency() < two_layer.summary()["p95_ms"]
+    apparate = run("bert-base", small_nlp_workload, "apparate")
+    two_layer = run("bert-base", small_nlp_workload, "two_layer")
+    assert apparate.summary["p95_ms"] < two_layer.summary["p95_ms"]
 
 
 # ----------------------------------------------------------------------- FREE
@@ -122,18 +131,17 @@ def test_free_policy_never_adapts(small_generative_workload):
 
 
 def test_free_runs_and_reports_metrics(small_generative_workload):
-    metrics = run_free_generative("t5-large", small_generative_workload)
-    assert len(metrics.tokens) == small_generative_workload.total_tokens()
-    assert 0.0 <= metrics.exit_rate() <= 1.0
+    summary = run("t5-large", small_generative_workload, "free").summary
+    assert summary["num_tokens"] == small_generative_workload.total_tokens()
+    assert 0.0 <= summary["exit_rate"] <= 1.0
 
 
 def test_apparate_matches_or_beats_free_accuracy_under_trend_drift():
     """§4.4: FREE's one-time tuning degrades when the workload drifts harder."""
-    from repro.core.generative import run_generative_apparate
     from repro.generative.sequences import make_generative_workload
     workload = make_generative_workload("cnn-dailymail", num_sequences=80, rate_qps=2.0,
                                         seed=17, drift_amplitude=0.35, drift_mode="trend")
-    free = run_free_generative("t5-large", workload)
-    apparate = run_generative_apparate("t5-large", workload)
-    assert apparate.metrics.mean_sequence_accuracy() >= \
-        free.mean_sequence_accuracy() - 0.005
+    free = run("t5-large", workload, "free")
+    apparate = run("t5-large", workload, "apparate")
+    assert apparate.summary["sequence_accuracy"] >= \
+        free.summary["sequence_accuracy"] - 0.005

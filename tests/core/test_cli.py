@@ -173,7 +173,8 @@ def test_classify_json_output_is_machine_readable(capsys):
                  "--seed", "4", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "repro.run_report/v1"
+    assert payload["schema"] == "repro.run_report/v2"
+    assert payload["params"]["cluster"]["replicas"] == 1
     assert [r["system"] for r in payload["results"]] == ["vanilla", "apparate"]
     assert payload["results"][0]["summary"]["num_served"] == 150.0
 
@@ -206,7 +207,7 @@ def test_sweep_command_json(capsys):
                  "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "repro.sweep_report/v1"
+    assert payload["schema"] == "repro.sweep_report/v2"
     assert [p["params"]["replicas"] for p in payload["points"]] == [1, 2]
 
 
@@ -253,7 +254,7 @@ def test_generate_command_runs_cluster_with_autoscaler(capsys):
                  "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert {r["kind"] for r in payload["results"]} == {"generative_cluster"}
+    assert {r["kind"] for r in payload["results"]} == {"generative"}
     for result in payload["results"]:
         assert result["summary"]["peak_replicas"] >= 2.0
         assert result["details"]["fleet_timeline"]

@@ -2,14 +2,21 @@
 
 import pytest
 
+from repro.api import ClusterSpec, Experiment
 from repro.core.controller import ApparateController, FleetController
-from repro.core.pipeline import (build_cluster, model_stack,
-                                 run_apparate_cluster, run_vanilla_cluster)
+from repro.core.pipeline import build_cluster, model_stack
 
 
 @pytest.fixture(scope="module")
 def stack():
     return model_stack("resnet50", seed=0)
+
+
+def serve(system, workload, **cluster):
+    """``system``'s raw result on a resnet50 fleet that never drops."""
+    return Experiment(model="resnet50", workload=workload,
+                      cluster=ClusterSpec(**cluster), drop_expired=False) \
+        .run([system]).result(system).raw
 
 
 def make_fleet(stack, num_replicas=2, mode="independent", **kwargs):
@@ -90,8 +97,8 @@ def test_build_cluster_replicates_platform(stack):
 
 
 def test_run_vanilla_cluster_serves_all_requests(small_video_workload):
-    fleet = run_vanilla_cluster("resnet50", small_video_workload, replicas=2,
-                                balancer="round_robin", drop_expired=False)
+    fleet = serve("vanilla", small_video_workload, replicas=2,
+                  balancer="round_robin")
     agg = fleet.aggregate()
     assert len(agg.served()) == len(small_video_workload)
     assert sum(fleet.dispatch_counts) == len(small_video_workload)
@@ -99,9 +106,8 @@ def test_run_vanilla_cluster_serves_all_requests(small_video_workload):
 
 @pytest.mark.parametrize("fleet_mode", ["independent", "shared"])
 def test_run_apparate_cluster_modes(small_video_workload, fleet_mode):
-    result = run_apparate_cluster("resnet50", small_video_workload, replicas=2,
-                                  balancer="join_shortest_queue",
-                                  fleet_mode=fleet_mode, drop_expired=False)
+    result = serve("apparate", small_video_workload, replicas=2,
+                   balancer="join_shortest_queue", fleet_mode=fleet_mode)
     agg = result.metrics.aggregate()
     assert len(agg.served()) == len(small_video_workload)
     # Exits activate at fleet scale and the accuracy constraint holds loosely.
@@ -115,9 +121,8 @@ def test_run_apparate_cluster_modes(small_video_workload, fleet_mode):
 
 
 def test_cluster_outscales_single_replica(small_video_workload):
-    one = run_vanilla_cluster("resnet50", small_video_workload, replicas=1,
-                              drop_expired=False)
-    two = run_vanilla_cluster("resnet50", small_video_workload, replicas=2,
-                              balancer="least_work_left", drop_expired=False)
+    one = serve("vanilla", small_video_workload, replicas=1)
+    two = serve("vanilla", small_video_workload, replicas=2,
+                balancer="least_work_left")
     assert two.fleet_throughput_qps() >= one.fleet_throughput_qps() * 0.95
     assert two.aggregate().p95_latency() <= one.aggregate().p95_latency() + 1e-9

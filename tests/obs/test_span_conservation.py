@@ -78,7 +78,7 @@ def test_classification_single_spans_reconcile():
                             trace=True)
     result = experiment.run(["vanilla"]).result("vanilla")
     spans = _assert_conserved(result.trace, CLASSIFY_WORKLOAD.requests)
-    for response in result.raw.responses:
+    for response in result.raw.aggregate().responses:
         span = spans[response.request_id]
         assert span.outcome == OUTCOME_SERVED
         assert span.end_ms == response.completion_ms
@@ -110,7 +110,7 @@ def test_generative_single_spans_reconcile():
     experiment = Experiment(model="t5-large", workload=GENERATIVE_WORKLOAD,
                             trace=True)
     result = experiment.run(["vanilla"]).result("vanilla")
-    _assert_generative_reconciles(result.raw, result.trace,
+    _assert_generative_reconciles(result.raw.aggregate(), result.trace,
                                   GENERATIVE_WORKLOAD.requests)
 
 
@@ -170,7 +170,7 @@ def test_shed_sequences_close_as_shed():
                                                   rate=40.0),
                             slo_ms=30.0, trace=True)
     result = experiment.run(["vanilla"]).result("vanilla")
-    metrics = result.raw
+    metrics = result.raw.aggregate()
     assert metrics.shed_sequence_ids, "workload must overload the TTFT SLO"
     spans = _spans_by_id(result.trace)
     for sid in metrics.shed_sequence_ids:

@@ -9,6 +9,14 @@ runs every scenario through both schedulers and asserts **bit-identical**
 metrics, and ``benchmarks/test_simspeed.py`` races the kernel against the
 classification loop.
 
+``seed_platform_run`` and ``seed_engine_run`` are the two single-replica
+loops (``ServingPlatform.run`` and ``ContinuousBatchingEngine.run`` as they
+stood before every run became a fleet); the one-replica equivalence tests
+hold a fleet of one to them.  One known divergence is the loop's, not the
+kernel's: ``seed_platform_run`` advances ``now += gpu_time_ms``, so above
+capacity its clock drifts by rounding and a request whose deadline equals a
+later arrival instant can be dropped where the kernel serves it.
+
 They are driven through the public platform objects (and reuse their
 helper methods: executor resolution, scale-out hardware, salvage,
 collection), so configuration handling cannot drift; only the *scheduling*
@@ -26,17 +34,136 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.baselines.free import FreeTokenPolicy, calibrate_free_policy
+from repro.baselines.oracle import OracleTokenPolicy
+from repro.core.generative import ApparateTokenPolicy, generative_ramp_depths
+from repro.exits.ramps import RampStyle, ramp_overhead_fraction
+from repro.generative.decoding import DecodeTimingModel
+from repro.models.prediction import PredictionModel
 from repro.serving.cluster import ClusterPlatform, _scale_result
 from repro.serving.fleet import DRAINING, FleetState
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
                                               GenerativeFleetState,
                                               PolicyFactory)
-from repro.serving.metrics import ClusterMetrics
-from repro.serving.platform import BatchExecutorFn
+from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
+                                        GenerativeMetrics, TokenExitPolicy,
+                                        VanillaTokenPolicy)
+from repro.serving.metrics import ClusterMetrics, ServingMetrics
+from repro.serving.platform import BatchExecutorFn, ServingPlatform
 from repro.serving.request import Request
 
-__all__ = ["seed_cluster_run", "seed_generative_run", "seed_disagg_run"]
+__all__ = ["seed_cluster_run", "seed_generative_run", "seed_disagg_run",
+           "seed_platform_run", "seed_engine_run", "seed_engine_system"]
+
+
+def seed_platform_run(platform: ServingPlatform, requests: Sequence[Request],
+                      executor: BatchExecutorFn) -> ServingMetrics:
+    """The single-replica ``ServingPlatform.run`` loop, verbatim."""
+    self = platform
+    state = self.new_state()
+    pending = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+    num_requests = len(pending)
+    if num_requests == 0:
+        return state.metrics
+
+    next_arrival = 0
+    now = pending[0].arrival_ms
+
+    while next_arrival < num_requests or state.queue:
+        # Admit everything that has arrived by now.
+        while next_arrival < num_requests and pending[next_arrival].arrival_ms <= now + 1e-9:
+            self.admit(state, pending[next_arrival])
+            next_arrival += 1
+
+        if not state.queue:
+            now = pending[next_arrival].arrival_ms
+            continue
+
+        self.expire(state, now)
+        if not state.queue:
+            continue
+
+        batch, wake_up = self.select(state, now)
+        if not batch:
+            # The policy wants to wait for more requests (or a timeout).
+            next_event = pending[next_arrival].arrival_ms if next_arrival < num_requests else np.inf
+            target = min(wake_up, next_event)
+            if not np.isfinite(target) or target <= now + 1e-9:
+                # Nothing left to wait for: force progress with what we have.
+                batch = self.force_batch(state)
+            else:
+                now = target
+                continue
+
+        self.dispatch(state, batch)
+        result = executor(batch, now)
+        self.complete(state, batch, result, now)
+        now += result.gpu_time_ms
+
+    first_arrival = pending[0].arrival_ms
+    state.metrics.makespan_ms = max(now - first_arrival, 1e-9)
+    return state.metrics
+
+
+def seed_engine_run(engine: ContinuousBatchingEngine, workload,
+                    policy: TokenExitPolicy,
+                    ttft_slo_ms: Optional[float] = None) -> GenerativeMetrics:
+    """The single-replica ``ContinuousBatchingEngine.run`` loop, verbatim
+    (its span hooks aside); ``ttft_slo_ms`` was the engine's own knob."""
+    self = engine
+    metrics = GenerativeMetrics()
+    queue = sorted(workload.sequences, key=lambda s: (s.arrival_ms, s.sequence_id))
+    if not queue:
+        return metrics
+
+    slot_free_ms = [queue[0].arrival_ms] * self.max_batch_size
+    first_arrival = queue[0].arrival_ms
+    last_completion = first_arrival
+
+    for sample in queue:
+        slot = int(np.argmin(slot_free_ms))
+        slot_start = max(sample.arrival_ms, slot_free_ms[slot])
+        start = slot_start
+        if self.prefill is not None:
+            busy = sum(1 for t in slot_free_ms if t > start + 1e-9)
+            start += self.prefill.inslot_prefill_ms(sample.prompt_tokens,
+                                                    busy)
+        if ttft_slo_ms is not None \
+                and start - sample.arrival_ms > ttft_slo_ms:
+            metrics.shed_sequence_ids.append(sample.sequence_id)
+            continue
+        metrics.queueing_delays_ms[sample.sequence_id] = start - sample.arrival_ms
+        completion = self.decode_stream(sample, start, policy, metrics)
+        slot_free_ms[slot] = completion
+        last_completion = max(last_completion, completion)
+
+    metrics.makespan_ms = max(last_completion - first_arrival, 1e-9)
+    return metrics
+
+
+def seed_engine_system(system: str, spec, workload, max_batch_size: int = 8,
+                       seed: int = 0):
+    """The ``(engine, policy)`` pair the pre-fleet single-replica impl of a
+    generative ``system`` served ``workload`` with."""
+    prediction = PredictionModel(spec, seed=seed)
+    depths = generative_ramp_depths(spec, seed=seed)
+    decode_head = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
+    if system == "vanilla":
+        policy, overhead = VanillaTokenPolicy(), 0.0
+    elif system == "apparate":
+        policy, overhead = ApparateTokenPolicy(prediction, depths), decode_head
+    elif system == "free":
+        depth, threshold = calibrate_free_policy(prediction, workload, depths)
+        policy = FreeTokenPolicy(prediction=prediction, ramp_depth=depth,
+                                 threshold=threshold)
+        overhead = decode_head
+    else:
+        policy, overhead = OracleTokenPolicy(prediction, depths), 0.0
+    engine = ContinuousBatchingEngine(
+        DecodeTimingModel(spec, ramp_overhead_fraction=overhead),
+        max_batch_size=max_batch_size)
+    return engine, policy
 
 
 def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.controller import ApparateController
+from repro.core.pipeline import ApparateExecutor, build_platform
 from repro.serving.cluster import (BALANCER_NAMES, ClusterPlatform,
                                    JoinShortestQueueBalancer,
                                    LeastWorkLeftBalancer,
                                    PowerOfTwoChoicesBalancer, ReplicaHandle,
                                    RoundRobinBalancer, balancer_names,
                                    build_balancer)
-from repro.serving.platform import BatchResult, ServingPlatform
-from repro.serving.request import Request
+from repro.serving.platform import BatchResult, ServingPlatform, VanillaExecutor
+from repro.serving.request import Request, make_requests
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.difficulty import DifficultyTrace, InputSample
+from repro.workloads.video import make_video_workload
+from tests.serving._seed_loops import seed_platform_run
 
 
 def sample(i):
@@ -140,17 +144,56 @@ def test_cluster_rejects_mismatched_executor_list():
         cluster.run(paced(4), [fixed_time_executor()] * 2)
 
 
-def test_single_replica_cluster_matches_standalone_run():
-    requests = paced(40, gap_ms=2.0)
-    alone = TFServingPlatform(max_batch_size=4, batch_timeout_ms=0.0).run(
-        requests, fixed_time_executor())
-    fleet = make_cluster(1, "round_robin").run(requests, fixed_time_executor())
+def _assert_same_run(fleet, alone, case=None):
     agg = fleet.aggregate()
-    assert len(agg.served()) == len(alone.served())
-    assert sorted(r.latency_ms for r in agg.served()) == pytest.approx(
-        sorted(r.latency_ms for r in alone.served()))
-    assert agg.num_batches == alone.num_batches
-    assert fleet.makespan_ms == pytest.approx(alone.makespan_ms)
+    assert agg.responses == alone.responses, case
+    assert agg.num_batches == alone.num_batches, case
+    assert agg.summary() == alone.summary(), case
+    assert fleet.makespan_ms == alone.makespan_ms, case
+
+
+def test_single_replica_cluster_matches_standalone_run(resnet50_stack):
+    """A one-replica cluster is the pre-fleet single-platform loop, exactly:
+    for a fixed-time executor, and for the vanilla and Apparate executors
+    with expiry shedding on and off, under and (on tfserve) over capacity.
+
+    Vanilla on clockwork above capacity is left out on purpose: the loop's
+    ``now += gpu_time_ms`` accumulates rounding error, so a request whose
+    deadline equals a later arrival instant is dropped by the loop but
+    served by the kernel, whose batch starts at that instant exactly.
+    """
+    requests = paced(40, gap_ms=2.0)
+    alone = seed_platform_run(
+        TFServingPlatform(max_batch_size=4, batch_timeout_ms=0.0), requests,
+        fixed_time_executor())
+    fleet = make_cluster(1, "round_robin").run(requests, fixed_time_executor())
+    _assert_same_run(fleet, alone)
+
+    spec, profile, _prediction, catalog, executor = resnet50_stack
+    for platform, fps in (("clockwork", 30.0), ("tfserve", 30.0),
+                          ("tfserve", 300.0)):
+        workload = make_video_workload("urban-day", num_frames=400, fps=fps,
+                                       seed=3)
+        requests = make_requests(workload.trace, workload.arrival_times_ms,
+                                 spec.default_slo_ms)
+        for drop_expired in (True, False):
+            for system in ("vanilla", "apparate"):
+                def replica():
+                    return build_platform(platform, profile,
+                                          drop_expired=drop_expired)
+
+                def batch_executor():
+                    if system == "vanilla":
+                        return VanillaExecutor(executor)
+                    return ApparateExecutor(
+                        executor, ApparateController(spec, catalog, profile))
+
+                fleet = ClusterPlatform([replica()]).run(requests,
+                                                         batch_executor())
+                alone = seed_platform_run(replica(), requests,
+                                          batch_executor())
+                _assert_same_run(fleet, alone,
+                                 (platform, fps, drop_expired, system))
 
 
 @pytest.mark.parametrize("balancer",

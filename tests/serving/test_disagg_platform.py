@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ClusterSpec, Experiment
 from repro.core.generative import (build_disaggregated_platform,
-                                   build_generative_cluster,
-                                   run_generative_apparate_disagg,
-                                   run_generative_vanilla,
-                                   run_generative_vanilla_disagg)
+                                   build_generative_cluster)
 from repro.generative.decoding import DecodeTimingModel, PrefillModel
 from repro.generative.sequences import (GenerativeWorkload, SequenceSample,
                                         make_generative_workload)
@@ -22,6 +20,7 @@ from repro.serving.autoscaler import ReactiveAutoscaler
 from repro.serving.disagg import DisaggregatedMetrics, DisaggregatedPlatform
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         VanillaTokenPolicy)
+from tests.serving._seed_loops import seed_engine_run, seed_engine_system
 
 FAST = settings(max_examples=15, deadline=None)
 
@@ -325,29 +324,37 @@ def test_deadline_shedding_counts_inslot_prefill_toward_the_slo():
 
 
 def test_deadline_shedding_in_monolithic_cluster_and_engine():
+    """For every generative system's policy, with the TTFT SLO off and on, a
+    one-replica cluster sheds exactly the sequences the pre-fleet engine
+    loop sheds and decodes the rest identically."""
     workload = make_workload([0.0] * 8, tokens=3, prompts=0)
-    cluster = build_generative_cluster(SPEC, 1, max_batch_size=1,
-                                       ttft_slo_ms=4 * STEP_MS)
-    cluster_metrics = cluster.run(workload, lambda o: VanillaTokenPolicy())
-    engine = ContinuousBatchingEngine(DecodeTimingModel(SPEC),
-                                      max_batch_size=1,
-                                      ttft_slo_ms=4 * STEP_MS)
-    engine_metrics = engine.run(workload, VanillaTokenPolicy())
-    # The one-replica cluster sheds exactly the sequences the engine sheds.
-    assert sorted(cluster_metrics.aggregate().shed_sequence_ids) == \
-        sorted(engine_metrics.shed_sequence_ids)
-    assert engine_metrics.num_shed() > 0
-    # With no SLO nothing is shed (backwards compatibility).
-    no_slo = build_generative_cluster(SPEC, 1, max_batch_size=1) \
-        .run(workload, lambda o: VanillaTokenPolicy())
-    assert no_slo.aggregate().num_shed() == 0
+    for system in ("vanilla", "apparate", "free", "optimal"):
+        for ttft_slo_ms in (None, 4 * STEP_MS):
+            case = (system, ttft_slo_ms)
+            engine, policy = seed_engine_system(system, SPEC, workload,
+                                                max_batch_size=1)
+            cluster_metrics = build_generative_cluster(
+                SPEC, 1, max_batch_size=1, ttft_slo_ms=ttft_slo_ms,
+                ramp_overhead=engine.timing.ramp_overhead_fraction) \
+                .run(workload, lambda o: policy).aggregate()
+            engine, policy = seed_engine_system(system, SPEC, workload,
+                                                max_batch_size=1)
+            engine_metrics = seed_engine_run(engine, workload, policy,
+                                             ttft_slo_ms)
+            assert cluster_metrics.shed_sequence_ids == \
+                engine_metrics.shed_sequence_ids, case
+            assert cluster_metrics.tokens == engine_metrics.tokens, case
+            # With no SLO nothing is shed (backwards compatibility).
+            assert (engine_metrics.num_shed() > 0) == \
+                (ttft_slo_ms is not None), case
 
 
 # ------------------------------------------------------------- TTFT metrics
 
 def test_ttft_reported_for_single_engine_runs():
     workload = make_workload([0.0, 0.0, 0.0], tokens=2, prompts=0)
-    metrics = run_generative_vanilla(SPEC, workload, max_batch_size=1)
+    metrics = Experiment(model=SPEC, workload=workload, max_batch_size=1) \
+        .run(["vanilla"]).result("vanilla").raw.aggregate()
     # Slot queueing counts into TTFT: 18, 36+18? -> waits 0/36/72 + step.
     np.testing.assert_allclose(sorted(metrics.ttft_values()),
                                [STEP_MS, 3 * STEP_MS, 5 * STEP_MS])
@@ -375,19 +382,23 @@ def test_monolithic_inslot_prefill_counts_into_ttft():
     assert ttfts[1] == pytest.approx(3 * STEP_MS)            # second: 1 busy slot
 
 
-# ------------------------------------------------------------------- shims
+# ------------------------------------------------------- experiment dispatch
 
-def test_disagg_shims_match_experiment_dispatch(small_generative_workload):
-    metrics = run_generative_vanilla_disagg(SPEC, small_generative_workload,
-                                            prefill_replicas=1,
-                                            decode_replicas=2)
+def _disagg_run(workload, system, **cluster):
+    spec = ClusterSpec(disaggregate=True, **cluster)
+    return Experiment(model=SPEC, workload=workload, cluster=spec) \
+        .run([system]).result(system).raw
+
+
+def test_disagg_experiment_dispatch(small_generative_workload):
+    metrics = _disagg_run(small_generative_workload, "vanilla",
+                          prefill_replicas=1, decode_replicas=2)
     assert isinstance(metrics, DisaggregatedMetrics)
     assert metrics.total_tokens() == small_generative_workload.total_tokens()
 
-    outcome = run_generative_apparate_disagg(SPEC, small_generative_workload,
-                                             prefill_replicas=1,
-                                             decode_replicas=2,
-                                             fleet_mode="shared")
+    outcome = _disagg_run(small_generative_workload, "apparate",
+                          prefill_replicas=1, decode_replicas=2,
+                          fleet_mode="shared")
     assert len(set(id(p) for p in outcome.policies)) == 1    # one shared policy
     assert outcome.metrics.total_tokens() == \
         small_generative_workload.total_tokens()
@@ -396,9 +407,10 @@ def test_disagg_shims_match_experiment_dispatch(small_generative_workload):
 def test_disagg_conserves_tokens_vs_single_engine():
     workload = make_generative_workload("cnn-dailymail", num_sequences=60,
                                         rate_qps=10.0, seed=5)
-    single = run_generative_vanilla(SPEC, workload)
-    disagg = run_generative_vanilla_disagg(SPEC, workload, prefill_replicas=2,
-                                           decode_replicas=4)
+    single = Experiment(model=SPEC, workload=workload).run(["vanilla"]) \
+        .result("vanilla").raw.aggregate()
+    disagg = _disagg_run(workload, "vanilla", prefill_replicas=2,
+                         decode_replicas=4)
     single_ids = Counter((t.sequence_id, t.token_index) for t in single.tokens)
     assert token_multiset(disagg) == single_ids
 

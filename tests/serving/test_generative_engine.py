@@ -6,11 +6,18 @@ from repro.generative.decoding import DecodeTimingModel
 from repro.generative.parallel import ParallelDecodingState, TokenFeedback, truncate_feedback
 from repro.generative.sequences import make_generative_workload
 from repro.models.zoo import get_model
+from repro.serving.generative_cluster import GenerativeClusterPlatform
 from repro.serving.hf_pipelines import (
     ContinuousBatchingEngine,
     TokenDecision,
     VanillaTokenPolicy,
 )
+
+
+def serve(engine, workload, policy):
+    """Decode ``workload`` on a fleet of one ``engine`` replica."""
+    return GenerativeClusterPlatform([engine]).run(
+        workload, lambda ordinal: policy).aggregate()
 
 
 class FixedExitPolicy:
@@ -101,7 +108,7 @@ def test_truncate_feedback_keeps_all_when_no_deviation():
 def test_engine_vanilla_tpt_equals_step_time(timing, small_generative_workload):
     engine = ContinuousBatchingEngine(DecodeTimingModel(get_model("t5-large")),
                                       max_batch_size=4)
-    metrics = engine.run(small_generative_workload, VanillaTokenPolicy())
+    metrics = serve(engine, small_generative_workload, VanillaTokenPolicy())
     assert metrics.exit_rate() == 0.0
     assert metrics.median_tpt() == pytest.approx(get_model("t5-large").bs1_latency_ms)
     assert len(metrics.tokens) == small_generative_workload.total_tokens()
@@ -110,7 +117,7 @@ def test_engine_vanilla_tpt_equals_step_time(timing, small_generative_workload):
 def test_engine_exits_reduce_tpt(timing, small_generative_workload):
     engine = ContinuousBatchingEngine(timing, max_batch_size=4)
     policy = FixedExitPolicy(depth=0.3, exit_every=1)
-    metrics = engine.run(small_generative_workload, policy)
+    metrics = serve(engine, small_generative_workload, policy)
     vanilla_step = get_model("t5-large").bs1_latency_ms
     assert metrics.exit_rate() > 0.9
     assert metrics.median_tpt() < vanilla_step * 0.6
@@ -119,14 +126,14 @@ def test_engine_exits_reduce_tpt(timing, small_generative_workload):
 def test_engine_wrong_exits_lower_sequence_accuracy(timing, small_generative_workload):
     engine = ContinuousBatchingEngine(timing, max_batch_size=4)
     policy = FixedExitPolicy(depth=0.3, exit_every=1, correct=False)
-    metrics = engine.run(small_generative_workload, policy)
+    metrics = serve(engine, small_generative_workload, policy)
     assert metrics.mean_sequence_accuracy() < 0.1
 
 
 def test_engine_mixed_exits_pay_deferred_tails(timing, small_generative_workload):
     engine = ContinuousBatchingEngine(timing, max_batch_size=4)
     policy = FixedExitPolicy(depth=0.3, exit_every=2)   # every other token exits
-    metrics = engine.run(small_generative_workload, policy)
+    metrics = serve(engine, small_generative_workload, policy)
     full_step = timing.full_step_ms(1)
     non_exited = [t.tpt_ms for t in metrics.tokens if not t.exited and t.token_index > 0]
     # Non-exiting tokens pay the full step plus a mild parallel-decoding penalty.
@@ -137,14 +144,14 @@ def test_engine_mixed_exits_pay_deferred_tails(timing, small_generative_workload
 def test_engine_queueing_delays_reported(timing):
     workload = make_generative_workload("squad", num_sequences=30, rate_qps=20.0, seed=3)
     engine = ContinuousBatchingEngine(timing, max_batch_size=1)
-    metrics = engine.run(workload, VanillaTokenPolicy())
+    metrics = serve(engine, workload, VanillaTokenPolicy())
     assert metrics.median_queueing_ms() > 0.0
 
 
 def test_engine_feedback_grouped_by_instance(timing, small_generative_workload):
     engine = ContinuousBatchingEngine(timing, max_batch_size=4)
     policy = FixedExitPolicy(depth=0.3, exit_every=3)
-    engine.run(small_generative_workload, policy)
+    serve(engine, small_generative_workload, policy)
     assert policy.feedback_batches
     # Every feedback batch ends either with a non-exited token (instance close)
     # or at the sequence end.
@@ -160,5 +167,5 @@ def test_engine_rejects_invalid_batch_size(timing):
 def test_engine_empty_workload(timing):
     from repro.generative.sequences import GenerativeWorkload
     engine = ContinuousBatchingEngine(timing)
-    metrics = engine.run(GenerativeWorkload(name="empty"), VanillaTokenPolicy())
+    metrics = serve(engine, GenerativeWorkload(name="empty"), VanillaTokenPolicy())
     assert len(metrics.tokens) == 0

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ClusterSpec, Experiment
 from repro.core.generative import (ApparateTokenPolicy,
                                    _resolve_generative_autoscaler,
                                    build_generative_cluster,
-                                   generative_ramp_depths,
-                                   run_generative_apparate,
-                                   run_generative_vanilla,
-                                   run_generative_vanilla_cluster)
+                                   generative_ramp_depths)
 from repro.generative.decoding import DecodeTimingModel
-from repro.generative.sequences import GenerativeWorkload, SequenceSample
+from repro.generative.sequences import (GenerativeWorkload, SequenceSample,
+                                        make_generative_workload)
 from repro.models.prediction import PredictionModel
 from repro.models.zoo import get_model
 from repro.serving.autoscaler import FixedAutoscaler, ReactiveAutoscaler
@@ -25,6 +24,7 @@ from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform)
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, VanillaTokenPolicy)
+from tests.serving._seed_loops import seed_engine_run, seed_engine_system
 
 FAST = settings(max_examples=20, deadline=None)
 
@@ -107,30 +107,62 @@ def test_generative_autoscaler_resolution_scales_watermarks_to_slots():
 
 # ------------------------------------------- single-replica engine equivalence
 
-def test_single_replica_cluster_matches_the_engine(small_generative_workload):
-    """A one-replica generative cluster is the continuous-batching engine:
-    same token stream, same release cadence, same queueing delays."""
-    single = run_generative_vanilla(SPEC, small_generative_workload)
-    cluster = run_generative_vanilla_cluster(SPEC, small_generative_workload,
-                                             replicas=1)
-    merged = cluster.aggregate()
-    assert len(merged.tokens) == len(single.tokens)
-    assert merged.queueing_delays_ms == pytest.approx(single.queueing_delays_ms)
-    np.testing.assert_allclose(merged.tpt_values(), single.tpt_values())
-    assert merged.makespan_ms == pytest.approx(single.makespan_ms)
+#: Every generative system, each with the TTFT SLO off and on.
+CASES = [(system, ttft_slo_ms)
+         for system in ("vanilla", "apparate", "free", "optimal")
+         for ttft_slo_ms in (None, 60.0)]
 
 
-def test_single_replica_cluster_matches_engine_under_apparate(
-        small_generative_workload):
-    single = run_generative_apparate(SPEC, small_generative_workload, seed=4)
-    from repro.core.generative import _generative_apparate_cluster_impl
-    outcome = _generative_apparate_cluster_impl(SPEC, small_generative_workload,
-                                                replicas=1, seed=4)
-    merged = outcome.metrics.aggregate()
-    assert len(merged.tokens) == len(single.metrics.tokens)
-    assert merged.exit_rate() == pytest.approx(single.metrics.exit_rate())
-    np.testing.assert_allclose(merged.tpt_values(),
-                               single.metrics.tpt_values())
+@pytest.fixture(scope="module")
+def queued_workload():
+    """Arrivals faster than two decode slots drain, so sequences queue and
+    a tight TTFT SLO sheds some of them (all but the oracle's)."""
+    return make_generative_workload("squad", num_sequences=40, rate_qps=16.0,
+                                    seed=13)
+
+
+def test_single_replica_cluster_matches_the_engine(queued_workload):
+    """A one-replica generative fleet, run through the system registry, is
+    the pre-fleet continuous-batching engine loop: same token stream, same
+    release cadence, same queueing delays and sheds, same summary."""
+    for system, ttft_slo_ms in CASES:
+        case = (system, ttft_slo_ms)
+        result = Experiment(model=SPEC, workload=queued_workload,
+                            max_batch_size=2, slo_ms=ttft_slo_ms, seed=4) \
+            .run([system]).result(system)
+        merged = getattr(result.raw, "metrics", result.raw).aggregate()
+        engine, policy = seed_engine_system(system, SPEC, queued_workload,
+                                            max_batch_size=2, seed=4)
+        single = seed_engine_run(engine, queued_workload, policy, ttft_slo_ms)
+        assert merged.tokens == single.tokens, case
+        assert merged.queueing_delays_ms == single.queueing_delays_ms, case
+        assert merged.shed_sequence_ids == single.shed_sequence_ids, case
+        assert (merged.num_shed() > 0) == (ttft_slo_ms is not None
+                                           and system != "optimal"), case
+        expected = single.summary()
+        assert {key: result.summary[key] for key in expected} == expected, case
+
+
+def test_single_replica_cluster_matches_engine_under_apparate(queued_workload):
+    """The same equivalence one layer down: a one-replica platform driven
+    directly ends with the same policy state (Apparate's thresholds, window
+    and ramp moves) as the engine loop fed the same stream."""
+    for system, ttft_slo_ms in CASES:
+        case = (system, ttft_slo_ms)
+        engine, policy = seed_engine_system(system, SPEC, queued_workload,
+                                            max_batch_size=2, seed=4)
+        cluster = GenerativeClusterPlatform([engine], ttft_slo_ms=ttft_slo_ms)
+        merged = cluster.run(queued_workload,
+                             lambda ordinal: policy).aggregate()
+        engine, oracle_policy = seed_engine_system(
+            system, SPEC, queued_workload, max_batch_size=2, seed=4)
+        single = seed_engine_run(engine, queued_workload, oracle_policy,
+                                 ttft_slo_ms)
+        assert merged.tokens == single.tokens, case
+        assert merged.summary() == single.summary(), case
+        for name, value in vars(oracle_policy).items():
+            if name != "prediction":
+                assert getattr(policy, name) == value, (case, name)
 
 
 # ---------------------------------------------------------- work-aware costing
@@ -324,10 +356,11 @@ def test_cluster_metrics_empty_run_is_nan_safe():
 
 
 def test_fleet_summary_reports_deferred_flush_counts(small_generative_workload):
-    from repro.core.generative import _generative_apparate_cluster_impl
-    outcome = _generative_apparate_cluster_impl(
-        SPEC, small_generative_workload, replicas=2, flush_limit=2, seed=4)
-    summary = outcome.summary()
+    result = Experiment(model=SPEC, workload=small_generative_workload,
+                        cluster=ClusterSpec(replicas=2), seed=4,
+                        overrides={"apparate": {"flush_limit": 2}}) \
+        .run(["apparate"]).result("apparate")
+    summary = result.summary
     assert summary["deferred_tokens"] >= summary["deferred_flushes"]
     assert summary["deferred_flushes"] > 0
     assert summary["num_policies"] == 2.0
@@ -336,11 +369,12 @@ def test_fleet_summary_reports_deferred_flush_counts(small_generative_workload):
 def test_shared_fleet_mode_uses_one_policy():
     from repro.core.generative import _generative_apparate_cluster_impl
     workload = make_workload(np.arange(0.0, 3000.0, 10.0), tokens=8)
-    outcome = _generative_apparate_cluster_impl(SPEC, workload, replicas=3,
-                                                fleet_mode="shared", seed=1)
+    outcome = Experiment(model=SPEC, workload=workload, seed=1,
+                         cluster=ClusterSpec(replicas=3, fleet_mode="shared")) \
+        .run(["apparate"]).result("apparate").raw
     assert len(outcome.policies) == 3
     assert len({id(p) for p in outcome.policies}) == 1
     assert outcome.summary()["num_policies"] == 1.0
     with pytest.raises(ValueError, match="anarchic"):
-        _generative_apparate_cluster_impl(SPEC, workload, replicas=2,
+        _generative_apparate_cluster_impl(SPEC, workload, None,
                                           fleet_mode="anarchic")
