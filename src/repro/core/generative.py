@@ -18,9 +18,8 @@ instance (see :func:`repro.generative.parallel.truncate_feedback`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,8 +55,25 @@ def generative_ramp_depths(model: Union[str, ModelSpec], seed: int = 0) -> List[
     return [r.depth_fraction for r in catalog.ramps]
 
 
+#: Thresholds a tuning round tries, lowest first.
+_THRESHOLD_CANDIDATES = np.arange(0.02, 0.99, 0.02)
+
+
 class ApparateTokenPolicy:
-    """Adaptive single-ramp exit policy for generative decoding."""
+    """Adaptive single-ramp exit policy for generative decoding.
+
+    The feedback window is two numpy ring buffers (error scores and
+    agreement flags) plus two running counts under the current threshold:
+    window entries that exit, and how many of those are correct.  Appending
+    a record and evicting the oldest adjust the counts, so the released
+    accuracy checked after every token costs O(1).  Assigning ``threshold``
+    (a tuning round, a position move or an outside write) recounts the
+    window once.  A tuning round sorts the window's errors once and reads
+    each candidate's exit and correct counts off a prefix sum.  Every
+    accuracy is the same integer ratio a per-candidate rescan of the window
+    gives, so threshold and position trajectories are exactly those of the
+    rescan kept in ``tests/core/_seed_token_policy.py``.
+    """
 
     def __init__(self, prediction: PredictionModel, candidate_depths: Sequence[float],
                  accuracy_constraint: float = 0.01, window: int = 768,
@@ -67,6 +83,9 @@ class ApparateTokenPolicy:
                  tuning_safety: float = 0.25) -> None:
         if not candidate_depths:
             raise ValueError("candidate_depths must be non-empty")
+        window = int(window)
+        if window < 1:
+            raise ValueError(f"window must be positive, got {window}")
         self.prediction = prediction
         self.candidate_depths = sorted(float(d) for d in candidate_depths)
         self.accuracy_constraint = float(accuracy_constraint)
@@ -80,8 +99,13 @@ class ApparateTokenPolicy:
 
         self.position = int(initial_position) if initial_position is not None \
             else len(self.candidate_depths) // 2
+        # The window is the first ``_size`` slots; once it is full, ``_next``
+        # (the slot the next record overwrites) holds the oldest record.
+        self._errors = np.zeros(window)
+        self._correct = np.zeros(window, dtype=bool)
+        self._size = 0
+        self._next = 0
         self.threshold = 0.0
-        self._window: Deque[Tuple[float, bool]] = deque(maxlen=int(window))
         self.tokens_seen = 0
         self.tokens_since_move = 0
         self.threshold_tunings = 0
@@ -92,26 +116,63 @@ class ApparateTokenPolicy:
     def ramp_depth(self) -> float:
         return self.candidate_depths[self.position]
 
-    def _released_accuracy(self, threshold: float) -> Tuple[float, float]:
+    @property
+    def threshold(self) -> float:
+        return self._threshold
+
+    @threshold.setter
+    def threshold(self, value: float) -> None:
+        self._threshold = value
+        if value > 0:
+            exits = self._errors[:self._size] < value
+            self._exits = int(np.count_nonzero(exits))
+            self._exits_correct = int(np.count_nonzero(exits & self._correct[:self._size]))
+        else:
+            self._exits = self._exits_correct = 0
+
+    def _append(self, error: float, correct: bool) -> None:
+        """Add a record to the window, evicting the oldest when it is full."""
+        threshold = self._threshold
+        slot = self._next
+        if self._size == self._errors.size:
+            if threshold > 0 and self._errors[slot] < threshold:
+                self._exits -= 1
+                self._exits_correct -= int(self._correct[slot])
+        else:
+            self._size += 1
+        self._errors[slot] = error
+        self._correct[slot] = correct
+        self._next = (slot + 1) % self._errors.size
+        if threshold > 0 and error < threshold:
+            self._exits += 1
+            self._exits_correct += correct
+
+    def _released_accuracy(self) -> Tuple[float, float]:
         """(accuracy, exit rate) on the feedback window under ``threshold``."""
-        if not self._window:
+        n = self._size
+        if not n:
             return 1.0, 0.0
-        errors = np.array([e for e, _ in self._window])
-        correct = np.array([c for _, c in self._window], dtype=bool)
-        exits = errors < threshold if threshold > 0 else np.zeros_like(correct)
-        n = errors.size
-        num_exited = int(exits.sum())
-        num_correct = int(correct[exits].sum()) + (n - num_exited)
-        return num_correct / n, num_exited / n
+        return (self._exits_correct + (n - self._exits)) / n, self._exits / n
 
     def _tune_threshold(self) -> None:
-        """Pick the largest threshold that satisfies the (tightened) constraint."""
+        """Pick the largest threshold that satisfies the (tightened) constraint.
+
+        Called on a non-empty window only (``feedback`` tunes at 96 records).
+        """
         target = 1.0 - self.accuracy_constraint * self.tuning_safety
+        n = self._size
+        errors = self._errors[:n]
+        order = np.argsort(errors)
+        # correct_below[k]: correct records among the k lowest errors, so a
+        # candidate that k records fall below releases correct_below[k]
+        # correct exits and n - k full-model tokens.
+        correct_below = [0] + np.cumsum(self._correct[:n][order]).tolist()
+        below = np.searchsorted(errors[order], _THRESHOLD_CANDIDATES,
+                                side="left").tolist()
         best = 0.0
-        for candidate in np.arange(0.02, 0.99, 0.02):
-            accuracy, _rate = self._released_accuracy(float(candidate))
-            if accuracy >= target:
-                best = float(candidate)
+        for candidate, k in zip(_THRESHOLD_CANDIDATES.tolist(), below):
+            if (correct_below[k] + (n - k)) / n >= target:
+                best = candidate
             else:
                 break
         self.threshold = best
@@ -125,7 +186,7 @@ class ApparateTokenPolicy:
         probing earlier is conservative (one position at a time), matching the
         low-risk probing phase of §3.3.
         """
-        accuracy, exit_rate = self._released_accuracy(self.threshold)
+        accuracy, exit_rate = self._released_accuracy()
         moved = False
         later_stride = max(1, len(self.candidate_depths) // 10)
         if exit_rate < self.low_exit_rate and self.position < len(self.candidate_depths) - 1:
@@ -138,8 +199,8 @@ class ApparateTokenPolicy:
             moved = True
         if moved:
             self.position_moves += 1
+            self._size = self._next = 0     # the window starts over
             self.threshold = 0.0     # new position starts conservative (§3.3)
-            self._window.clear()
             self.tokens_since_move = 0
 
     # --------------------------------------------------------------- policy API
@@ -148,27 +209,27 @@ class ApparateTokenPolicy:
         depth = self.ramp_depth
         error = self.prediction.error_score(raw_difficulty, depth, sharpness)
         correct = self.prediction.is_correct(raw_difficulty, depth)
-        exited = self.threshold > 0.0 and error < self.threshold
+        exited = self._threshold > 0.0 and error < self._threshold
         return TokenDecision(exited=exited, exit_depth=depth if exited else None,
                              error_score=error, correct=correct)
 
     def feedback(self, records: Sequence[TokenFeedback]) -> None:
         for record in records:
-            self._window.append((record.error_score, record.correct))
+            self._append(float(record.error_score), bool(record.correct))
             self.tokens_seen += 1
             self.tokens_since_move += 1
 
-            accuracy, _ = self._released_accuracy(self.threshold)
+            accuracy, _ = self._released_accuracy()
             accuracy_violation = accuracy < 1.0 - self.accuracy_constraint
             periodic_refresh = self.tokens_seen % self.refresh_period == 0
-            if (accuracy_violation or periodic_refresh) and len(self._window) >= 96:
+            if (accuracy_violation or periodic_refresh) and self._size >= 96:
                 self._tune_threshold()
             # Position moves are rate-limited: the ramp must have been in
             # place (and its threshold re-tuned) for a full adjustment period
             # before its exit rate is judged, which prevents oscillation.
             if (self.tokens_since_move >= 2 * self.adjustment_period
                     and self.tokens_seen % self.adjustment_period == 0
-                    and len(self._window) >= 128 and self.threshold > 0.0):
+                    and self._size >= 128 and self._threshold > 0.0):
                 self._adjust_position()
 
 

@@ -68,6 +68,19 @@ def ramp_error_score(difficulty: np.ndarray | float, depth: np.ndarray | float,
     return np.clip(raw - np.asarray(confidence_shift, dtype=float), 0.0, 1.0)
 
 
+def _error_score(difficulty: float, depth: float, sharpness: float,
+                 confidence_shift: float) -> float:
+    """:func:`ramp_error_score` for one input and ramp, on plain floats.
+
+    The same operations in the same order, so the result is bit-identical.
+    The exponential stays ``np.exp``: ``math.exp`` rounds differently on
+    some inputs.
+    """
+    z = (difficulty - float(depth)) / max(float(sharpness), 1e-6)
+    raw = 1.0 / (1.0 + float(np.exp(-z)))
+    return min(max(raw - float(confidence_shift), 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class RampObservation:
     """What the controller records for one (input, ramp) pair (§3.2).
@@ -99,6 +112,12 @@ class RampObservation:
 class PredictionModel:
     """Per-model synthetic prediction behaviour.
 
+    The per-input methods (``required_depth``, ``error_score``, ``observe``,
+    ``exit_depth``) run on plain Python floats, since the serving loops call
+    them once per request or token; they give bit-identical results to the
+    vectorized :func:`effective_difficulty` and :func:`ramp_error_score`,
+    which ``required_depths`` and the whole-trace baselines use.
+
     Parameters
     ----------
     spec:
@@ -125,7 +144,8 @@ class PredictionModel:
     # ------------------------------------------------------------ per input
     def required_depth(self, raw_difficulty: float) -> float:
         """Earliest depth fraction at which this input's prediction emerges."""
-        return float(effective_difficulty(raw_difficulty, self.spec.headroom))
+        headroom = self.spec.headroom
+        return 1.0 - headroom + headroom * min(max(float(raw_difficulty), 0.0), 1.0)
 
     def required_depths(self, raw_difficulties: Sequence[float]) -> np.ndarray:
         return np.asarray(effective_difficulty(np.asarray(raw_difficulties, dtype=float),
@@ -134,8 +154,8 @@ class PredictionModel:
     def error_score(self, raw_difficulty: float, depth_fraction: float,
                     sharpness: float = 0.06, confidence_shift: float = 0.0) -> float:
         """Error score of a ramp at ``depth_fraction`` for this input."""
-        d = self.required_depth(raw_difficulty)
-        return float(ramp_error_score(d, depth_fraction, sharpness, confidence_shift))
+        return _error_score(self.required_depth(raw_difficulty), depth_fraction,
+                            sharpness, confidence_shift)
 
     def is_correct(self, raw_difficulty: float, depth_fraction: float) -> bool:
         """Whether a ramp at ``depth_fraction`` matches the original model."""
@@ -157,7 +177,7 @@ class PredictionModel:
         d = self.required_depth(raw_difficulty)
         observations: List[RampObservation] = []
         for ramp_id, depth in zip(ramp_ids, ramp_depths):
-            err = float(ramp_error_score(d, depth, sharpness, confidence_shift))
+            err = _error_score(d, depth, sharpness, confidence_shift)
             correct = self.is_correct(raw_difficulty, depth)
             observations.append(RampObservation(ramp_id=int(ramp_id),
                                                 depth_fraction=float(depth),
@@ -177,6 +197,6 @@ class PredictionModel:
         for depth, threshold in zip(ramp_depths, thresholds):
             if threshold <= 0.0:
                 continue
-            if float(ramp_error_score(d, depth, sharpness, confidence_shift)) < threshold:
+            if _error_score(d, depth, sharpness, confidence_shift) < threshold:
                 return float(depth)
         return None

@@ -32,6 +32,11 @@ def test_policy_requires_candidates(t5_prediction):
         ApparateTokenPolicy(t5_prediction, [])
 
 
+def test_policy_requires_positive_window(t5_prediction):
+    with pytest.raises(ValueError, match="window"):
+        ApparateTokenPolicy(t5_prediction, [0.5], window=0)
+
+
 def test_policy_starts_without_exiting(t5_prediction):
     policy = ApparateTokenPolicy(t5_prediction, generative_ramp_depths("t5-large"))
     decision = policy.decide(0, 0, 0.05, 0.05)

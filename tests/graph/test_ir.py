@@ -33,11 +33,21 @@ def test_edge_with_unknown_node_rejected():
 
 def test_cycle_rejected():
     g = ModelGraph("g")
-    g.add_node(Node("a", OpCategory.CONV))
-    g.add_node(Node("b", OpCategory.CONV))
+    for name in ("a", "b", "c"):
+        g.add_node(Node(name, OpCategory.CONV))
     g.add_edge("a", "b")
     with pytest.raises(ValueError):
         g.add_edge("b", "a")
+    assert g.edges() == [("a", "b")]
+    with pytest.raises(ValueError):
+        g.add_edge("a", "a")              # self-loop
+    assert g.edges() == [("a", "b")]
+    g.add_edge("b", "c")
+    with pytest.raises(ValueError):
+        g.add_edge("c", "a")              # closes a -> b -> c -> a
+    assert g.edges() == [("a", "b"), ("b", "c")]
+    g.add_edge("a", "c")                  # a shortcut is not a cycle
+    assert g.edges() == [("a", "b"), ("a", "c"), ("b", "c")]
 
 
 def test_topological_order_respects_edges():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.models.zoo import ModelSpec, Task, get_model, list_models, register_model
+from repro.models.zoo import (MODEL_ZOO, ModelSpec, Task, get_model, list_models,
+                              register_model)
 
 
 # Table 5 of the paper: bs=1 latency and default SLO per classification model.
@@ -64,7 +65,13 @@ def test_register_custom_model():
     spec = ModelSpec("custom-tiny", Task.CV_CLASSIFICATION, "resnet", 1.0, 2.0, 4.0,
                      num_blocks=4, hidden_width=64)
     register_model(spec)
-    assert get_model("custom-tiny") is spec
+    try:
+        assert get_model("custom-tiny") is spec
+    finally:
+        # The zoo is process-wide: later tests iterate every registered model.
+        MODEL_ZOO.pop("custom-tiny", None)
+    with pytest.raises(KeyError):
+        get_model("custom-tiny")
 
 
 def test_headroom_within_unit_interval():
