@@ -519,7 +519,8 @@ class ExitPolicySpec:
 
     ``accuracy_constraint`` and ``ramp_budget`` are the paper's two user
     inputs (§3); the remaining fields are ablation switches used by the
-    sensitivity studies.
+    sensitivity studies.  ``ramp_style`` takes a :class:`RampStyle` or its
+    string value (``"lightweight"``) and is stored as the enum member.
     """
 
     accuracy_constraint: float = 0.01
@@ -534,6 +535,12 @@ class ExitPolicySpec:
                              f"got {self.accuracy_constraint}")
         if float(self.ramp_budget) <= 0.0:
             raise ValueError(f"ramp_budget must be positive, got {self.ramp_budget}")
+        try:
+            style = RampStyle(self.ramp_style)
+        except (ValueError, TypeError):
+            raise ValueError(f"unknown ramp_style {self.ramp_style!r}; choose from "
+                             f"{tuple(s.value for s in RampStyle)}") from None
+        object.__setattr__(self, "ramp_style", style)
         if self.initial_ramp_ids is not None:
             object.__setattr__(self, "initial_ramp_ids",
                                tuple(int(r) for r in self.initial_ramp_ids))
@@ -542,8 +549,7 @@ class ExitPolicySpec:
         return {
             "accuracy_constraint": float(self.accuracy_constraint),
             "ramp_budget": float(self.ramp_budget),
-            "ramp_style": self.ramp_style.value
-            if isinstance(self.ramp_style, RampStyle) else str(self.ramp_style),
+            "ramp_style": self.ramp_style.value,
             "initial_ramp_ids": None if self.initial_ramp_ids is None
             else list(self.initial_ramp_ids),
             "ramp_adjustment_enabled": bool(self.ramp_adjustment_enabled),

@@ -64,6 +64,12 @@ class ApparateController:
                  min_tuning_samples: int = 48,
                  tuning_safety: float = 0.75,
                  initial_ramp_ids: Optional[Sequence[int]] = None) -> None:
+        for name, value in (("tuning_window", tuning_window),
+                            ("threshold_refresh_period", threshold_refresh_period),
+                            ("ramp_adjustment_period", ramp_adjustment_period),
+                            ("min_tuning_samples", min_tuning_samples)):
+            if int(value) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.spec = spec
         self.catalog = catalog
         self.profile = profile

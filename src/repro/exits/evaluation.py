@@ -16,9 +16,8 @@ accounting that ramp adjustment (§3.3) consumes.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,10 +137,14 @@ class WindowBuffer:
     """Sliding window of per-ramp observations for the active ramp set.
 
     The buffer stores, for the most recent ``capacity`` requests, the error
-    score and correctness recorded at every active ramp.  It is keyed by the
-    active ramp ids; whenever the active set changes the buffer is rebuilt
-    (old columns for removed ramps are dropped, new ramps start empty — their
-    thresholds are 0 until enough feedback accumulates, so no accuracy risk).
+    score and correctness recorded at every active ramp, in two preallocated
+    ``(capacity, num_ramps)`` numpy ring buffers (float errors, bool
+    correctness): :meth:`record` writes one row in place, and the readers
+    (:meth:`latest`, :meth:`errors_matrix`, :meth:`correct_matrix`) return
+    chronological copies, oldest row first.  It is keyed by the active ramp
+    ids; whenever the active set changes the buffer is rebuilt (old columns
+    for removed ramps are dropped, new ramps start empty — their thresholds
+    are 0 until enough feedback accumulates, so no accuracy risk).
     """
 
     def __init__(self, ramp_ids: Sequence[int], capacity: int = 512) -> None:
@@ -149,23 +152,28 @@ class WindowBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.ramp_ids: List[int] = list(int(r) for r in ramp_ids)
-        self._errors: Deque[np.ndarray] = deque(maxlen=self.capacity)
-        self._correct: Deque[np.ndarray] = deque(maxlen=self.capacity)
+        self._errors = np.empty((self.capacity, len(self.ramp_ids)), dtype=float)
+        self._correct = np.empty((self.capacity, len(self.ramp_ids)), dtype=bool)
+        self._next = 0      # ring slot the next record writes
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._errors)
+        return self._size
 
     # ----------------------------------------------------------------- write
     def record(self, observations: Sequence[RampObservation]) -> None:
         """Record one request's observations (must cover all active ramps)."""
         by_id = {obs.ramp_id: obs for obs in observations}
         try:
-            errors = np.array([by_id[r].error_score for r in self.ramp_ids], dtype=float)
-            correct = np.array([by_id[r].correct for r in self.ramp_ids], dtype=bool)
+            ordered = [by_id[r] for r in self.ramp_ids]
         except KeyError as exc:
             raise KeyError(f"missing observation for active ramp {exc}") from exc
-        self._errors.append(errors)
-        self._correct.append(correct)
+        slot = self._next
+        self._errors[slot] = [obs.error_score for obs in ordered]
+        self._correct[slot] = [obs.correct for obs in ordered]
+        self._next = (slot + 1) % self.capacity
+        if self._size < self.capacity:
+            self._size += 1
 
     def rebuild(self, ramp_ids: Sequence[int]) -> None:
         """Re-key the buffer for a new active ramp set.
@@ -179,41 +187,44 @@ class WindowBuffer:
         new_ids = [int(r) for r in ramp_ids]
         if new_ids == self.ramp_ids:
             return
-        if self._errors:
-            old_index = {rid: i for i, rid in enumerate(self.ramp_ids)}
-            old_errors = self.errors_matrix()
-            old_correct = self.correct_matrix()
-            new_errors = np.ones((old_errors.shape[0], len(new_ids)), dtype=float)
-            new_correct = np.ones((old_correct.shape[0], len(new_ids)), dtype=bool)
-            for col, rid in enumerate(new_ids):
-                if rid in old_index:
-                    new_errors[:, col] = old_errors[:, old_index[rid]]
-                    new_correct[:, col] = old_correct[:, old_index[rid]]
-            self._errors.clear()
-            self._correct.clear()
-            for row in range(new_errors.shape[0]):
-                self._errors.append(new_errors[row])
-                self._correct.append(new_correct[row])
+        old_index = {rid: i for i, rid in enumerate(self.ramp_ids)}
+        kept = [(col, old_index[rid]) for col, rid in enumerate(new_ids) if rid in old_index]
+        new_cols = [col for col, _ in kept]
+        old_cols = [old for _, old in kept]
+        errors = np.ones((self.capacity, len(new_ids)), dtype=float)
+        correct = np.ones((self.capacity, len(new_ids)), dtype=bool)
+        # The history is rewritten oldest-first from slot 0.
+        errors[:self._size, new_cols] = self.errors_matrix()[:, old_cols]
+        correct[:self._size, new_cols] = self.correct_matrix()[:, old_cols]
+        self._errors, self._correct = errors, correct
+        self._next = self._size % self.capacity
         self.ramp_ids = new_ids
 
     # ------------------------------------------------------------------ read
+    def _chronological(self, ring: np.ndarray, count: int) -> np.ndarray:
+        """A copy of the newest ``count`` rows of ``ring``, oldest first."""
+        first = self._next - count
+        if first >= 0:
+            return ring[first:self._next].copy()
+        return np.concatenate((ring[first:], ring[:self._next]))
+
     def errors_matrix(self) -> np.ndarray:
-        if not self._errors:
-            return np.zeros((0, len(self.ramp_ids)))
-        return np.vstack(list(self._errors))
+        return self._chronological(self._errors, self._size)
 
     def correct_matrix(self) -> np.ndarray:
-        if not self._correct:
-            return np.zeros((0, len(self.ramp_ids)), dtype=bool)
-        return np.vstack(list(self._correct))
+        return self._chronological(self._correct, self._size)
 
     def latest(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the most recent ``count`` rows of (errors, correctness)."""
-        errors = self.errors_matrix()
-        correct = self.correct_matrix()
-        if count < errors.shape[0]:
-            return errors[-count:], correct[-count:]
-        return errors, correct
+        """Return the most recent ``count`` rows of (errors, correctness).
+
+        ``count`` may exceed the number of buffered rows (all of them are
+        returned); 0 returns no rows, and a negative count raises.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        count = min(int(count), self._size)
+        return (self._chronological(self._errors, count),
+                self._chronological(self._correct, count))
 
     def evaluate(self, thresholds: Sequence[float], depths: Sequence[float],
                  overheads_ms: Sequence[float], full_latency_ms: float,

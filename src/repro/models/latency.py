@@ -41,7 +41,10 @@ class LatencyProfile:
     node_names:
         Node names in topological order.
     node_latency_ms:
-        Latency attributed to each node at batch size 1 (same order).
+        Latency attributed to each node at batch size 1 (same order).  The
+        profile keeps a read-only copy and sums it once at construction:
+        :meth:`total_latency_ms` (called on every batch-time prediction)
+        scales that cached bs=1 total instead of re-summing the nodes.
     cumulative_fraction:
         Fraction of total bs=1 latency spent once each node has finished.
     """
@@ -52,14 +55,16 @@ class LatencyProfile:
     cumulative_fraction: np.ndarray
 
     def __post_init__(self) -> None:
-        self.node_latency_ms = np.asarray(self.node_latency_ms, dtype=float)
+        self.node_latency_ms = np.array(self.node_latency_ms, dtype=float)
+        self.node_latency_ms.flags.writeable = False
         self.cumulative_fraction = np.asarray(self.cumulative_fraction, dtype=float)
         self._index = {name: i for i, name in enumerate(self.node_names)}
+        self._bs1_total_ms = float(self.node_latency_ms.sum())
 
     # ------------------------------------------------------------ whole model
     def total_latency_ms(self, batch_size: int = 1) -> float:
         """Serving time of a full forward pass for a batch of ``batch_size``."""
-        return self.batch_scale(batch_size) * float(self.node_latency_ms.sum())
+        return self.batch_scale(batch_size) * self._bs1_total_ms
 
     def batch_scale(self, batch_size: int) -> float:
         """Multiplier on bs=1 latency when serving ``batch_size`` inputs."""

@@ -7,6 +7,7 @@ import pytest
 from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, WorkloadSpec,
                        KIND_CLASSIFICATION, KIND_GENERATIVE)
 from repro.baselines.static_ee import StaticEEVariant
+from repro.exits.ramps import RampStyle
 
 
 WORKLOAD = WorkloadSpec("video", "urban-day", requests=500)
@@ -68,6 +69,39 @@ def test_spec_validation_names_the_offending_value():
         WorkloadSpec("audio")
     with pytest.raises(ValueError, match="-0.5"):
         ExitPolicySpec(accuracy_constraint=-0.5)
+
+
+def test_unknown_ramp_style_raises_value_error_naming_the_key():
+    with pytest.raises(ValueError, match="ramp_style.*'bogus'.*lightweight"):
+        ExitPolicySpec(ramp_style="bogus")
+    with pytest.raises(ValueError, match="ramp_style"):
+        ExitPolicySpec(ramp_style=None)
+    # Valid spellings keep working and describe the same way.
+    assert ExitPolicySpec(ramp_style="conv_heavy").ramp_style is RampStyle.CONV_HEAVY
+    assert ExitPolicySpec(ramp_style="lightweight") == ExitPolicySpec()
+    assert ExitPolicySpec(ramp_style="lightweight").describe() \
+        == ExitPolicySpec().describe()
+    assert ExitPolicySpec().describe()["ramp_style"] == "lightweight"
+
+
+def test_sweep_over_an_unknown_ramp_style_fails_before_running(monkeypatch):
+    import repro.api.registry as registry
+    ran = []
+    monkeypatch.setattr(
+        registry.SystemRunner, "run",
+        lambda self, experiment, **kw: ran.append(self.name))
+    experiment = Experiment(model="resnet50",
+                            workload=WorkloadSpec("video", requests=100))
+    with pytest.raises(ValueError, match="ramp_style.*'bogus'"):
+        experiment.sweep(systems=["apparate"],
+                         ramp_style=["lightweight", "bogus"])
+    assert ran == []
+    monkeypatch.undo()
+    report = experiment.sweep(systems=["apparate"],
+                              ramp_style=["lightweight", "conv_heavy"])
+    assert [p.params["ramp_style"] for p in report.points] \
+        == ["lightweight", "conv_heavy"]
+    assert all(p.error is None for p in report.points)
 
 
 # ----------------------------------------------------------- system knobs

@@ -107,3 +107,12 @@ def test_accuracy_triggered_tuning_counted(controller, executor):
         controller.observe_batch(execution)
     assert controller.stats.samples_seen == 24 * 16
     assert controller.stats.threshold_tunings > 0
+
+
+@pytest.mark.parametrize("name", ["tuning_window", "threshold_refresh_period",
+                                  "ramp_adjustment_period", "min_tuning_samples"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_controller_rejects_non_positive_periods(name, value):
+    spec, profile, _pred, catalog, _exec = model_stack("resnet50", seed=0)
+    with pytest.raises(ValueError, match=name):
+        ApparateController(spec, catalog, profile, **{name: value})

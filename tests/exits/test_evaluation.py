@@ -166,6 +166,37 @@ class TestWindowBuffer:
         assert ev.num_samples == 2
         assert ev.exit_rate == pytest.approx(0.5)
 
+    def test_latest_zero_returns_no_rows(self):
+        buffer = WindowBuffer([0, 2], capacity=4)
+        for i in range(6):
+            buffer.record([self.obs(0, 0.3, i / 10.0, True),
+                           self.obs(2, 0.7, 0.5, False)])
+        errors, correct = buffer.latest(0)
+        assert errors.shape == (0, 2) and errors.dtype == float
+        assert correct.shape == (0, 2) and correct.dtype == bool
+        assert buffer.evaluate([0.5, 0.5], [0.3, 0.7], [0.1, 0.1], 10.0,
+                               window=0).num_samples == 0
+
+    def test_latest_negative_count_raises(self):
+        buffer = WindowBuffer([0], capacity=4)
+        for i in range(3):
+            buffer.record([self.obs(0, 0.3, i / 10.0, True)])
+        with pytest.raises(ValueError, match="count"):
+            buffer.latest(-1)
+        assert len(buffer) == 3
+
+    def test_ring_wraps_in_chronological_order(self):
+        buffer = WindowBuffer([0], capacity=4)
+        for i in range(7):
+            buffer.record([self.obs(0, 0.3, i / 10.0, i % 2 == 0)])
+        assert buffer.errors_matrix()[:, 0].tolist() == [0.3, 0.4, 0.5, 0.6]
+        assert buffer.correct_matrix()[:, 0].tolist() == [False, True, False, True]
+        errors, _ = buffer.latest(3)
+        assert errors[:, 0].tolist() == [0.4, 0.5, 0.6]
+        # Readers return copies: later records do not show through.
+        buffer.record([self.obs(0, 0.3, 0.9, True)])
+        assert errors[:, 0].tolist() == [0.4, 0.5, 0.6]
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             WindowBuffer([0], capacity=0)

@@ -18,6 +18,30 @@ def test_bs1_total_matches_table5(resnet_profile):
     assert resnet_profile.total_latency_ms(1) == pytest.approx(16.4, rel=1e-6)
 
 
+def test_total_latency_is_the_cached_node_sum_scaled():
+    """The cached bs=1 total gives the bits re-summing the nodes gave."""
+    from repro.models.zoo import MODEL_ZOO
+    for name in MODEL_ZOO:
+        base = build_latency_profile(get_model(name))
+        for profile in (base, base.scaled(2.0), base.scaled(0.7), base.scaled(3.3)):
+            node_sum = float(profile.node_latency_ms.sum())
+            for batch_size in range(1, 33):
+                assert profile.total_latency_ms(batch_size) \
+                    == profile.batch_scale(batch_size) * node_sum
+
+
+def test_node_latencies_are_read_only(resnet_profile):
+    with pytest.raises(ValueError):
+        resnet_profile.node_latency_ms[0] = 0.0
+    # The profile holds its own copy: the caller's array stays writable.
+    values = np.array([1.0, 2.0])
+    profile = type(resnet_profile)(spec=resnet_profile.spec, node_names=["a", "b"],
+                                   node_latency_ms=values,
+                                   cumulative_fraction=np.array([1 / 3, 1.0]))
+    values[0] = 5.0
+    assert profile.total_latency_ms(1) == 3.0
+
+
 def test_batch_latency_grows_with_batch_size(resnet_profile):
     latencies = [resnet_profile.total_latency_ms(b) for b in (1, 2, 4, 8, 16)]
     assert all(b > a for a, b in zip(latencies, latencies[1:]))
