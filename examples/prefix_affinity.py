@@ -79,8 +79,9 @@ def main() -> None:
     print(f"\nprefix_affinity TTFT p99 win over best prefix-blind: "
           f"{100.0 * (best_blind - affinity_ttft) / best_blind:.1f}%  "
           f"(hit rate {affinity_kv['hit_rate']:.1%})")
-    print("Same knobs on the CLI:  repro-apparate generate --replicas 4 "
-          "--balancer prefix-affinity \\\n    --kv-capacity "
+    print(f"Same knobs on the CLI:  repro-apparate run --model {MODEL} "
+          f"--workload generative:squad --replicas {REPLICAS} \\\n    "
+          "--balancer prefix-affinity --kv-capacity "
           f"{CAPACITY_TOKENS * kv_bytes_per_token(get_model(MODEL))} "
           f"--prefix-groups {PREFIX_GROUPS} --prefix-tokens {PREFIX_TOKENS}")
 

@@ -118,8 +118,8 @@ def main() -> None:
     # Elastic decode fleets work too: ClusterSpec(replicas=4,
     # autoscaler="reactive", max_replicas=8) converts the same overload into
     # scale-out, and the CLI mirrors all of it:
-    #   repro-apparate generate --replicas 4 --balancer least_work_left \
-    #       --autoscaler reactive --max-replicas 8
+    #   repro-apparate run --model t5-large --replicas 4 \
+    #       --balancer least_work_left --autoscaler reactive --max-replicas 8
 
     # --- prefill/decode disaggregation ------------------------------------
     # Production LLM fleets split the two generative phases onto separate
@@ -157,10 +157,11 @@ def main() -> None:
           f"({da['prefill_replica_seconds']:.1f} replica-seconds), "
           f"decode peak {da['peak_replicas']:.0f}; "
           f"KV transfer {da['transfer_ms_mean']:.2f}ms/seq")
-    # The CLI mirrors it, including TTFT-deadline shedding (--ttft-slo):
-    #   repro-apparate generate --disaggregate --prefill-replicas 2 \
-    #       --decode-replicas 4 --prefill-autoscaler reactive \
-    #       --decode-autoscaler reactive --ttft-slo 500
+    # The CLI mirrors it, including TTFT-deadline shedding (--slo):
+    #   repro-apparate run --model t5-large --disaggregate \
+    #       --prefill-replicas 2 --decode-replicas 4 \
+    #       --prefill-autoscaler reactive --decode-autoscaler reactive \
+    #       --slo 500
 
     # Everything is JSON-serializable for downstream tooling:
     # json.dumps(report.to_json()) / json.dumps(sweep.to_json()).

@@ -61,8 +61,8 @@ def main() -> None:
     write_chrome_trace(result.trace, TRACE_PATH)
     print(f"\nwrote {TRACE_PATH} — open in https://ui.perfetto.dev or "
           "chrome://tracing")
-    print("Same knobs on the CLI:  repro-apparate generate --disaggregate "
-          f"--sequences {SEQUENCES} \\\n    --prefill-replicas "
+    print(f"Same knobs on the CLI:  repro-apparate run --model {MODEL} "
+          f"--disaggregate --requests {SEQUENCES} \\\n    --prefill-replicas "
           f"{PREFILL_REPLICAS} --decode-replicas {DECODE_REPLICAS} "
           f"--trace-out {TRACE_PATH}")
 

@@ -3,14 +3,15 @@
 Apparate automatically injects and manages early exits (EEs) in ML models to
 lower per-request serving latency without harming platform throughput or
 violating accuracy constraints.  This package reproduces the system and its
-evaluation on top of a simulated model-execution and serving substrate (see
-DESIGN.md for the substitution rationale).
+evaluation on top of a simulated model-execution and serving substrate; the
+:mod:`repro.models` and :mod:`repro.workloads` docstrings say what each
+substitute preserves of the real models and datasets.
 
 Quickstart
 ----------
-The declarative :class:`Experiment` facade runs any set of registered
-systems — Apparate, vanilla serving, and the paper's baselines — on one
-configuration and compares them:
+The declarative :class:`Experiment` is the one way to start a run: it runs
+any set of registered systems — Apparate, vanilla serving, and the paper's
+baselines — on one configuration and compares them:
 
 >>> from repro import Experiment, WorkloadSpec
 >>> exp = Experiment(model="resnet50", workload=WorkloadSpec("video", "urban-day",
@@ -20,8 +21,9 @@ configuration and compares them:
 
 Every run is a fleet: ``Experiment``'s default :class:`ClusterSpec` is one
 replica, the paper's single-model serving setup, and ``report.kind`` is the
-model family (``classification`` or ``generative``).  The object API
-(:class:`Apparate`) mirrors the paper's register/serve workflow.
+model family (``classification`` or ``generative``).  The
+``repro-apparate run`` command (:mod:`repro.cli`) builds the same
+``Experiment`` from flags.
 
 Every serving platform — the classification cluster, the generative
 continuous-batching cluster and the disaggregated prefill/decode pools —
@@ -34,8 +36,6 @@ benchmarks/test_simspeed.py``.
 """
 
 from repro.core import (
-    Apparate,
-    ApparateDeployment,
     ApparateController,
     ApparateClusterRunResult,
     FleetController,
@@ -66,8 +66,6 @@ __all__ = [
     "SweepReport",
     "register_system",
     "list_systems",
-    "Apparate",
-    "ApparateDeployment",
     "ApparateController",
     "ApparateClusterRunResult",
     "FleetController",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Union)
@@ -30,7 +31,7 @@ from repro.api.result import (KIND_CLASSIFICATION, KIND_GENERATIVE, RunReport,
 from repro.api.specs import ClusterSpec, ExitPolicySpec, WorkloadSpec
 from repro.models.zoo import ModelSpec, get_model
 
-__all__ = ["Experiment", "DEFAULT_SYSTEMS"]
+__all__ = ["Experiment", "DEFAULT_SYSTEMS", "resolve_model"]
 
 #: Systems run when ``Experiment.run`` is called without an explicit list.
 DEFAULT_SYSTEMS = ("vanilla", "apparate")
@@ -53,6 +54,17 @@ _TOP_KEYS = ("platform", "seed", "slo_ms", "max_batch_size", "drop_expired")
 _SWEEP_KEYS = _CLUSTER_KEYS + _EE_KEYS + _WORKLOAD_KEYS + _TOP_KEYS
 
 
+def resolve_model(model: Union[str, ModelSpec]) -> ModelSpec:
+    """The :class:`ModelSpec` for a registered name (or the spec itself); an
+    unknown name raises :class:`ValueError` naming the model."""
+    if not isinstance(model, str):
+        return model
+    try:
+        return get_model(model)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
 @dataclass
 class Experiment:
     """A declarative serving experiment over the system registry.
@@ -73,7 +85,8 @@ class Experiment:
     platform:
         Serving platform name (``clockwork`` or ``tfserve``).
     slo_ms:
-        Response-time SLO; ``None`` uses the model's default.
+        Response-time SLO in ms (positive and finite; the time-to-first-token
+        SLO on generative models); ``None`` uses the model's default.
     max_batch_size:
         ``None`` selects the per-kind default (16 classification, 8 generative).
     overrides:
@@ -105,11 +118,15 @@ class Experiment:
     def __post_init__(self) -> None:
         if self.cluster is None:
             self.cluster = ClusterSpec()
+        resolve_model(self.model)
+        if self.slo_ms is not None and not 0 < self.slo_ms < math.inf:
+            raise ValueError(f"slo_ms must be positive and finite, "
+                             f"got {self.slo_ms}")
 
     # ------------------------------------------------------------ properties
     @property
     def spec(self) -> ModelSpec:
-        return get_model(self.model) if isinstance(self.model, str) else self.model
+        return resolve_model(self.model)
 
     @property
     def is_generative(self) -> bool:

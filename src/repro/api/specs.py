@@ -14,6 +14,7 @@ and every front end (Python API, CLI, benchmarks) reports the same error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -55,10 +56,10 @@ class WorkloadSpec:
         Scene / dataset preset name; empty selects the kind's default
         (``urban-day`` / ``amazon`` / ``cnn-dailymail``).
     requests:
-        Stream length (frames, requests or sequences).
+        Stream length (frames, requests or sequences), an integer >= 1.
     rate:
-        Arrival rate (fps for video, qps otherwise); ``None`` selects the
-        kind's default.
+        Arrival rate (fps for video, qps otherwise), positive and finite;
+        ``None`` selects the kind's default.
     seed:
         Workload seed; ``None`` inherits the experiment seed.
     arrival_process:
@@ -71,7 +72,8 @@ class WorkloadSpec:
         explicit process the kind's workload factory does not know raises
         :class:`ValueError`.
     overrides:
-        Optional preset-parameter overrides forwarded to the workload factory.
+        Optional preset-parameter overrides forwarded to the workload
+        factory; a key the preset lacks raises :class:`ValueError` there.
     prefix_groups / prefix_share / prefix_tokens:
         Shared-prefix structure (generative only): with ``prefix_groups > 0``
         each sequence joins one of that many prefix groups with probability
@@ -96,10 +98,11 @@ class WorkloadSpec:
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}; "
                              f"choose from {WORKLOAD_KINDS}")
-        if int(self.requests) < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not isinstance(self.requests, numbers.Integral) or self.requests < 1:
+            raise ValueError(f"requests must be an integer >= 1, "
+                             f"got {self.requests!r}")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if int(self.prefix_groups) < 0:
             raise ValueError(f"prefix_groups must be >= 0, "
                              f"got {self.prefix_groups}")
@@ -115,11 +118,11 @@ class WorkloadSpec:
                                  f"got {self.prefix_tokens}")
 
     @classmethod
-    def parse(cls, text: str, requests: int = 4000, rate: Optional[float] = None,
-              seed: Optional[int] = None) -> "WorkloadSpec":
-        """Parse ``"video:urban-day"`` / ``"nlp:imdb"`` / ``"generative:squad"``."""
+    def parse(cls, text: str, **fields) -> "WorkloadSpec":
+        """Parse ``"video:urban-day"`` / ``"nlp:imdb"`` / ``"generative:squad"``;
+        ``fields`` set the remaining fields (``requests``, ``rate``, …)."""
         kind, _, source = str(text).partition(":")
-        return cls(kind=kind, source=source, requests=requests, rate=rate, seed=seed)
+        return cls(kind=kind, source=source, **fields)
 
     @property
     def is_generative(self) -> bool:

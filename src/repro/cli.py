@@ -1,41 +1,39 @@
 """Command-line interface for the Apparate reproduction.
 
 The CLI is a thin shell over the declarative :class:`repro.api.Experiment`
-facade: each subcommand assembles an ``Experiment`` (model + workload spec +
-optional cluster spec) and runs any set of registered systems through the
-system registry (``repro.api.list_systems()``).
+facade: each subcommand assembles an ``Experiment`` and runs any set of
+registered systems through the system registry
+(``repro.api.list_systems()``).
 
 ``repro-apparate models``
     List the registered model zoo (Table 5 latencies, SLOs, tasks).
 
-``repro-apparate classify --model resnet50 --workload video:urban-day``
-    Serve a classification workload and print the cross-system comparison.
-    ``--systems`` picks the systems (default ``vanilla,apparate``; the
-    baselines ``static_ee``, ``two_layer`` and ``optimal`` are also
-    registered).  Every run is a fleet: ``--replicas N`` (default 1, the
-    paper's single-model setup) replicas behind ``--balancer``, with
-    ``--fleet-mode`` EE control; ``--autoscaler reactive --min-replicas 1
-    --max-replicas 8`` makes the fleet elastic and ``--replica-profiles
-    2,2,0.5,0.5`` heterogeneous.
-
-``repro-apparate generate --model t5-large --dataset cnn-dailymail``
-    Serve a generative workload; ``--systems`` may add ``free`` and
-    ``optimal`` (``--with-baselines`` is a shorthand for both).  The
-    token-level engines run on the same fleet control plane and take the
-    same ``--replicas``/``--balancer``/``--autoscaler``/``--min-replicas``/
-    ``--max-replicas``/``--replica-profiles`` flags as ``classify``, with
-    balancers costing replicas by outstanding decode work;
-    ``--disaggregate`` splits the fleet into prefill and decode pools.
+``repro-apparate run --model resnet50 --workload video:urban-day``
+    Serve one workload and print the cross-system comparison.  Each flag
+    sets one field of the ``WorkloadSpec``, ``ClusterSpec``,
+    ``ExitPolicySpec`` or ``Experiment``, and the model picks the kind: a
+    classification model serves ``video:<scene>`` or ``nlp:<dataset>``
+    (default ``video:urban-day``, 4000 requests), a generative one
+    ``generative:<dataset>`` (default ``generative:cnn-dailymail``, 150
+    sequences).  ``--systems`` picks the systems (default
+    ``vanilla,apparate``; the baselines ``static_ee``, ``two_layer``,
+    ``free`` and ``optimal`` are also registered).  Every run is a fleet:
+    ``--replicas N`` (default 1, the paper's single-model setup) replicas
+    behind ``--balancer``, with ``--fleet-mode`` EE control;
+    ``--autoscaler reactive --min-replicas 1 --max-replicas 8`` makes the
+    fleet elastic and ``--replica-profiles 2,2,0.5,0.5`` heterogeneous.
+    Generative fleets also take ``--kv-capacity``, the ``--prefix-*``
+    workload knobs, ``--prefill-in-slot`` and ``--disaggregate`` (separate
+    prefill and decode pools; the fleet-wide bounds and profiles then size
+    the decode pool).  ``--trace`` records request spans and fleet gauges
+    and prints a per-phase latency breakdown, ``--trace-out trace.json``
+    exports Chrome trace-event JSON for Perfetto, and ``--gauge-interval
+    MS`` sets the fleet-gauge sampling period on the simulated clock.
 
 ``repro-apparate sweep --replicas 1,2,4 --balancer round_robin,jsq``
     Run a parameter grid over replica counts / balancers / fleet modes in one
     command and print one row per grid point and system.  Generative models
     sweep too (``--model t5-large --workload generative:squad``).
-
-``classify`` and ``generate`` also take ``--trace`` (record request spans +
-fleet gauges and print a per-phase latency breakdown), ``--trace-out
-trace.json`` (export Chrome trace-event JSON for Perfetto), and
-``--gauge-interval MS`` (fleet-gauge sampling period on the simulated clock).
 
 Every subcommand accepts ``--json`` for machine-readable output
 (``RunReport.to_json()`` / ``SweepReport.to_json()``).  Validation errors
@@ -53,7 +51,8 @@ from typing import List, Optional, Sequence
 
 from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, RunReport,
                        WorkloadSpec, list_systems)
-from repro.models.zoo import Task, get_model, list_models
+from repro.api.experiment import resolve_model
+from repro.models.zoo import ModelSpec, list_models
 from repro.serving.autoscaler import AUTOSCALER_NAMES
 from repro.serving.cluster import balancer_names
 from repro.tenancy import TENANT_POLICIES
@@ -67,7 +66,7 @@ def _split_csv(text: str) -> List[str]:
 
 def _balancer_arg(text: str) -> str:
     """Normalize a CLI balancer spelling (``prefix-affinity`` ==
-    ``prefix_affinity``) before argparse checks it against ``choices``."""
+    ``prefix_affinity``)."""
     return str(text).strip().lower().replace("-", "_")
 
 
@@ -93,22 +92,6 @@ def _parse_float_list(text: str, option: str) -> List[float]:
     return values
 
 
-def _add_trace_args(parser) -> None:
-    """Observability flags shared by the classify and generate commands."""
-    parser.add_argument("--trace", action="store_true",
-                        help="record request spans and fleet gauges; prints "
-                             "a per-phase latency breakdown after the run")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write the recorded trace as Chrome trace-event "
-                             "JSON (load in Perfetto / chrome://tracing); "
-                             "implies --trace.  With multiple systems, one "
-                             "file per system (suffixed with the system name)")
-    parser.add_argument("--gauge-interval", type=float, default=None,
-                        metavar="MS",
-                        help="fleet-gauge sampling period in simulated ms "
-                             "(default 50; requires --trace/--trace-out)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -118,171 +101,124 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list the registered model zoo")
 
-    classify = sub.add_parser("classify", help="serve a classification workload")
-    classify.add_argument("--model", default="resnet50",
-                          help="registered model name (see the 'models' command)")
-    classify.add_argument("--workload", default="video:urban-day",
-                          help="'video:<scene>' or 'nlp:<dataset>'")
-    classify.add_argument("--systems", default="vanilla,apparate",
-                          help="comma-separated registered systems to compare "
-                               f"(classification systems: "
-                               f"{','.join(list_systems('classification'))})")
-    classify.add_argument("--requests", type=int, default=4000,
-                          help="number of requests to serve")
-    classify.add_argument("--rate", type=float, default=None,
-                          help="arrival rate in qps (video default: 30 fps)")
-    classify.add_argument("--platform", default="clockwork",
-                          choices=["clockwork", "tfserve"])
-    classify.add_argument("--accuracy-constraint", type=float, default=0.01)
-    classify.add_argument("--ramp-budget", type=float, default=0.02)
-    classify.add_argument("--seed", type=int, default=0)
-    classify.add_argument("--replicas", type=int, default=1,
-                          help="number of model replicas (default: 1)")
-    classify.add_argument("--balancer", default="round_robin", type=_balancer_arg,
-                          choices=list(balancer_names("classification")),
-                          help="load-balancing policy (default: round_robin)")
-    classify.add_argument("--fleet-mode", default="independent",
-                          choices=["independent", "shared"],
-                          help="EE control topology: one controller per replica "
-                               "(independent, the default) or one shared fleet "
-                               "controller with periodic sync")
-    classify.add_argument("--autoscaler", default="none",
-                          choices=list(AUTOSCALER_NAMES),
-                          help="fleet autoscaling policy (default: none, a "
-                               "fixed fleet)")
-    classify.add_argument("--min-replicas", type=int, default=None,
-                          help="lower fleet bound for the autoscaler "
-                               "(default: 1 when a scaler is enabled)")
-    classify.add_argument("--max-replicas", type=int, default=None,
-                          help="upper fleet bound for the autoscaler "
-                               "(default: 2x --replicas when a scaler is enabled)")
-    classify.add_argument("--replica-profiles", default=None,
-                          help="comma-separated per-replica speed[:cost] "
-                               "multipliers for a heterogeneous fleet, e.g. "
-                               "'2,2,0.5,0.5' (must match --replicas)")
-    classify.add_argument("--tenants", default=None,
-                          help="multi-tenant mix as 'name:key=value,...;...' "
-                               "(keys: weight/share/priority/slo/ttft/exits), "
-                               "e.g. 'chat:weight=4;batch:priority=batch'")
-    classify.add_argument("--tenant-policy", default="weighted_fair",
-                          choices=list(TENANT_POLICIES),
-                          help="dispatch discipline across tenants "
-                               "(default: weighted_fair)")
-    classify.add_argument("--faults", default=None,
-                          help="replica failure injection: "
-                               "'crash_ms:down_ms[:pool];...' or "
-                               "'mtbf=..,mttr=..,horizon=..[,seed=..][,pool=..]' "
-                               "for a seeded random schedule")
-    _add_trace_args(classify)
-    classify.add_argument("--json", action="store_true",
-                          help="print the RunReport as JSON instead of a table")
-
-    generate = sub.add_parser("generate", help="serve a generative workload")
-    generate.add_argument("--model", default="t5-large")
-    generate.add_argument("--dataset", default="cnn-dailymail",
-                          choices=["cnn-dailymail", "squad"])
-    generate.add_argument("--systems", default="vanilla,apparate",
-                          help="comma-separated registered systems to compare "
-                               f"(generative systems: "
-                               f"{','.join(list_systems('generative'))})")
-    generate.add_argument("--sequences", type=int, default=150)
-    generate.add_argument("--rate", type=float, default=2.0)
-    generate.add_argument("--accuracy-constraint", type=float, default=0.01)
-    generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--with-baselines", action="store_true",
-                          help="also run the FREE baseline and the optimal oracle")
-    generate.add_argument("--replicas", type=int, default=1,
-                          help="number of decode replicas (default: 1)")
-    generate.add_argument("--balancer", default="round_robin", type=_balancer_arg,
-                          choices=list(balancer_names("generative")),
-                          help="load-balancing policy "
-                               "(default: round_robin; work-aware policies "
-                               "cost replicas by outstanding decode tokens; "
-                               "kv_aware_least_work / prefix_affinity also "
-                               "read each replica's KV-cache state)")
-    generate.add_argument("--fleet-mode", default="independent",
-                          choices=["independent", "shared"],
-                          help="token-EE control topology: one policy per "
-                               "replica (independent, the default) or one "
-                               "fleet-wide policy fed by every replica")
-    generate.add_argument("--autoscaler", default="none",
-                          choices=list(AUTOSCALER_NAMES),
-                          help="fleet autoscaling policy (default: none, a "
-                               "fixed fleet)")
-    generate.add_argument("--min-replicas", type=int, default=None,
-                          help="lower fleet bound for the autoscaler "
-                               "(default: 1 when a scaler is enabled; with "
-                               "--disaggregate this bounds the decode pool)")
-    generate.add_argument("--max-replicas", type=int, default=None,
-                          help="upper fleet bound for the autoscaler "
-                               "(default: 2x --replicas when a scaler is "
-                               "enabled; with --disaggregate this bounds "
-                               "the decode pool)")
-    generate.add_argument("--replica-profiles", default=None,
-                          help="comma-separated per-replica speed[:cost] "
-                               "multipliers for a heterogeneous decode fleet "
-                               "(must match --replicas; with --disaggregate "
-                               "these profile the decode pool and must match "
-                               "--decode-replicas)")
-    generate.add_argument("--kv-capacity", type=float, default=None,
-                          help="per-replica KV-cache budget in bytes; when the "
-                               "working set overflows it, LRU sequences are "
-                               "evicted and pay a recompute penalty (default: "
-                               "unbounded, the pre-existing behavior)")
-    generate.add_argument("--prefix-groups", type=int, default=None,
-                          help="number of shared-prefix groups in the workload "
-                               "(0, the default, disables prefix structure)")
-    generate.add_argument("--prefix-share", type=float, default=None,
-                          help="fraction of sequences that belong to a shared-"
-                               "prefix group (default: 0.8)")
-    generate.add_argument("--prefix-tokens", type=int, default=None,
-                          help="length in tokens of each group's shared prefix "
-                               "(default: 256)")
-    generate.add_argument("--prefill-in-slot", action="store_true",
-                          help="monolithic fleets only: charge each prompt's "
-                               "chunked prefill inside the claiming decode "
-                               "slot (stretched by busy-slot contention) — "
-                               "the honest comparator for --disaggregate")
-    generate.add_argument("--disaggregate", action="store_true",
-                          help="split the fleet into a prefill pool and a "
-                               "decode pool with a KV-transfer handoff queue "
-                               "(each pool balanced and autoscaled "
-                               "independently)")
-    generate.add_argument("--prefill-replicas", type=int, default=None,
-                          help="initial prefill pool size (disaggregated "
-                               "serving; default: --replicas)")
-    generate.add_argument("--decode-replicas", type=int, default=None,
-                          help="initial decode pool size (disaggregated "
-                               "serving; default: --replicas)")
-    generate.add_argument("--prefill-autoscaler", default=None,
-                          choices=list(AUTOSCALER_NAMES),
-                          help="prefill pool autoscaling policy, scaling on "
-                               "queued prompt tokens (default: --autoscaler)")
-    generate.add_argument("--decode-autoscaler", default=None,
-                          choices=list(AUTOSCALER_NAMES),
-                          help="decode pool autoscaling policy, scaling on "
-                               "outstanding decode work (default: "
-                               "--autoscaler)")
-    generate.add_argument("--ttft-slo", type=float, default=None,
-                          help="time-to-first-token SLO in ms; sequences "
-                               "whose wait already blew it are shed "
-                               "(counted in the 'shed' metric)")
-    generate.add_argument("--tenants", default=None,
-                          help="multi-tenant mix as 'name:key=value,...;...' "
-                               "(keys: weight/share/priority/slo/ttft/exits), "
-                               "e.g. 'chat:weight=4;batch:priority=batch'")
-    generate.add_argument("--tenant-policy", default="weighted_fair",
-                          choices=list(TENANT_POLICIES),
-                          help="dispatch discipline across tenants "
-                               "(default: weighted_fair)")
-    generate.add_argument("--faults", default=None,
-                          help="replica failure injection: "
-                               "'crash_ms:down_ms[:pool];...' or "
-                               "'mtbf=..,mttr=..,horizon=..[,seed=..][,pool=..]' "
-                               "for a seeded random schedule")
-    _add_trace_args(generate)
-    generate.add_argument("--json", action="store_true",
-                          help="print the RunReport as JSON instead of a table")
+    run = sub.add_parser("run", help="serve one workload and compare systems")
+    run.add_argument("--model", default="resnet50",
+                     help="registered model name (see the 'models' command); "
+                          "it picks the kind, classification or generative")
+    run.add_argument("--workload", default=None,
+                     help="'video:<scene>', 'nlp:<dataset>' or "
+                          "'generative:<dataset>' (default: video:urban-day, "
+                          "or generative:cnn-dailymail for generative models)")
+    run.add_argument("--systems", default="vanilla,apparate",
+                     help="comma-separated registered systems to compare "
+                          f"({','.join(list_systems())})")
+    run.add_argument("--requests", type=int, default=None,
+                     help="requests (sequences on generative models) to "
+                          "serve (default: 4000, or 150 for generative models)")
+    run.add_argument("--rate", type=float, default=None,
+                     help="arrival rate, fps for video and qps otherwise "
+                          "(default: 30 fps video, 20 qps nlp, 2 qps "
+                          "generative)")
+    run.add_argument("--platform", default="clockwork",
+                     choices=["clockwork", "tfserve"])
+    run.add_argument("--accuracy-constraint", type=float, default=0.01)
+    run.add_argument("--ramp-budget", type=float, default=0.02)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--slo", type=float, default=None,
+                     help="SLO in ms (default: the model's); on generative "
+                          "models the time-to-first-token SLO, past which "
+                          "waiting sequences are shed")
+    run.add_argument("--replicas", type=int, default=1,
+                     help="number of model replicas (default: 1)")
+    run.add_argument("--balancer", default="round_robin", type=_balancer_arg,
+                     help=f"load-balancing policy, one of "
+                          f"{', '.join(balancer_names())} (default: "
+                          "round_robin); kv_aware_least_work and "
+                          "prefix_affinity are generative-only")
+    run.add_argument("--fleet-mode", default="independent",
+                     choices=["independent", "shared"],
+                     help="EE control topology: one controller per replica "
+                          "(independent, the default) or one shared fleet "
+                          "controller")
+    run.add_argument("--autoscaler", default="none",
+                     choices=list(AUTOSCALER_NAMES),
+                     help="fleet autoscaling policy (default: none, a fixed "
+                          "fleet)")
+    run.add_argument("--min-replicas", type=int, default=None,
+                     help="lower fleet bound for the autoscaler (default: 1 "
+                          "when a scaler is enabled; with --disaggregate "
+                          "this bounds the decode pool)")
+    run.add_argument("--max-replicas", type=int, default=None,
+                     help="upper fleet bound for the autoscaler (default: "
+                          "2x --replicas when a scaler is enabled; with "
+                          "--disaggregate this bounds the decode pool)")
+    run.add_argument("--replica-profiles", default=None,
+                     help="comma-separated per-replica speed[:cost] "
+                          "multipliers for a heterogeneous fleet, e.g. "
+                          "'2,2,0.5,0.5' (must match --replicas; with "
+                          "--disaggregate these profile the decode pool and "
+                          "must match --decode-replicas)")
+    run.add_argument("--kv-capacity", type=float, default=None,
+                     help="generative only: per-replica KV-cache budget in "
+                          "bytes; overflow evicts LRU sequences, which pay a "
+                          "recompute penalty (default: unbounded)")
+    run.add_argument("--prefix-groups", type=int, default=0,
+                     help="generative only: number of shared-prefix groups "
+                          "in the workload (0, the default, disables prefix "
+                          "structure)")
+    run.add_argument("--prefix-share", type=float, default=0.8,
+                     help="fraction of sequences that belong to a shared-"
+                          "prefix group (default: 0.8)")
+    run.add_argument("--prefix-tokens", type=int, default=256,
+                     help="length in tokens of each group's shared prefix "
+                          "(default: 256)")
+    run.add_argument("--prefill-in-slot", action="store_true",
+                     help="monolithic generative fleets only: run each "
+                          "prompt's chunked prefill inside its decode slot, "
+                          "the honest comparator for --disaggregate")
+    run.add_argument("--disaggregate", action="store_true",
+                     help="generative only: split the fleet into prefill and "
+                          "decode pools joined by a KV-transfer handoff "
+                          "queue; implied by the pool flags below")
+    run.add_argument("--prefill-replicas", type=int, default=None,
+                     help="initial prefill pool size (default: --replicas)")
+    run.add_argument("--decode-replicas", type=int, default=None,
+                     help="initial decode pool size (default: --replicas)")
+    run.add_argument("--prefill-autoscaler", default=None,
+                     choices=list(AUTOSCALER_NAMES),
+                     help="prefill pool autoscaling policy, scaling on "
+                          "queued prompt tokens (default: --autoscaler)")
+    run.add_argument("--decode-autoscaler", default=None,
+                     choices=list(AUTOSCALER_NAMES),
+                     help="decode pool autoscaling policy, scaling on "
+                          "outstanding decode work (default: --autoscaler)")
+    run.add_argument("--tenants", default=None,
+                     help="multi-tenant mix as 'name:key=value,...;...' "
+                          "(keys: weight/share/priority/slo/ttft/exits), "
+                          "e.g. 'chat:weight=4;batch:priority=batch'")
+    run.add_argument("--tenant-policy", default="weighted_fair",
+                     choices=list(TENANT_POLICIES),
+                     help="dispatch discipline across tenants "
+                          "(default: weighted_fair)")
+    run.add_argument("--faults", default=None,
+                     help="replica failure injection: "
+                          "'crash_ms:down_ms[:pool];...' or "
+                          "'mtbf=..,mttr=..,horizon=..[,seed=..][,pool=..]' "
+                          "for a seeded random schedule")
+    run.add_argument("--trace", action="store_true",
+                     help="record request spans and fleet gauges; prints a "
+                          "per-phase latency breakdown after the run")
+    run.add_argument("--trace-out", default=None, metavar="PATH",
+                     help="write the recorded trace as Chrome trace-event "
+                          "JSON (load in Perfetto / chrome://tracing); "
+                          "implies --trace.  With multiple systems, one file "
+                          "per system (suffixed with the system name)")
+    run.add_argument("--gauge-interval", type=float, default=None,
+                     metavar="MS",
+                     help="fleet-gauge sampling period in simulated ms "
+                          "(default 50; requires --trace/--trace-out)")
+    run.add_argument("--json", action="store_true",
+                     help="print the RunReport as JSON instead of a table")
 
     sweep = sub.add_parser(
         "sweep", help="run a parameter grid (replicas x balancer x fleet mode)")
@@ -578,103 +514,55 @@ def _fleet_header(cluster: ClusterSpec) -> str:
     return header
 
 
-def _classification_experiment(args: argparse.Namespace) -> Experiment:
-    spec = get_model(args.model)
-    if spec.task is Task.GENERATIVE:
-        raise ValueError(f"{spec.name} is generative; use the 'generate' command")
-    workload = WorkloadSpec.parse(args.workload, requests=args.requests,
-                                  rate=args.rate)
-    ee = ExitPolicySpec(accuracy_constraint=args.accuracy_constraint,
-                        ramp_budget=args.ramp_budget)
-    cluster = ClusterSpec(replicas=int(args.replicas), balancer=args.balancer,
-                          fleet_mode=args.fleet_mode, autoscaler=args.autoscaler,
-                          min_replicas=args.min_replicas,
-                          max_replicas=args.max_replicas,
-                          profiles=args.replica_profiles, tenants=args.tenants,
-                          tenant_policy=args.tenant_policy, faults=args.faults)
-    return Experiment(model=spec, workload=workload, cluster=cluster, ee=ee,
-                      platform=args.platform, seed=args.seed,
-                      trace=_trace_spec(args))
+def _default_workload(spec: ModelSpec) -> str:
+    """The workload a model serves when ``--workload`` is not given."""
+    return "generative:cnn-dailymail" if spec.is_generative else "video:urban-day"
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    experiment = _classification_experiment(args)
+def _cmd_run(args: argparse.Namespace) -> int:
+    spec = resolve_model(args.model)
+    requests = args.requests if args.requests is not None \
+        else (150 if spec.is_generative else 4000)
+    workload = WorkloadSpec.parse(args.workload or _default_workload(spec),
+                                  requests=requests, rate=args.rate,
+                                  prefix_groups=args.prefix_groups,
+                                  prefix_share=args.prefix_share,
+                                  prefix_tokens=args.prefix_tokens)
+    disaggregate = args.disaggregate or any(
+        value is not None for value in
+        (args.prefill_replicas, args.decode_replicas,
+         args.prefill_autoscaler, args.decode_autoscaler))
+    # Fleet-wide bounds and profiles size the decode pool of a disaggregated
+    # fleet (the pool --replicas sizes by default); the prefill pool is
+    # bounded by its own autoscaler band.
+    pool = "decode_" if disaggregate else ""
+    cluster = ClusterSpec(
+        replicas=args.replicas, balancer=args.balancer,
+        fleet_mode=args.fleet_mode, autoscaler=args.autoscaler,
+        kv_capacity=args.kv_capacity, prefill_in_slot=args.prefill_in_slot,
+        disaggregate=disaggregate, prefill_replicas=args.prefill_replicas,
+        decode_replicas=args.decode_replicas,
+        prefill_autoscaler=args.prefill_autoscaler,
+        decode_autoscaler=args.decode_autoscaler, tenants=args.tenants,
+        tenant_policy=args.tenant_policy, faults=args.faults,
+        **{pool + "min_replicas": args.min_replicas,
+           pool + "max_replicas": args.max_replicas,
+           pool + "profiles": args.replica_profiles})
+    experiment = Experiment(
+        model=spec, workload=workload, cluster=cluster,
+        ee=ExitPolicySpec(accuracy_constraint=args.accuracy_constraint,
+                          ramp_budget=args.ramp_budget),
+        platform=args.platform, slo_ms=args.slo, seed=args.seed,
+        trace=_trace_spec(args))
     report = experiment.run(_split_csv(args.systems))
     if args.trace_out:
         _write_traces(report, args.trace_out)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
         return 0
-    print(f"model={experiment.spec.name} workload={args.workload} "
-          f"platform={args.platform} requests={args.requests}"
-          + _fleet_header(experiment.cluster))
-    print(report.format_table())
-    _print_dispatch_lines(report)
-    _print_fleet_size_lines(report)
-    _print_fleet_stats(report)
-    _print_tenant_lines(report)
-    _print_obs_lines(report)
-    _print_win_line(report)
-    return 0
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = get_model(args.model)
-    if not spec.is_generative:
-        raise ValueError(f"{spec.name} is not generative; use the 'classify' command")
-    systems = _split_csv(args.systems)
-    if args.with_baselines:
-        systems += [name for name in ("free", "optimal") if name not in systems]
-    workload = WorkloadSpec(kind="generative", source=args.dataset,
-                            requests=args.sequences, rate=args.rate,
-                            prefix_groups=args.prefix_groups or 0,
-                            prefix_share=args.prefix_share
-                            if args.prefix_share is not None else 0.8,
-                            prefix_tokens=args.prefix_tokens
-                            if args.prefix_tokens is not None else 256)
-    if args.ttft_slo is not None and args.ttft_slo <= 0:
-        # An explicit flag value gets explicit validation (the zero-means-off
-        # rule exists only to absorb model default_slo_ms=0.0 internally).
-        raise ValueError(f"--ttft-slo must be positive, got {args.ttft_slo}")
-    disaggregate = args.disaggregate or any(
-        value is not None for value in
-        (args.prefill_replicas, args.decode_replicas,
-         args.prefill_autoscaler, args.decode_autoscaler))
-    if disaggregate and args.prefill_in_slot:
-        raise ValueError("--prefill-in-slot is the monolithic deployment; "
-                         "it cannot be combined with --disaggregate")
-    fleet = dict(replicas=int(args.replicas), balancer=args.balancer,
-                 fleet_mode=args.fleet_mode, autoscaler=args.autoscaler,
-                 kv_capacity=args.kv_capacity, tenants=args.tenants,
-                 tenant_policy=args.tenant_policy, faults=args.faults)
-    if disaggregate:
-        # Fleet-wide --min/--max-replicas and --replica-profiles apply to the
-        # decode pool (the pool --replicas sizes by default); the prefill
-        # pool is bounded by its own autoscaler band.
-        cluster = ClusterSpec(disaggregate=True,
-                              prefill_replicas=args.prefill_replicas,
-                              decode_replicas=args.decode_replicas,
-                              prefill_autoscaler=args.prefill_autoscaler,
-                              decode_autoscaler=args.decode_autoscaler,
-                              decode_min_replicas=args.min_replicas,
-                              decode_max_replicas=args.max_replicas,
-                              decode_profiles=args.replica_profiles, **fleet)
-    else:
-        cluster = ClusterSpec(min_replicas=args.min_replicas,
-                              max_replicas=args.max_replicas,
-                              profiles=args.replica_profiles,
-                              prefill_in_slot=args.prefill_in_slot, **fleet)
-    experiment = Experiment(
-        model=spec, workload=workload, cluster=cluster,
-        ee=ExitPolicySpec(accuracy_constraint=args.accuracy_constraint),
-        slo_ms=args.ttft_slo, seed=args.seed, trace=_trace_spec(args))
-    report = experiment.run(systems)
-    if args.trace_out:
-        _write_traces(report, args.trace_out)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-        return 0
-    header = f"model={spec.name} dataset={args.dataset} sequences={args.sequences}"
+    header = (f"model={spec.name} workload={workload.kind}:"
+              f"{workload.resolved_source()} platform={args.platform} "
+              f"requests={workload.requests}")
     if workload.prefix_groups:
         header += (f" prefix={workload.prefix_groups}x"
                    f"{workload.prefix_tokens}tok"
@@ -685,6 +573,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     _print_fleet_size_lines(report)
     _print_pool_lines(report)
     _print_kv_lines(report)
+    _print_fleet_stats(report)
     _print_tenant_lines(report)
     _print_obs_lines(report)
     _print_win_line(report)
@@ -692,10 +581,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = get_model(args.model)
-    default_workload = "generative:cnn-dailymail" if spec.is_generative \
-        else "video:urban-day"
-    workload = WorkloadSpec.parse(args.workload or default_workload,
+    spec = resolve_model(args.model)
+    workload = WorkloadSpec.parse(args.workload or _default_workload(spec),
                                   requests=args.requests, rate=args.rate)
     experiment = Experiment(
         model=spec, workload=workload,
@@ -712,7 +599,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.autoscaler:
         grid["autoscaler"] = _split_csv(args.autoscaler)
     # Fleet-wide bounds/profiles target the decode pool in disaggregated
-    # grids (matching the 'generate' command's remapping) — the ClusterSpec
+    # grids (matching the 'run' command's remapping) — the ClusterSpec
     # fleet-wide keys are rejected as dead configuration there.
     if args.min_replicas is not None:
         grid["decode_min_replicas" if disaggregated
@@ -795,8 +682,7 @@ def _sweep_progress_printer():
 
 _COMMANDS = {
     "models": _cmd_models,
-    "classify": _cmd_classify,
-    "generate": _cmd_generate,
+    "run": _cmd_run,
     "sweep": _cmd_sweep,
 }
 

@@ -45,7 +45,6 @@ class ControllerStats:
     accuracy_triggered_tunings: int = 0
     ramp_adjustments: int = 0
     ramp_set_changes: int = 0
-    tuning_runtime_ms: float = 0.0
     config_history: List[Tuple[int, List[int]]] = field(default_factory=list)
 
     def record_config(self, sample_index: int, active_ramp_ids: Sequence[int]) -> None:
@@ -154,7 +153,6 @@ class ApparateController:
                                         conservative_margin=0.5)
         self.config.set_thresholds(result.thresholds_by_ramp(self.config.active_ramp_ids))
         self.stats.threshold_tunings += 1
-        self.stats.tuning_runtime_ms += result.runtime_ms
         if triggered_by_accuracy:
             self.stats.accuracy_triggered_tunings += 1
 

@@ -6,8 +6,6 @@ into the end-to-end Apparate system:
 * :mod:`repro.exits.ramps` — ramp specifications and architectures;
 * :mod:`repro.exits.placement` — cut-vertex candidate enumeration, uniform
   initial spacing and ramp-budget accounting (§3.1);
-* :mod:`repro.exits.training` — independent, parallel ramp training on
-  bootstrap data (§3.1);
 * :mod:`repro.exits.config` — the deployed EE configuration (active ramps and
   their thresholds);
 * :mod:`repro.exits.evaluation` — replay-based evaluation of candidate
@@ -24,7 +22,6 @@ from repro.exits.config import EEConfig
 from repro.exits.evaluation import ConfigEvaluation, WindowBuffer, evaluate_thresholds
 from repro.exits.thresholds import ThresholdTuningResult, tune_thresholds_greedy, tune_thresholds_grid
 from repro.exits.adjustment import RampAdjuster, RampUtility, AdjustmentDecision
-from repro.exits.training import RampTrainer, RampTrainingReport
 
 __all__ = [
     "RampSpec",
@@ -44,6 +41,4 @@ __all__ = [
     "RampAdjuster",
     "RampUtility",
     "AdjustmentDecision",
-    "RampTrainer",
-    "RampTrainingReport",
 ]

@@ -23,6 +23,7 @@ from repro.utils.rng import RngFactory
 from repro.workloads.arrivals import (diurnal_arrivals,
                                       flash_crowd_arrivals, poisson_arrivals,
                                       trace_arrivals)
+from repro.workloads.difficulty import resolve_preset
 
 __all__ = ["SequenceSample", "GenerativeWorkload", "make_generative_workload",
            "GENERATIVE_DATASET_PRESETS"]
@@ -147,9 +148,8 @@ def make_generative_workload(dataset: str = "cnn-dailymail", num_sequences: int 
     bit-identical.
     """
     rng_factory = RngFactory(seed)
-    preset = dict(GENERATIVE_DATASET_PRESETS.get(dataset, GENERATIVE_DATASET_PRESETS["cnn-dailymail"]))
-    if preset_overrides:
-        preset.update(preset_overrides)
+    preset = resolve_preset(GENERATIVE_DATASET_PRESETS, dataset, "cnn-dailymail",
+                            preset_overrides)
 
     length_rng = rng_factory.generator(f"gen:{dataset}:lengths")
     prompt_rng = rng_factory.generator(f"gen:{dataset}:prompts")

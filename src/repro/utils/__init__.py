@@ -1,4 +1,4 @@
-"""Shared utilities: seeded randomness, windowed statistics, event primitives."""
+"""Shared utilities: seeded randomness and windowed statistics."""
 
 from repro.utils.rng import RngFactory, derive_seed
 from repro.utils.stats import (

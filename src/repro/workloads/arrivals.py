@@ -34,8 +34,8 @@ __all__ = ["fixed_rate_arrivals", "poisson_arrivals", "maf_trace_arrivals",
 
 def fixed_rate_arrivals(n: int, rate_qps: float, start_ms: float = 0.0) -> np.ndarray:
     """Arrival timestamps (ms) for ``n`` requests at a constant rate."""
-    if rate_qps <= 0:
-        raise ValueError("rate_qps must be positive")
+    if not 0 < rate_qps < np.inf:
+        raise ValueError(f"rate_qps must be positive and finite, got {rate_qps}")
     interval_ms = 1000.0 / rate_qps
     return start_ms + interval_ms * np.arange(n, dtype=float)
 
@@ -43,8 +43,8 @@ def fixed_rate_arrivals(n: int, rate_qps: float, start_ms: float = 0.0) -> np.nd
 def poisson_arrivals(n: int, rate_qps: float, rng: np.random.Generator,
                      start_ms: float = 0.0) -> np.ndarray:
     """Arrival timestamps (ms) for a Poisson process with the given mean rate."""
-    if rate_qps <= 0:
-        raise ValueError("rate_qps must be positive")
+    if not 0 < rate_qps < np.inf:
+        raise ValueError(f"rate_qps must be positive and finite, got {rate_qps}")
     gaps_ms = rng.exponential(1000.0 / rate_qps, size=n)
     return start_ms + np.cumsum(gaps_ms)
 
@@ -59,8 +59,9 @@ def maf_trace_arrivals(n: int, mean_rate_qps: float, rng: np.random.Generator,
     becomes a burst with ``burst_multiplier``x the current rate.  Requests are
     spread uniformly within each second.
     """
-    if mean_rate_qps <= 0:
-        raise ValueError("mean_rate_qps must be positive")
+    if not 0 < mean_rate_qps < np.inf:
+        raise ValueError(f"mean_rate_qps must be positive and finite, "
+                         f"got {mean_rate_qps}")
     times = np.empty(n, dtype=float)
     produced = 0
     second = 0
@@ -93,8 +94,8 @@ def diurnal_arrivals(n: int, low_qps: float, high_qps: float, period_s: float = 
     (fractional arrivals carry over between seconds), which autoscaling
     determinism tests rely on.
     """
-    if low_qps <= 0 or high_qps < low_qps:
-        raise ValueError(f"need 0 < low_qps <= high_qps, "
+    if not 0 < low_qps <= high_qps < np.inf:
+        raise ValueError(f"need 0 < low_qps <= high_qps < inf, "
                          f"got low={low_qps}, high={high_qps}")
     if period_s <= 0:
         raise ValueError("period_s must be positive")
@@ -137,8 +138,8 @@ def flash_crowd_arrivals(n: int, base_qps: float, rng: np.random.Generator,
     flash-crowd shape that overwhelms queues faster than reactive autoscalers
     can follow, the stress case for tenant isolation and failure injection.
     """
-    if base_qps <= 0:
-        raise ValueError(f"base_qps must be positive, got {base_qps}")
+    if not 0 < base_qps < np.inf:
+        raise ValueError(f"base_qps must be positive and finite, got {base_qps}")
     if spike_start_s < 0:
         raise ValueError(f"spike_start_s must be >= 0, got {spike_start_s}")
     if spike_multiplier < 1.0:

@@ -19,7 +19,7 @@ share without re-simulating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,25 @@ __all__ = [
     "DifficultyTrace",
     "RandomWalkDifficulty",
     "RegimeSwitchDifficulty",
+    "resolve_preset",
 ]
+
+
+def resolve_preset(presets: Mapping[str, Mapping[str, float]], name: str,
+                   fallback: str,
+                   overrides: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
+    """The parameters of preset ``name`` (an unknown name uses ``fallback``'s)
+    with ``overrides`` applied.  Every workload factory resolves its preset
+    here, so an override key the preset does not have raises
+    :class:`ValueError` naming it before any trace is drawn."""
+    preset = dict(presets.get(name, presets[fallback]))
+    if overrides:
+        unknown = sorted(set(overrides) - set(preset))
+        if unknown:
+            raise ValueError(f"unknown workload override key(s) {unknown}; "
+                             f"choose from {sorted(preset)}")
+        preset.update(overrides)
+    return preset
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from repro.utils.rng import RngFactory
 from repro.workloads.arrivals import (flash_crowd_arrivals,
                                       maf_trace_arrivals, poisson_arrivals,
                                       trace_arrivals)
-from repro.workloads.difficulty import DifficultyTrace, RegimeSwitchDifficulty
+from repro.workloads.difficulty import (DifficultyTrace, RegimeSwitchDifficulty,
+                                        resolve_preset)
 
 __all__ = ["NLPWorkload", "make_nlp_workload", "NLP_DATASET_PRESETS"]
 
@@ -72,9 +73,7 @@ def make_nlp_workload(dataset: str = "amazon", num_requests: int = 20_000,
         in ms).
     """
     rng_factory = RngFactory(seed)
-    preset = dict(NLP_DATASET_PRESETS.get(dataset, NLP_DATASET_PRESETS["amazon"]))
-    if preset_overrides:
-        preset.update(preset_overrides)
+    preset = resolve_preset(NLP_DATASET_PRESETS, dataset, "amazon", preset_overrides)
     process = RegimeSwitchDifficulty(
         base_mean=preset["base_mean"],
         regime_spread=preset["regime_spread"],

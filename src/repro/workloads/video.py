@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.utils.rng import RngFactory
 from repro.workloads.arrivals import fixed_rate_arrivals
-from repro.workloads.difficulty import DifficultyTrace, RandomWalkDifficulty
+from repro.workloads.difficulty import (DifficultyTrace, RandomWalkDifficulty,
+                                        resolve_preset)
 
 __all__ = ["VideoWorkload", "make_video_workload", "VIDEO_SCENE_PRESETS"]
 
@@ -61,9 +62,7 @@ def make_video_workload(name: str = "urban-day", num_frames: int = 20_000,
         Workload seed (independent streams for difficulty and arrivals).
     """
     rng_factory = RngFactory(seed)
-    preset = dict(VIDEO_SCENE_PRESETS.get(name, VIDEO_SCENE_PRESETS["urban-day"]))
-    if preset_overrides:
-        preset.update(preset_overrides)
+    preset = resolve_preset(VIDEO_SCENE_PRESETS, name, "urban-day", preset_overrides)
     process = RandomWalkDifficulty(
         mean=preset["mean"],
         volatility=preset["volatility"],

@@ -71,6 +71,39 @@ def test_spec_validation_names_the_offending_value():
         ExitPolicySpec(accuracy_constraint=-0.5)
 
 
+def test_unknown_model_raises_value_error_naming_it():
+    with pytest.raises(ValueError, match="unknown model 'nope'"):
+        Experiment(model="nope", workload=WORKLOAD)
+
+
+def test_non_finite_slo_is_rejected():
+    with pytest.raises(ValueError, match="slo_ms"):
+        Experiment(model="resnet50", workload=WORKLOAD, slo_ms=float("nan"))
+
+
+def test_fractional_request_count_is_rejected():
+    with pytest.raises(ValueError, match="requests.*10.5"):
+        WorkloadSpec("video", requests=10.5)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_non_finite_rate_is_rejected_at_both_entry_points(rate):
+    """A NaN rate used to hang the run and an infinite one put every frame
+    at t = 0; the spec and the workload factory both reject them."""
+    from repro.workloads.video import make_video_workload
+    with pytest.raises(ValueError, match="rate"):
+        WorkloadSpec("video", requests=50, rate=rate)
+    with pytest.raises(ValueError, match="rate"):
+        make_video_workload("urban-day", num_frames=50, fps=rate)
+
+
+@pytest.mark.parametrize("kind", ["video", "nlp", "generative"])
+def test_unknown_workload_override_key_is_rejected(kind):
+    spec = WorkloadSpec(kind, requests=10, overrides={"zzz": 1.0})
+    with pytest.raises(ValueError, match="zzz"):
+        spec.materialize()
+
+
 def test_unknown_ramp_style_raises_value_error_naming_the_key():
     with pytest.raises(ValueError, match="ramp_style.*'bogus'.*lightweight"):
         ExitPolicySpec(ramp_style="bogus")

@@ -22,7 +22,7 @@ def test_models_command_lists_zoo(capsys):
 
 
 def test_classify_command_runs_small_video_workload(capsys):
-    code = main(["classify", "--model", "resnet50", "--workload", "video:urban-day",
+    code = main(["run", "--model", "resnet50", "--workload", "video:urban-day",
                  "--requests", "800", "--seed", "5"])
     assert code == 0
     out = capsys.readouterr().out
@@ -30,33 +30,36 @@ def test_classify_command_runs_small_video_workload(capsys):
     assert "Apparate" in out
 
 
-def test_classify_command_rejects_generative_model():
-    with pytest.raises(SystemExit):
-        main(["classify", "--model", "t5-large", "--requests", "100"])
-
-
 def test_classify_command_rejects_unknown_workload_kind():
     with pytest.raises(SystemExit):
-        main(["classify", "--model", "resnet50", "--workload", "audio:calls",
+        main(["run", "--model", "resnet50", "--workload", "audio:calls",
               "--requests", "100"])
 
 
 def test_generate_command_runs_small_workload(capsys):
-    code = main(["generate", "--model", "t5-large", "--dataset", "squad",
-                 "--sequences", "30", "--seed", "5"])
+    code = main(["run", "--model", "t5-large", "--workload", "generative:squad",
+                 "--requests", "30", "--seed", "5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "median TPT win" in out
     assert "vanilla" in out and "Apparate" in out
 
 
-def test_generate_command_rejects_classification_model():
-    with pytest.raises(SystemExit):
-        main(["generate", "--model", "resnet50", "--sequences", "10"])
+def test_run_command_rejects_workload_of_the_other_kind():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--model", "resnet50", "--workload", "generative:squad",
+              "--requests", "10"])
+    assert "workload kind is 'generative'" in str(excinfo.value)
+
+
+def test_run_command_reports_unknown_model_as_an_error():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--model", "nope", "--requests", "10"])
+    assert str(excinfo.value).startswith("error: unknown model 'nope'")
 
 
 def test_classify_command_cluster_mode(capsys):
-    code = main(["classify", "--model", "resnet50", "--workload", "video:urban-day",
+    code = main(["run", "--model", "resnet50", "--workload", "video:urban-day",
                  "--requests", "600", "--seed", "5", "--replicas", "2",
                  "--balancer", "join_shortest_queue", "--fleet-mode", "shared"])
     assert code == 0
@@ -70,18 +73,18 @@ def test_classify_command_cluster_mode(capsys):
 
 def test_classify_command_rejects_bad_replicas():
     with pytest.raises(SystemExit):
-        main(["classify", "--model", "resnet50", "--requests", "100",
+        main(["run", "--model", "resnet50", "--requests", "100",
               "--replicas", "0"])
 
 
 def test_classify_command_rejects_unknown_balancer():
     with pytest.raises(SystemExit):
-        main(["classify", "--model", "resnet50", "--requests", "100",
+        main(["run", "--model", "resnet50", "--requests", "100",
               "--replicas", "2", "--balancer", "coin-flip"])
 
 
 def test_classify_command_autoscaled_fleet(capsys):
-    code = main(["classify", "--model", "resnet50", "--requests", "400",
+    code = main(["run", "--model", "resnet50", "--requests", "400",
                  "--seed", "5", "--replicas", "2", "--autoscaler", "reactive",
                  "--min-replicas", "1", "--max-replicas", "4",
                  "--systems", "vanilla", "--json"])
@@ -96,7 +99,7 @@ def test_classify_command_autoscaled_fleet(capsys):
 
 
 def test_classify_command_heterogeneous_profiles(capsys):
-    code = main(["classify", "--model", "resnet50", "--requests", "300",
+    code = main(["run", "--model", "resnet50", "--requests", "300",
                  "--seed", "5", "--replicas", "2", "--balancer",
                  "weighted_round_robin", "--replica-profiles", "2,0.5",
                  "--systems", "vanilla", "--json"])
@@ -110,7 +113,7 @@ def test_classify_command_heterogeneous_profiles(capsys):
 
 def test_classify_command_rejects_mismatched_profiles():
     with pytest.raises(SystemExit):
-        main(["classify", "--model", "resnet50", "--requests", "100",
+        main(["run", "--model", "resnet50", "--requests", "100",
               "--replicas", "2", "--replica-profiles", "2,1,0.5"])
 
 
@@ -118,15 +121,15 @@ def test_classify_command_rejects_zero_fleet_bounds():
     """Regression: an explicit 0 must reach ClusterSpec validation instead of
     being dropped by truthiness."""
     with pytest.raises(SystemExit):
-        main(["classify", "--model", "resnet50", "--requests", "100",
+        main(["run", "--model", "resnet50", "--requests", "100",
               "--max-replicas", "0"])
     with pytest.raises(SystemExit):
-        main(["classify", "--model", "resnet50", "--requests", "100",
+        main(["run", "--model", "resnet50", "--requests", "100",
               "--min-replicas", "0"])
 
 
 def test_nlp_workload_parsing(capsys):
-    code = main(["classify", "--model", "distilbert-base", "--workload", "nlp:imdb",
+    code = main(["run", "--model", "distilbert-base", "--workload", "nlp:imdb",
                  "--requests", "600", "--rate", "25", "--seed", "6"])
     assert code == 0
     assert "distilbert-base" in capsys.readouterr().out
@@ -139,37 +142,38 @@ def test_nlp_workload_parsing(capsys):
 def test_every_registered_system_is_cli_reachable(system, capsys):
     """Regression guard: no registered system may be unreachable from the CLI.
 
-    Classification-capable systems run through ``classify --systems``,
-    generative-capable ones through ``generate --systems`` — every system
-    supports at least one of the two.
+    Classification-capable systems run through ``run --systems`` on
+    resnet50, generative-capable ones on t5-large — every system supports
+    at least one of the two kinds.
     """
     runner = get_system(system)
     ran = False
     if runner.supports("classification"):
-        assert main(["classify", "--model", "resnet50", "--requests", "120",
+        assert main(["run", "--model", "resnet50", "--requests", "120",
                      "--systems", system, "--seed", "3"]) == 0
         ran = True
     if runner.supports("generative"):
-        assert main(["generate", "--model", "t5-large", "--dataset", "squad",
-                     "--sequences", "8", "--systems", system, "--seed", "3"]) == 0
+        assert main(["run", "--model", "t5-large", "--workload",
+                     "generative:squad", "--requests", "8", "--systems", system,
+                     "--seed", "3"]) == 0
         ran = True
-    assert ran, f"system {system!r} is reachable from no CLI subcommand"
+    assert ran, f"system {system!r} is reachable from no model kind"
     from repro.api.result import SYSTEM_DISPLAY_NAMES
     assert SYSTEM_DISPLAY_NAMES.get(system, system) in capsys.readouterr().out
 
 
 def test_classify_rejects_unknown_system():
     with pytest.raises(SystemExit):
-        main(["classify", "--requests", "50", "--systems", "warp-drive"])
+        main(["run", "--requests", "50", "--systems", "warp-drive"])
 
 
 def test_classify_rejects_system_without_kind_support():
     with pytest.raises(SystemExit):
-        main(["classify", "--requests", "50", "--systems", "free"])
+        main(["run", "--requests", "50", "--systems", "free"])
 
 
 def test_classify_json_output_is_machine_readable(capsys):
-    code = main(["classify", "--model", "resnet50", "--requests", "150",
+    code = main(["run", "--model", "resnet50", "--requests", "150",
                  "--seed", "4", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -180,8 +184,8 @@ def test_classify_json_output_is_machine_readable(capsys):
 
 
 def test_generate_json_output(capsys):
-    code = main(["generate", "--model", "t5-large", "--dataset", "squad",
-                 "--sequences", "8", "--seed", "4", "--json"])
+    code = main(["run", "--model", "t5-large", "--workload", "generative:squad",
+                 "--requests", "8", "--seed", "4", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert {r["kind"] for r in payload["results"]} == {"generative"}
@@ -247,8 +251,8 @@ def test_sweep_command_covers_generative_fleets(capsys):
 
 
 def test_generate_command_runs_cluster_with_autoscaler(capsys):
-    code = main(["generate", "--model", "t5-large", "--dataset", "squad",
-                 "--sequences", "30", "--rate", "40", "--replicas", "2",
+    code = main(["run", "--model", "t5-large", "--workload", "generative:squad",
+                 "--requests", "30", "--rate", "40", "--replicas", "2",
                  "--balancer", "least_work_left", "--autoscaler", "reactive",
                  "--min-replicas", "2", "--max-replicas", "4", "--seed", "2",
                  "--json"])

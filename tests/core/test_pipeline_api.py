@@ -1,9 +1,8 @@
-"""Tests for the classification pipelines and the public Apparate API."""
+"""Tests for the classification pipelines and the public Experiment API."""
 
 import pytest
 
-from repro.api import Experiment, ExitPolicySpec
-from repro.core.apparate import Apparate
+from repro.api import Experiment, ExitPolicySpec, WorkloadSpec
 from repro.core.pipeline import build_platform, model_stack
 from repro.exits.ramps import RampStyle
 from repro.models.quantization import quantized_spec
@@ -92,35 +91,17 @@ def test_run_apparate_on_quantized_model(small_nlp_workload):
     assert summary["accuracy"] >= 0.98
 
 
-class TestApparateAPI:
-    def test_register_and_serve(self, small_video_workload):
-        system = Apparate(seed=0)
-        deployment = system.register("resnet50", bootstrap_workload=small_video_workload)
-        assert deployment.preparation.num_candidate_ramps > 5
-        assert deployment.preparation.training is not None
-        result = deployment.serve(small_video_workload)
-        vanilla = deployment.serve_vanilla(small_video_workload)
-        assert result.metrics.median_latency() < vanilla.median_latency()
+def test_experiment_slo_defaults_to_the_model_slo():
+    experiment = Experiment(model="vgg11", workload=WorkloadSpec("video", requests=10))
+    assert experiment.resolved_slo_ms() == get_model("vgg11").default_slo_ms
 
-    def test_register_without_bootstrap(self):
-        system = Apparate()
-        deployment = system.register("vgg11")
-        assert deployment.preparation.training is None
-        assert deployment.slo_ms == get_model("vgg11").default_slo_ms
 
-    def test_registered_models_listing(self):
-        system = Apparate()
-        system.register("resnet18")
-        system.register("vgg11")
-        assert system.registered_models() == ["resnet18", "vgg11"]
-        assert system.deployment("vgg11").spec.name == "vgg11"
-        with pytest.raises(KeyError):
-            system.deployment("bert-base")
-
-    def test_custom_slo_and_constraints(self):
-        system = Apparate()
-        deployment = system.register("resnet50", slo_ms=100.0, accuracy_constraint=0.05,
-                                     ramp_budget=0.05)
-        assert deployment.slo_ms == 100.0
-        assert deployment.accuracy_constraint == 0.05
-        assert deployment.ramp_budget == 0.05
+def test_experiment_explicit_slo_and_constraints():
+    experiment = Experiment(model="resnet50", workload=WorkloadSpec("video", requests=10),
+                            slo_ms=100.0,
+                            ee=ExitPolicySpec(accuracy_constraint=0.05, ramp_budget=0.05))
+    assert experiment.resolved_slo_ms() == 100.0
+    params = experiment.describe()
+    assert params["slo_ms"] == 100.0
+    assert params["ee"]["accuracy_constraint"] == 0.05
+    assert params["ee"]["ramp_budget"] == 0.05

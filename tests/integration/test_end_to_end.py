@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import Experiment, ExitPolicySpec
-from repro.core.apparate import Apparate
 from repro.generative.sequences import make_generative_workload
 from repro.workloads.nlp import make_nlp_workload
 from repro.workloads.video import make_video_workload
@@ -76,16 +75,12 @@ def test_generative_end_to_end():
 
 
 def test_full_api_round_trip():
-    """Register -> prepare -> serve -> compare, through the public API only."""
-    system = Apparate(seed=7)
+    """Declare -> serve -> compare, through the public Experiment API only."""
     workload = make_video_workload("crossroads", num_frames=2000, seed=47)
-    deployment = system.register("resnet50", accuracy_constraint=0.01, ramp_budget=0.02,
-                                 bootstrap_workload=workload)
-    assert deployment.preparation.num_initial_ramps >= 1
-    result = deployment.serve(workload)
-    vanilla = deployment.serve_vanilla(workload)
-    assert result.metrics.median_latency() < vanilla.median_latency()
-    assert result.fleet.primary().stats.threshold_tunings > 0
+    runs = summaries("resnet50", workload, seed=7,
+                     ee=ExitPolicySpec(accuracy_constraint=0.01, ramp_budget=0.02))
+    assert runs["apparate"]["p50_ms"] < runs["vanilla"]["p50_ms"]
+    assert runs["apparate"]["threshold_tunings"] > 0
 
 
 def test_determinism_across_runs():

@@ -248,13 +248,13 @@ def test_cli_balancer_strings_reach_the_registry():
     """Every CLI-acceptable spelling builds the balancer it names."""
     parser = build_parser()
     for name in balancer_names("generative"):
-        args = parser.parse_args(["generate", "--balancer", name])
+        args = parser.parse_args(["run", "--balancer", name])
         assert build_balancer(args.balancer, kind="generative").name == name
     for name in balancer_names("classification"):
-        args = parser.parse_args(["classify", "--balancer", name])
+        args = parser.parse_args(["run", "--balancer", name])
         assert build_balancer(args.balancer, kind="classification").name == name
-    # Hyphenated spellings normalize before the choices check.
-    args = parser.parse_args(["generate", "--balancer", "prefix-affinity"])
+    # Hyphenated spellings normalize to the registry key.
+    args = parser.parse_args(["run", "--balancer", "prefix-affinity"])
     assert args.balancer == "prefix_affinity"
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import RngFactory
-from repro.workloads.arrivals import (fixed_rate_arrivals, flash_crowd_arrivals,
-                                      maf_trace_arrivals, poisson_arrivals,
-                                      trace_arrivals)
+from repro.workloads.arrivals import (diurnal_arrivals, fixed_rate_arrivals,
+                                      flash_crowd_arrivals, maf_trace_arrivals,
+                                      poisson_arrivals, trace_arrivals)
 
 
 def test_fixed_rate_spacing():
@@ -74,6 +74,23 @@ def test_rejects_non_positive_rates():
         poisson_arrivals(10, 0.0, rng)
     with pytest.raises(ValueError):
         maf_trace_arrivals(10, -1.0, rng)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+@pytest.mark.parametrize("generator", [
+    lambda rate, rng: fixed_rate_arrivals(10, rate),
+    lambda rate, rng: poisson_arrivals(10, rate, rng),
+    lambda rate, rng: maf_trace_arrivals(10, rate, rng),
+    lambda rate, rng: diurnal_arrivals(10, low_qps=rate, high_qps=rate),
+    lambda rate, rng: diurnal_arrivals(10, low_qps=1.0, high_qps=rate),
+    lambda rate, rng: flash_crowd_arrivals(10, rate, rng),
+], ids=["fixed", "poisson", "maf", "diurnal-low", "diurnal-high", "flash-crowd"])
+def test_rejects_non_finite_rates(generator, rate):
+    """NaN arrival times never compare below the next event, so a NaN rate
+    would spin the simulator forever; an infinite one puts every arrival at
+    t = 0."""
+    with pytest.raises(ValueError, match="finite|inf"):
+        generator(rate, RngFactory(5).generator("x"))
 
 
 def test_flash_crowd_spike_rate_jumps():
