@@ -36,6 +36,15 @@ __all__ = ["WorkloadSpec", "ClusterSpec", "ExitPolicySpec", "TraceSpec",
 #: Workload families an experiment can declare.
 WORKLOAD_KINDS = ("video", "nlp", "generative")
 
+def _require_integers(spec, keys: Sequence[str]) -> None:
+    """Reject a count field that is not an integer (``None`` passes): a
+    fractional count would otherwise be truncated silently by ``int()``."""
+    for key in keys:
+        value = getattr(spec, key)
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 #: Default per-kind sources and arrival rates (mirroring the CLI defaults).
 _KIND_DEFAULTS = {
     "video": {"source": "urban-day", "rate": 30.0},
@@ -103,6 +112,7 @@ class WorkloadSpec:
                              f"got {self.requests!r}")
         if self.rate is not None and not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        _require_integers(self, ("prefix_groups", "prefix_tokens"))
         if int(self.prefix_groups) < 0:
             raise ValueError(f"prefix_groups must be >= 0, "
                              f"got {self.prefix_groups}")
@@ -293,7 +303,14 @@ class ClusterSpec:
                  "decode_min_replicas", "decode_max_replicas",
                  "prefill_profiles", "decode_profiles")
 
+    #: Count fields: each must be an integer (``None`` where optional).
+    COUNT_KEYS = ("replicas", "sync_period", "min_replicas", "max_replicas",
+                  "prefill_replicas", "decode_replicas",
+                  "prefill_min_replicas", "prefill_max_replicas",
+                  "decode_min_replicas", "decode_max_replicas")
+
     def __post_init__(self) -> None:
+        _require_integers(self, self.COUNT_KEYS)
         if int(self.replicas) < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         canonical_balancer_name(self.balancer)   # raises on unknown names
@@ -536,8 +553,9 @@ class ExitPolicySpec:
         if not 0.0 <= float(self.accuracy_constraint) < 1.0:
             raise ValueError("accuracy_constraint must be in [0, 1), "
                              f"got {self.accuracy_constraint}")
-        if float(self.ramp_budget) <= 0.0:
-            raise ValueError(f"ramp_budget must be positive, got {self.ramp_budget}")
+        if not 0.0 < float(self.ramp_budget) < math.inf:
+            raise ValueError(f"ramp_budget must be positive and finite, "
+                             f"got {self.ramp_budget}")
         try:
             style = RampStyle(self.ramp_style)
         except (ValueError, TypeError):
@@ -545,8 +563,12 @@ class ExitPolicySpec:
                              f"{tuple(s.value for s in RampStyle)}") from None
         object.__setattr__(self, "ramp_style", style)
         if self.initial_ramp_ids is not None:
+            ids = tuple(self.initial_ramp_ids)
+            if not all(isinstance(r, numbers.Integral) for r in ids):
+                raise ValueError(f"initial_ramp_ids must be integers, "
+                                 f"got {self.initial_ramp_ids!r}")
             object.__setattr__(self, "initial_ramp_ids",
-                               tuple(int(r) for r in self.initial_ramp_ids))
+                               tuple(int(r) for r in ids))
 
     def describe(self) -> Dict[str, object]:
         return {

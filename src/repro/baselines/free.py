@@ -21,7 +21,8 @@ from repro.generative.parallel import TokenFeedback
 from repro.generative.sequences import GenerativeWorkload
 from repro.models.prediction import PredictionModel, ramp_error_score
 from repro.models.zoo import ModelSpec, get_model
-from repro.serving.hf_pipelines import TokenDecision
+from repro.serving.hf_pipelines import (TokenDecision, TokenSignals,
+                                        decide_from_signals)
 
 __all__ = ["FreeTokenPolicy", "calibrate_free_policy"]
 
@@ -34,13 +35,14 @@ class FreeTokenPolicy:
     ramp_depth: float
     threshold: float
 
+    def signals(self, difficulty: np.ndarray, sharpness: np.ndarray) -> TokenSignals:
+        errors, agree = self.prediction.ramp_signals(difficulty, self.ramp_depth,
+                                                     sharpness)
+        return [self.ramp_depth] * len(errors), errors, agree
+
     def decide(self, sequence_id: int, token_index: int, raw_difficulty: float,
                sharpness: float) -> TokenDecision:
-        error = self.prediction.error_score(raw_difficulty, self.ramp_depth, sharpness)
-        correct = self.prediction.is_correct(raw_difficulty, self.ramp_depth)
-        exited = self.threshold > 0.0 and error < self.threshold
-        return TokenDecision(exited=exited, exit_depth=self.ramp_depth if exited else None,
-                             error_score=error, correct=correct)
+        return decide_from_signals(self, raw_difficulty, sharpness)
 
     def feedback(self, records: Sequence[TokenFeedback]) -> None:
         return None   # FREE performs no runtime adaptation.

@@ -23,7 +23,8 @@ from repro.generative.parallel import TokenFeedback
 from repro.generative.sequences import GenerativeWorkload
 from repro.models.prediction import PredictionModel
 from repro.models.zoo import ModelSpec, get_model
-from repro.serving.hf_pipelines import TokenDecision
+from repro.serving.hf_pipelines import (TokenDecision, TokenSignals,
+                                        decide_from_signals)
 from repro.serving.metrics import ServingMetrics
 from repro.workloads.difficulty import DifficultyTrace
 
@@ -81,20 +82,32 @@ def _optimal_classification_impl(model: Union[str, ModelSpec], workload: Workloa
 
 
 class OracleTokenPolicy:
-    """Generative oracle: exit every token at its earliest correct ramp."""
+    """Generative oracle: exit every token at its earliest correct ramp.
+
+    It knows each token's agreement, so its error score is 0 at the earliest
+    ramp that agrees and 1 where none does; any threshold in (0, 1] exits
+    exactly the former, and ``threshold`` is 1.
+    """
+
+    threshold = 1.0
 
     def __init__(self, prediction: PredictionModel, candidate_depths: Sequence[float]) -> None:
         self.prediction = prediction
         self.candidate_depths = sorted(float(d) for d in candidate_depths)
 
+    def signals(self, difficulty: np.ndarray, sharpness: np.ndarray) -> TokenSignals:
+        depths = self.candidate_depths
+        # The first candidate at or past each token's required depth.
+        index = np.searchsorted(np.asarray(depths), self.prediction.required_depths(
+            difficulty), side="left").tolist()
+        last = len(depths)
+        return ([depths[i] if i < last else None for i in index],
+                [0.0 if i < last else 1.0 for i in index],
+                [True] * len(index))
+
     def decide(self, sequence_id: int, token_index: int, raw_difficulty: float,
                sharpness: float) -> TokenDecision:
-        required = self.prediction.required_depth(raw_difficulty)
-        for depth in self.candidate_depths:
-            if depth >= required:
-                return TokenDecision(exited=True, exit_depth=depth, error_score=0.0,
-                                     correct=True)
-        return TokenDecision(exited=False, exit_depth=None, error_score=1.0, correct=True)
+        return decide_from_signals(self, raw_difficulty, sharpness)
 
     def feedback(self, records: Sequence[TokenFeedback]) -> None:
         return None

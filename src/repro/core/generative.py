@@ -13,11 +13,16 @@ the two runtime knobs the paper describes:
   and accuracy headroom remains (more savings available).
 
 Feedback is truncated at the first deviating token of each parallel-decoding
-instance (see :func:`repro.generative.parallel.truncate_feedback`).
+instance (see :mod:`repro.generative.parallel`).  The policy hands the engine
+a whole stream's signals at once — every token's error score and agreement at
+the current ramp, from one vectorized pass — and the engine applies the
+threshold token by token; the pass is repeated only when feedback moves the
+ramp, because the threshold and the position change nowhere else.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +42,8 @@ from repro.serving.cluster import LoadBalancer
 from repro.serving.disagg import DisaggregatedPlatform
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform)
-from repro.serving.hf_pipelines import ContinuousBatchingEngine, TokenDecision
+from repro.serving.hf_pipelines import (ContinuousBatchingEngine, TokenDecision,
+                                        TokenSignals, decide_from_signals)
 
 __all__ = ["ApparateTokenPolicy", "GenerativeClusterRunResult",
            "build_generative_cluster", "build_disaggregated_platform",
@@ -56,23 +62,30 @@ def generative_ramp_depths(model: Union[str, ModelSpec], seed: int = 0) -> List[
 
 
 #: Thresholds a tuning round tries, lowest first.
-_THRESHOLD_CANDIDATES = np.arange(0.02, 0.99, 0.02)
+_CANDIDATES = np.arange(0.02, 0.99, 0.02).tolist()
 
 
 class ApparateTokenPolicy:
     """Adaptive single-ramp exit policy for generative decoding.
 
-    The feedback window is two numpy ring buffers (error scores and
-    agreement flags) plus two running counts under the current threshold:
-    window entries that exit, and how many of those are correct.  Appending
-    a record and evicting the oldest adjust the counts, so the released
-    accuracy checked after every token costs O(1).  Assigning ``threshold``
-    (a tuning round, a position move or an outside write) recounts the
-    window once.  A tuning round sorts the window's errors once and reads
-    each candidate's exit and correct counts off a prefix sum.  Every
-    accuracy is the same integer ratio a per-candidate rescan of the window
-    gives, so threshold and position trajectories are exactly those of the
-    rescan kept in ``tests/core/_seed_token_policy.py``.
+    The threshold and the ramp position change only inside ``feedback``,
+    so a stream's signals (every token's error score and agreement at the
+    current ramp) come from one vectorized pass, repeated only after the
+    ramp moves; ``decide`` is that pass on a one-token stream.
+
+    The feedback window is a ring of (error, agreement) records plus two
+    running counts under the current threshold: window entries that exit,
+    and how many of those are correct.  Appending a record and evicting the
+    oldest adjust the counts, so the released accuracy checked after every
+    token costs O(1).  The window also keeps, per *bin* (the number of
+    candidate thresholds at or below an error), how many records and how
+    many correct ones it holds: a record is below candidate ``j`` exactly
+    when its bin is at most ``j``, so a tuning round reads each candidate's
+    exit and correct counts off a running sum over the bins and never
+    rescans the window.  Assigning ``threshold`` from outside recounts the
+    window once.  Every accuracy is the same integer ratio a per-candidate
+    rescan of the window gives, so threshold and position trajectories are
+    exactly those of the rescan kept in ``tests/core/_seed_token_policy.py``.
     """
 
     def __init__(self, prediction: PredictionModel, candidate_depths: Sequence[float],
@@ -101,10 +114,10 @@ class ApparateTokenPolicy:
             else len(self.candidate_depths) // 2
         # The window is the first ``_size`` slots; once it is full, ``_next``
         # (the slot the next record overwrites) holds the oldest record.
-        self._errors = np.zeros(window)
-        self._correct = np.zeros(window, dtype=bool)
-        self._size = 0
-        self._next = 0
+        self._errors: List[float] = [0.0] * window
+        self._correct: List[bool] = [False] * window
+        self._bins: List[int] = [0] * window
+        self._clear_window()
         self.threshold = 0.0
         self.tokens_seen = 0
         self.tokens_since_move = 0
@@ -124,28 +137,17 @@ class ApparateTokenPolicy:
     def threshold(self, value: float) -> None:
         self._threshold = value
         if value > 0:
-            exits = self._errors[:self._size] < value
-            self._exits = int(np.count_nonzero(exits))
-            self._exits_correct = int(np.count_nonzero(exits & self._correct[:self._size]))
+            n = self._size
+            exits = [ok for error, ok in zip(self._errors[:n], self._correct[:n])
+                     if error < value]
+            self._exits, self._exits_correct = len(exits), exits.count(True)
         else:
             self._exits = self._exits_correct = 0
 
-    def _append(self, error: float, correct: bool) -> None:
-        """Add a record to the window, evicting the oldest when it is full."""
-        threshold = self._threshold
-        slot = self._next
-        if self._size == self._errors.size:
-            if threshold > 0 and self._errors[slot] < threshold:
-                self._exits -= 1
-                self._exits_correct -= int(self._correct[slot])
-        else:
-            self._size += 1
-        self._errors[slot] = error
-        self._correct[slot] = correct
-        self._next = (slot + 1) % self._errors.size
-        if threshold > 0 and error < threshold:
-            self._exits += 1
-            self._exits_correct += correct
+    def _clear_window(self) -> None:
+        self._size = self._next = 0
+        self._bin_counts = [0] * (len(_CANDIDATES) + 1)
+        self._bin_correct = [0] * (len(_CANDIDATES) + 1)
 
     def _released_accuracy(self) -> Tuple[float, float]:
         """(accuracy, exit rate) on the feedback window under ``threshold``."""
@@ -158,24 +160,25 @@ class ApparateTokenPolicy:
         """Pick the largest threshold that satisfies the (tightened) constraint.
 
         Called on a non-empty window only (``feedback`` tunes at 96 records).
+        The chosen candidate's exit and correct counts become the running
+        counts.
         """
         target = 1.0 - self.accuracy_constraint * self.tuning_safety
         n = self._size
-        errors = self._errors[:n]
-        order = np.argsort(errors)
-        # correct_below[k]: correct records among the k lowest errors, so a
-        # candidate that k records fall below releases correct_below[k]
-        # correct exits and n - k full-model tokens.
-        correct_below = [0] + np.cumsum(self._correct[:n][order]).tolist()
-        below = np.searchsorted(errors[order], _THRESHOLD_CANDIDATES,
-                                side="left").tolist()
-        best = 0.0
-        for candidate, k in zip(_THRESHOLD_CANDIDATES.tolist(), below):
-            if (correct_below[k] + (n - k)) / n >= target:
-                best = candidate
+        best, exits, exits_correct = 0.0, 0, 0
+        below = below_correct = 0
+        for candidate, count, count_correct in zip(_CANDIDATES, self._bin_counts,
+                                                   self._bin_correct):
+            below += count
+            below_correct += count_correct
+            # ``below`` exits, ``below_correct`` of them correct, and
+            # n - below full-model tokens.
+            if (below_correct + (n - below)) / n >= target:
+                best, exits, exits_correct = candidate, below, below_correct
             else:
                 break
-        self.threshold = best
+        self._threshold = best
+        self._exits, self._exits_correct = exits, exits_correct
         self.threshold_tunings += 1
 
     def _adjust_position(self) -> None:
@@ -199,38 +202,90 @@ class ApparateTokenPolicy:
             moved = True
         if moved:
             self.position_moves += 1
-            self._size = self._next = 0     # the window starts over
+            self._clear_window()     # the window starts over
             self.threshold = 0.0     # new position starts conservative (§3.3)
             self.tokens_since_move = 0
 
     # --------------------------------------------------------------- policy API
+    def signals(self, difficulty: np.ndarray, sharpness: np.ndarray) -> TokenSignals:
+        """Every token's error score and agreement at the current ramp."""
+        depth = self.ramp_depth
+        errors, agree = self.prediction.ramp_signals(difficulty, depth, sharpness)
+        return [depth] * len(errors), errors, agree
+
     def decide(self, sequence_id: int, token_index: int, raw_difficulty: float,
                sharpness: float) -> TokenDecision:
-        depth = self.ramp_depth
-        error = self.prediction.error_score(raw_difficulty, depth, sharpness)
-        correct = self.prediction.is_correct(raw_difficulty, depth)
-        exited = self._threshold > 0.0 and error < self._threshold
-        return TokenDecision(exited=exited, exit_depth=depth if exited else None,
-                             error_score=error, correct=correct)
+        return decide_from_signals(self, raw_difficulty, sharpness)
 
-    def feedback(self, records: Sequence[TokenFeedback]) -> None:
-        for record in records:
-            self._append(float(record.error_score), bool(record.correct))
-            self.tokens_seen += 1
-            self.tokens_since_move += 1
+    def feedback(self, records: Sequence[TokenFeedback]) -> bool:
+        """Fold records into the window; returns whether the ramp moved.
 
-            accuracy, _ = self._released_accuracy()
-            accuracy_violation = accuracy < 1.0 - self.accuracy_constraint
-            periodic_refresh = self.tokens_seen % self.refresh_period == 0
-            if (accuracy_violation or periodic_refresh) and self._size >= 96:
-                self._tune_threshold()
+        Each record updates the ring and the running counts in place; after
+        it the threshold is re-tuned on an accuracy violation or a periodic
+        refresh, and every ``adjustment_period`` tokens the position is
+        judged.  The counters live in locals between those rounds, which
+        read and reset them through ``self``.
+        """
+        errors, correct, bins = self._errors, self._correct, self._bins
+        counts, counts_correct = self._bin_counts, self._bin_correct
+        capacity = len(errors)
+        floor = 1.0 - self.accuracy_constraint
+        refresh_period = self.refresh_period
+        adjustment_period = self.adjustment_period
+        moves = self.position_moves
+        threshold, size, slot = self._threshold, self._size, self._next
+        exits, exits_correct = self._exits, self._exits_correct
+        seen, since_move = self.tokens_seen, self.tokens_since_move
+        for _sequence_id, _token_index, error, _exited, ok in records:
+            if size == capacity:
+                # The window is full: evict the oldest record (this slot).
+                old, old_ok = bins[slot], correct[slot]
+                counts[old] -= 1
+                if old_ok:
+                    counts_correct[old] -= 1
+                if threshold > 0 and errors[slot] < threshold:
+                    exits -= 1
+                    if old_ok:
+                        exits_correct -= 1
+            else:
+                size += 1
+            new = bisect_right(_CANDIDATES, error)
+            errors[slot], correct[slot], bins[slot] = error, ok, new
+            counts[new] += 1
+            if ok:
+                counts_correct[new] += 1
+            slot = (slot + 1) % capacity
+            if threshold > 0 and error < threshold:
+                exits += 1
+                if ok:
+                    exits_correct += 1
+            seen += 1
+            since_move += 1
+
+            accuracy_violation = (exits_correct + (size - exits)) / size < floor
+            periodic_refresh = seen % refresh_period == 0
+            tune = (accuracy_violation or periodic_refresh) and size >= 96
             # Position moves are rate-limited: the ramp must have been in
             # place (and its threshold re-tuned) for a full adjustment period
             # before its exit rate is judged, which prevents oscillation.
-            if (self.tokens_since_move >= 2 * self.adjustment_period
-                    and self.tokens_seen % self.adjustment_period == 0
-                    and self._size >= 128 and self._threshold > 0.0):
-                self._adjust_position()
+            judge = (since_move >= 2 * adjustment_period
+                     and seen % adjustment_period == 0 and size >= 128)
+            if tune or judge:
+                self._size, self._next = size, slot
+                self._exits, self._exits_correct = exits, exits_correct
+                self.tokens_seen, self.tokens_since_move = seen, since_move
+                if tune:
+                    self._tune_threshold()
+                if judge and self._threshold > 0.0:
+                    self._adjust_position()
+                threshold, size, slot = self._threshold, self._size, self._next
+                exits, exits_correct = self._exits, self._exits_correct
+                counts, counts_correct = self._bin_counts, self._bin_correct
+                since_move = self.tokens_since_move
+        self._size, self._next = size, slot
+        self._exits, self._exits_correct = exits, exits_correct
+        self.tokens_seen, self.tokens_since_move = seen, since_move
+        return self.position_moves != moves
 
 
 @dataclass

@@ -6,9 +6,9 @@ ramp its remaining layers cannot simply be skipped — the next token would
 stall waiting for KV states.  Apparate adopts parallel decoding: exited tokens
 accumulate their hidden states at the ramp, and their remaining layers run
 batched alongside the first subsequent non-exiting token.  This subpackage
-provides the decode-step timing model, the parallel-decoding state machine,
-token-level feedback extraction and synthetic generative workloads
-(CNN/DailyMail-style summarization and SQuAD-style question answering).
+provides the decode-step timing model, the token feedback record and
+synthetic generative workloads (CNN/DailyMail-style summarization and
+SQuAD-style question answering).
 """
 
 from repro.generative.sequences import (
@@ -17,7 +17,7 @@ from repro.generative.sequences import (
     make_generative_workload,
 )
 from repro.generative.decoding import DecodeTimingModel, TokenRecord
-from repro.generative.parallel import ParallelDecodingState, TokenFeedback, truncate_feedback
+from repro.generative.parallel import TokenFeedback
 
 __all__ = [
     "SequenceSample",
@@ -25,7 +25,5 @@ __all__ = [
     "make_generative_workload",
     "DecodeTimingModel",
     "TokenRecord",
-    "ParallelDecodingState",
     "TokenFeedback",
-    "truncate_feedback",
 ]

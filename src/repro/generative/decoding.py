@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.models.zoo import ModelSpec
 
@@ -23,8 +23,7 @@ __all__ = ["TokenRecord", "DecodeTimingModel", "PrefillModel",
            "KVCacheAccountant", "kv_bytes_per_token"]
 
 
-@dataclass
-class TokenRecord:
+class TokenRecord(NamedTuple):
     """Timing and exit bookkeeping for one generated token."""
 
     sequence_id: int

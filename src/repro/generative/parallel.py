@@ -1,4 +1,4 @@
-"""Parallel decoding state and token-level feedback (§3.4).
+"""Token-level feedback of parallel decoding (§3.4).
 
 When a token exits at a ramp, its hidden states are accumulated at that ramp
 and its remaining layers are deferred; they execute batched alongside the
@@ -7,18 +7,18 @@ have accumulated).  The same mechanism yields token-level accuracy feedback:
 for each parallel-decoding instance, feedback is kept only up to the first
 token whose exited result deviates from the original model — later tokens may
 reflect cascading errors from inter-token dependencies and are discarded.
+The engine (:meth:`repro.serving.hf_pipelines.ContinuousBatchingEngine.decode_stream`)
+runs both rules; this module holds the record it streams to the policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import NamedTuple
 
-__all__ = ["TokenFeedback", "ParallelDecodingState", "truncate_feedback"]
+__all__ = ["TokenFeedback"]
 
 
-@dataclass(frozen=True)
-class TokenFeedback:
+class TokenFeedback(NamedTuple):
     """Per-token feedback record streamed to the controller."""
 
     sequence_id: int
@@ -26,59 +26,3 @@ class TokenFeedback:
     error_score: float
     exited: bool
     correct: bool
-
-
-def truncate_feedback(feedback: Sequence[TokenFeedback]) -> List[TokenFeedback]:
-    """Keep feedback up to (and including) the first deviating exited token.
-
-    Tokens after the first exited-and-wrong token are discarded because their
-    behaviour may be contaminated by cascading errors (§3.4).
-    """
-    kept: List[TokenFeedback] = []
-    for record in feedback:
-        kept.append(record)
-        if record.exited and not record.correct:
-            break
-    return kept
-
-
-@dataclass
-class ParallelDecodingState:
-    """Deferred-computation bookkeeping for one sequence.
-
-    Attributes
-    ----------
-    flush_limit:
-        Maximum number of exited tokens whose tails may accumulate before a
-        flush is forced (the paper flushes "once the ramp accumulates a
-        pre-specified number of exited tokens", §4.4).
-    """
-
-    flush_limit: int = 8
-    pending_tokens: int = 0
-    pending_depth: float = 1.0
-    total_deferred: int = 0
-    total_flushes: int = 0
-
-    def defer(self, depth_fraction: float) -> None:
-        """Record that a token exited at ``depth_fraction`` and was deferred."""
-        if self.pending_tokens == 0:
-            self.pending_depth = float(depth_fraction)
-        else:
-            # Tails are all computed from the shallowest accumulated ramp so
-            # a single batched pass covers every pending token.
-            self.pending_depth = min(self.pending_depth, float(depth_fraction))
-        self.pending_tokens += 1
-        self.total_deferred += 1
-
-    def needs_flush(self) -> bool:
-        return self.pending_tokens >= self.flush_limit
-
-    def flush(self) -> int:
-        """Clear pending tails, returning how many tokens were flushed."""
-        flushed = self.pending_tokens
-        if flushed:
-            self.total_flushes += 1
-        self.pending_tokens = 0
-        self.pending_depth = 1.0
-        return flushed

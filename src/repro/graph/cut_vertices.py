@@ -11,9 +11,7 @@ layer qualifies.
 
 from __future__ import annotations
 
-from typing import List, Set
-
-import networkx as nx
+from typing import Dict, List, Set
 
 from repro.graph.ir import ModelGraph, Node, OpCategory
 
@@ -25,6 +23,52 @@ __all__ = ["cut_vertex_nodes", "feasible_ramp_positions"]
 _EXCLUDED_OPS: Set[OpCategory] = {OpCategory.INPUT, OpCategory.EMBEDDING, OpCategory.OUTPUT}
 
 
+def _articulation_points(graph: ModelGraph) -> Set[str]:
+    """Articulation points of the undirected view of ``graph``.
+
+    Tarjan's depth-first search, run with an explicit stack: ``low[v]`` is
+    the earliest discovery index reachable from ``v``'s subtree through one
+    back edge, and a non-root ``u`` is an articulation point when some
+    child's subtree cannot climb above it (``low[child] >= disc[u]``); the
+    root is one when it has two or more DFS children.
+    """
+    names = [node.name for node in graph.nodes()]
+    adjacency = {name: graph.successors(name) + graph.predecessors(name)
+                 for name in names}
+    disc: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    points: Set[str] = set()
+    for root in names:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        root_children = 0
+        stack = [(root, None, iter(adjacency[root]))]
+        while stack:
+            node, parent, neighbours = stack[-1]
+            for other in neighbours:
+                if other == parent:
+                    continue
+                if other in disc:
+                    low[node] = min(low[node], disc[other])
+                else:
+                    disc[other] = low[other] = len(disc)
+                    stack.append((other, node, iter(adjacency[other])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    up = stack[-1][0]
+                    low[up] = min(low[up], low[node])
+                    if up == root:
+                        root_children += 1
+                    elif low[node] >= disc[up]:
+                        points.add(up)
+        if root_children > 1:
+            points.add(root)
+    return points
+
+
 def cut_vertex_nodes(graph: ModelGraph) -> List[str]:
     """Return names of nodes that are cut vertices of the dataflow graph.
 
@@ -34,8 +78,7 @@ def cut_vertex_nodes(graph: ModelGraph) -> List[str]:
     single-path graph.  Results are returned in topological order.
     """
     graph.validate()
-    undirected = graph.nx_graph.to_undirected()
-    articulation = set(nx.articulation_points(undirected))
+    articulation = _articulation_points(graph)
 
     # Endpoints of the graph are never articulation points but every path
     # trivially passes through them; include them so that callers can filter

@@ -19,10 +19,9 @@ the real ResNet / VGG / BERT / GPT-2 / T5 / Llama2 models the paper evaluates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+import heapq
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["OpCategory", "Node", "ModelGraph"]
 
@@ -74,19 +73,26 @@ class Node:
 
 
 class ModelGraph:
-    """Directed acyclic dataflow graph of :class:`Node` objects."""
+    """Directed acyclic dataflow graph of :class:`Node` objects.
+
+    Adjacency is two dicts of dicts (successors and predecessors of every
+    node); dicts keep insertion order, so nodes, edges and neighbour lists
+    come back in the order they were added.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._g = nx.DiGraph()
         self._nodes: Dict[str, Node] = {}
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------ build
     def add_node(self, node: Node) -> Node:
         if node.name in self._nodes:
             raise ValueError(f"duplicate node name: {node.name}")
         self._nodes[node.name] = node
-        self._g.add_node(node.name)
+        self._succ[node.name] = {}
+        self._pred[node.name] = {}
         return node
 
     def add_edge(self, src: str, dst: str) -> None:
@@ -94,43 +100,73 @@ class ModelGraph:
             raise KeyError(f"unknown node in edge {src!r} -> {dst!r}")
         # The graph is acyclic before the edge, so the edge closes a cycle
         # exactly when it is a self-loop or dst already reaches src.
-        if src == dst or nx.has_path(self._g, dst, src):
+        if src == dst or src in self._reachable(dst, self._succ.__getitem__):
             raise ValueError(f"edge {src!r} -> {dst!r} would create a cycle")
-        self._g.add_edge(src, dst)
+        self._succ[src][dst] = None
+        self._pred[dst][src] = None
+
+    @staticmethod
+    def _reachable(start: str, step: Callable[[str], Iterable[str]]) -> Set[str]:
+        """Every node reached from ``start`` (itself included) by following
+        ``step(node)`` repeatedly."""
+        seen = {start}
+        todo = [start]
+        while todo:
+            for other in step(todo.pop()):
+                if other not in seen:
+                    seen.add(other)
+                    todo.append(other)
+        return seen
+
+    def _neighbours(self, name: str) -> List[str]:
+        """Adjacent nodes of ``name`` in the undirected view of the graph."""
+        return [*self._succ[name], *self._pred[name]]
 
     # ------------------------------------------------------------ inspection
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        return self._g
-
     def node(self, name: str) -> Node:
         return self._nodes[name]
 
     def nodes(self) -> List[Node]:
-        return [self._nodes[n] for n in self._g.nodes]
+        return list(self._nodes.values())
 
     def num_nodes(self) -> int:
         return len(self._nodes)
 
     def edges(self) -> List[Tuple[str, str]]:
-        return list(self._g.edges)
+        return [(src, dst) for src, succ in self._succ.items() for dst in succ]
 
     def successors(self, name: str) -> List[str]:
-        return list(self._g.successors(name))
+        return list(self._succ[name])
 
     def predecessors(self, name: str) -> List[str]:
-        return list(self._g.predecessors(name))
+        return list(self._pred[name])
+
+    def _topological_names(self) -> List[str]:
+        """Kahn's algorithm taking the smallest ready name first, so the
+        order is the lexicographic topological sort; a node on a cycle is
+        never ready, so a cyclic graph yields fewer names than it holds."""
+        indegree = {name: len(pred) for name, pred in self._pred.items()}
+        ready = [name for name, degree in indegree.items() if degree == 0]
+        heapq.heapify(ready)
+        order: List[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for child in self._succ[name]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, child)
+        return order
 
     def topological_order(self) -> List[Node]:
         """Nodes in a deterministic topological order."""
-        order = list(nx.lexicographical_topological_sort(self._g))
-        return [self._nodes[n] for n in order]
+        return [self._nodes[n] for n in self._topological_names()]
 
     def input_nodes(self) -> List[Node]:
-        return [self._nodes[n] for n in self._g.nodes if self._g.in_degree(n) == 0]
+        return [self._nodes[n] for n, pred in self._pred.items() if not pred]
 
     def output_nodes(self) -> List[Node]:
-        return [self._nodes[n] for n in self._g.nodes if self._g.out_degree(n) == 0]
+        return [self._nodes[n] for n, succ in self._succ.items() if not succ]
 
     def blocks(self) -> List[str]:
         """Distinct block names in topological order of first appearance."""
@@ -153,7 +189,7 @@ class ModelGraph:
         """Raise ``ValueError`` if the graph is not a well-formed model graph."""
         if self.num_nodes() == 0:
             raise ValueError("empty graph")
-        if not nx.is_directed_acyclic_graph(self._g):
+        if len(self._topological_names()) != self.num_nodes():
             raise ValueError("graph contains a cycle")
         inputs = self.input_nodes()
         outputs = self.output_nodes()
@@ -161,8 +197,8 @@ class ModelGraph:
             raise ValueError(f"expected exactly one input node, found {len(inputs)}")
         if len(outputs) != 1:
             raise ValueError(f"expected exactly one output node, found {len(outputs)}")
-        undirected = self._g.to_undirected()
-        if not nx.is_connected(undirected):
+        if len(self._reachable(next(iter(self._nodes)),
+                               self._neighbours)) != self.num_nodes():
             raise ValueError("graph is not connected")
 
     def depth_fraction(self, name: str) -> float:

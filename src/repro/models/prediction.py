@@ -31,7 +31,7 @@ later ramps exhibit exit rates at least as high as earlier ones (§3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -163,6 +163,24 @@ class PredictionModel:
         if depth_fraction >= d:
             return True
         return self._confusion_draw(raw_difficulty, depth_fraction) < _GUESS_AGREEMENT
+
+    def ramp_signals(self, raw_difficulty: np.ndarray, depth_fraction: float,
+                     sharpness: np.ndarray) -> Tuple[List[float], List[bool]]:
+        """:meth:`error_score` and :meth:`is_correct` of one ramp for many
+        inputs, as two lists.
+
+        One numpy pass scores every input and finds those already past their
+        required depth; only the others take the (per-input) confusion draw.
+        Element by element the results are the scalar methods' bits.
+        """
+        raw = np.asarray(raw_difficulty, dtype=float)
+        required = self.required_depths(raw)
+        errors = np.asarray(ramp_error_score(required, depth_fraction, sharpness))
+        past = depth_fraction >= required
+        agree = past.tolist()
+        for i in np.flatnonzero(~past).tolist():
+            agree[i] = self._confusion_draw(raw[i], depth_fraction) < _GUESS_AGREEMENT
+        return errors.tolist(), agree
 
     # ----------------------------------------------------------- per request
     def observe(self, raw_difficulty: float, sharpness: float,

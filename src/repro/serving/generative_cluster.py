@@ -278,13 +278,14 @@ class GenerativeReplicaEntry(Replica):
             # every pipeline stage the sequence crossed.
             self.metrics.queueing_delays_ms[sample.sequence_id] = \
                 decode_start - sample.arrival_ms
-            before = len(self.metrics.tokens)
+            exited = self.metrics.exited
+            before = len(exited)
             completion = self.engine.decode_stream(
                 sample, decode_start, policy, self.metrics,
                 speed=self.profile.speed)
-            released = self.metrics.tokens[before:]
-            num_exited = sum(1 for t in released if t.exited)
-            self.record_stream(len(released), num_exited)
+            released = len(exited) - before
+            num_exited = exited[before:].count(True)
+            self.record_stream(released, num_exited)
             self.slots[slot] = completion
             if kv is not None:
                 kv.admit(sample, completion)
@@ -312,7 +313,7 @@ class GenerativeReplicaEntry(Replica):
                 if hit:
                     obs.annotate(sid, kv_hit_tokens=int(hit))
                 obs.close(sid, completion, outcome="served",
-                          tokens=len(released), exited_tokens=num_exited)
+                          tokens=released, exited_tokens=num_exited)
             progressed = True
         return progressed
 
@@ -386,7 +387,7 @@ class GenerativeClusterMetrics:
         return self._aggregate
 
     def total_tokens(self) -> int:
-        return len(self.aggregate().tokens)
+        return self.aggregate().num_tokens()
 
     def fleet_throughput_tokens_per_s(self) -> float:
         return self.aggregate().throughput_tokens_per_s()
@@ -553,7 +554,7 @@ def decode_rollup(fleet: GenerativeFleetState, start_ms: float,
     fleet.finalize(end_ms)
     for entry in fleet.entries:
         metrics = entry.metrics
-        if metrics.tokens:
+        if metrics.num_tokens():
             metrics.makespan_ms = max(entry.last_completion_ms - start_ms, 1e-9)
         kv = entry.kv
         if kv is not None:
@@ -563,7 +564,7 @@ def decode_rollup(fleet: GenerativeFleetState, start_ms: float,
             metrics.kv_evictions = kv.evictions
             metrics.kv_evicted_tokens = kv.evicted_tokens
             metrics.kv_recompute_tokens = kv.recompute_tokens
-    decoded_anything = any(entry.metrics.tokens for entry in fleet.entries)
+    decoded_anything = any(entry.metrics.num_tokens() for entry in fleet.entries)
     return dict(
         replicas=[entry.metrics for entry in fleet.entries],
         dispatch_counts=[entry.dispatched for entry in fleet.entries],

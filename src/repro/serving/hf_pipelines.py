@@ -21,26 +21,41 @@ Timing of one stream follows §3.4 exactly:
   penalty for running the deferred tails batched alongside it;
 * if too many exited tokens accumulate, a flush runs their tails as one batch
   before the stream continues (bounding the staleness of KV states).
+
+A stream costs the policy one ``signals`` call (every token's exit depth,
+error score and agreement at its current ramp, see :data:`TokenSignals`) plus
+one ``feedback`` call per parallel-decoding instance; ``signals`` is asked
+again only when feedback moves the ramp.  Between those calls the engine
+walks the tokens with plain float arithmetic and appends each token's release
+time, TPT, exit flag, exit depth and correctness to per-stream lists, which
+join the replica's :class:`GenerativeMetrics` columns once per stream.  The
+summaries read those columns directly; ``GenerativeMetrics.tokens`` rebuilds
+the row view only for callers that ask for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence
+from functools import partial
+from itertools import compress
+from operator import not_
+from typing import (Dict, List, NamedTuple, Optional, Protocol, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.generative.decoding import DecodeTimingModel, PrefillModel, TokenRecord
-from repro.generative.parallel import ParallelDecodingState, TokenFeedback, truncate_feedback
+from repro.generative.parallel import TokenFeedback
 from repro.generative.sequences import SequenceSample
 from repro.utils.stats import summarize_latencies
 
-__all__ = ["TokenDecision", "TokenExitPolicy", "VanillaTokenPolicy",
+__all__ = ["TokenDecision", "TokenSignals", "TokenExitPolicy",
+           "VanillaTokenPolicy", "exit_limit", "decide_from_signals",
            "GenerativeMetrics", "ContinuousBatchingEngine"]
 
 
-@dataclass(frozen=True)
-class TokenDecision:
+class TokenDecision(NamedTuple):
     """Exit decision for one token."""
 
     exited: bool
@@ -49,23 +64,73 @@ class TokenDecision:
     correct: bool
 
 
+#: Per-token exit signals of a stream: the depth of the ramp each token
+#: would exit at, its error score there and whether that ramp agrees with
+#: the full model.
+TokenSignals = Tuple[List[Optional[float]], List[float], List[bool]]
+
+
+def exit_limit(threshold: float) -> float:
+    """The exit rule: a token exits when its error score is below this.
+
+    That is the threshold itself, or ``-inf`` when the threshold is not
+    positive (threshold 0 never exits), so ``error < exit_limit(t)`` is
+    ``t > 0 and error < t`` in one comparison.
+    """
+    return threshold if threshold > 0.0 else -math.inf
+
+
 class TokenExitPolicy(Protocol):
-    """Per-token exit policy plugged into the engine."""
+    """Per-token exit policy plugged into the engine.
+
+    The engine asks for a stream's :data:`TokenSignals` once, applies
+    :func:`exit_limit` of ``threshold`` token by token, and closes every
+    parallel-decoding instance with one ``feedback`` call.  ``feedback``
+    returns true when the ramp moved, which makes the signals stale; the
+    threshold is re-read after every call.
+    """
+
+    threshold: float
+
+    def signals(self, difficulty: np.ndarray, sharpness: np.ndarray) -> TokenSignals:
+        ...  # pragma: no cover - protocol definition
 
     def decide(self, sequence_id: int, token_index: int, raw_difficulty: float,
                sharpness: float) -> TokenDecision:
         ...  # pragma: no cover - protocol definition
 
-    def feedback(self, records: Sequence[TokenFeedback]) -> None:
+    def feedback(self, records: Sequence[TokenFeedback]) -> Optional[bool]:
         ...  # pragma: no cover - protocol definition
+
+
+def decide_from_signals(policy: TokenExitPolicy, raw_difficulty: float,
+                        sharpness: float) -> TokenDecision:
+    """One token's decision: a one-token stream's signals under the rule
+    the engine applies, so ``decide`` and ``decode_stream`` agree."""
+    depths, errors, correct = policy.signals(np.array([float(raw_difficulty)]),
+                                             np.array([float(sharpness)]))
+    exited = errors[0] < exit_limit(policy.threshold)
+    return TokenDecision(exited=exited, exit_depth=depths[0] if exited else None,
+                         error_score=errors[0], correct=correct[0])
+
+
+#: The vanilla policy's one decision: run the full model.
+_FULL_MODEL = TokenDecision(exited=False, exit_depth=None, error_score=1.0,
+                            correct=True)
 
 
 class VanillaTokenPolicy:
     """Never exits: every token runs the full model."""
 
+    threshold = 0.0
+
+    def signals(self, difficulty: np.ndarray, sharpness: np.ndarray) -> TokenSignals:
+        n = len(difficulty)
+        return [None] * n, [1.0] * n, [True] * n
+
     def decide(self, sequence_id: int, token_index: int, raw_difficulty: float,
                sharpness: float) -> TokenDecision:
-        return TokenDecision(exited=False, exit_depth=None, error_score=1.0, correct=True)
+        return _FULL_MODEL
 
     def feedback(self, records: Sequence[TokenFeedback]) -> None:
         return None
@@ -73,9 +138,20 @@ class VanillaTokenPolicy:
 
 @dataclass
 class GenerativeMetrics:
-    """Aggregated outcome of one generative serving run."""
+    """Aggregated outcome of one generative serving run.
 
-    tokens: List[TokenRecord] = field(default_factory=list)
+    Tokens are stored column-wise: entry ``i`` of the seven token columns
+    (``sequence_ids`` … ``correct``) is the ``i``-th released token, and
+    ``tokens`` rebuilds the row view on demand.
+    """
+
+    sequence_ids: List[int] = field(default_factory=list)
+    token_indices: List[int] = field(default_factory=list)
+    release_ms: List[float] = field(default_factory=list)
+    tpt_ms: List[float] = field(default_factory=list)
+    exited: List[bool] = field(default_factory=list)
+    exit_depths: List[Optional[float]] = field(default_factory=list)
+    correct: List[bool] = field(default_factory=list)
     sequence_accuracy: Dict[int, float] = field(default_factory=dict)
     queueing_delays_ms: Dict[int, float] = field(default_factory=dict)
     makespan_ms: float = 0.0
@@ -98,8 +174,22 @@ class GenerativeMetrics:
     kv_evicted_tokens: int = 0
     kv_recompute_tokens: int = 0
 
+    #: The token columns, in :class:`TokenRecord` field order.
+    COLUMNS = ("sequence_ids", "token_indices", "release_ms", "tpt_ms",
+               "exited", "exit_depths", "correct")
+
+    @property
+    def tokens(self) -> Tuple[TokenRecord, ...]:
+        """Every released token as a :class:`TokenRecord`, rebuilt from the
+        columns on each access (a read-only view)."""
+        return tuple(map(TokenRecord._make, zip(
+            *(getattr(self, name) for name in self.COLUMNS))))
+
+    def num_tokens(self) -> int:
+        return len(self.tpt_ms)
+
     def tpt_values(self) -> np.ndarray:
-        return np.array([t.tpt_ms for t in self.tokens], dtype=float)
+        return np.array(self.tpt_ms, dtype=float)
 
     def tpt_summary(self) -> Dict[str, float]:
         return summarize_latencies(self.tpt_values())
@@ -116,6 +206,14 @@ class GenerativeMetrics:
     def p99_tpt(self) -> float:
         return self.tpt_summary()["p99"]
 
+    def _first_tokens(self) -> Tuple[List[int], List[float]]:
+        """Column positions of every stream's first token, and that token's
+        latency from its sequence's arrival (TPT plus queueing delay)."""
+        delays = self.queueing_delays_ms
+        tpt, ids = self.tpt_ms, self.sequence_ids
+        positions = list(compress(range(len(ids)), map(not_, self.token_indices)))
+        return positions, [tpt[i] + delays.get(ids[i], 0.0) for i in positions]
+
     def token_latency_values(self) -> np.ndarray:
         """Per-token latency as a *served* stream experiences it.
 
@@ -125,10 +223,10 @@ class GenerativeMetrics:
         under load a cluster's tail is dominated by sequences waiting for a
         decode slot, which the decode-only TPT distribution cannot see.
         """
-        delays = self.queueing_delays_ms
-        return np.array([t.tpt_ms + delays.get(t.sequence_id, 0.0)
-                         if t.token_index == 0 else t.tpt_ms
-                         for t in self.tokens], dtype=float)
+        values = self.tpt_values()
+        positions, first = self._first_tokens()
+        values[positions] = first
+        return values
 
     def token_latency_summary(self) -> Dict[str, float]:
         return summarize_latencies(self.token_latency_values())
@@ -145,9 +243,7 @@ class GenerativeMetrics:
         step.  This is the latency SLO production LLM serving is sized
         against — the decode-cadence TPT distribution cannot see it.
         """
-        delays = self.queueing_delays_ms
-        return np.array([t.tpt_ms + delays.get(t.sequence_id, 0.0)
-                         for t in self.tokens if t.token_index == 0], dtype=float)
+        return np.array(self._first_tokens()[1], dtype=float)
 
     def ttft_summary(self) -> Dict[str, float]:
         return summarize_latencies(self.ttft_values())
@@ -174,9 +270,9 @@ class GenerativeMetrics:
         return float(np.mean(list(self.sequence_accuracy.values())))
 
     def exit_rate(self) -> float:
-        if not self.tokens:
+        if not self.exited:
             return 0.0
-        return sum(1 for t in self.tokens if t.exited) / len(self.tokens)
+        return self.exited.count(True) / len(self.exited)
 
     def median_queueing_ms(self) -> float:
         if not self.queueing_delays_ms:
@@ -186,7 +282,7 @@ class GenerativeMetrics:
     def throughput_tokens_per_s(self) -> float:
         if self.makespan_ms <= 0:
             return 0.0
-        return 1000.0 * len(self.tokens) / self.makespan_ms
+        return 1000.0 * self.num_tokens() / self.makespan_ms
 
     def kv_hit_rate(self) -> float:
         """Fraction of prompt tokens served from resident cache prefixes."""
@@ -209,7 +305,7 @@ class GenerativeMetrics:
             "sequence_accuracy": self.mean_sequence_accuracy(),
             "exit_rate": self.exit_rate(),
             "throughput_tokens_per_s": self.throughput_tokens_per_s(),
-            "num_tokens": float(len(self.tokens)),
+            "num_tokens": float(self.num_tokens()),
             "deferred_tokens": float(self.deferred_tokens),
             "deferred_flushes": float(self.deferred_flushes),
             "shed": float(self.num_shed()),
@@ -232,14 +328,16 @@ class GenerativeMetrics:
                makespan_ms: Optional[float] = None) -> "GenerativeMetrics":
         """Combine several replicas' runs into one aggregate view.
 
-        Token records, per-sequence accuracies and queueing delays add up
+        Token columns, per-sequence accuracies and queueing delays add up
         (sequence ids are globally unique within one workload); the makespan
         defaults to the longest part unless the caller supplies the fleet's
         global wall-clock span.
         """
         out = cls()
+        columns = [getattr(out, name) for name in cls.COLUMNS]
         for metrics in parts:
-            out.tokens.extend(metrics.tokens)
+            for column, name in zip(columns, cls.COLUMNS):
+                column.extend(getattr(metrics, name))
             out.sequence_accuracy.update(metrics.sequence_accuracy)
             out.queueing_delays_ms.update(metrics.queueing_delays_ms)
             out.deferred_tokens += metrics.deferred_tokens
@@ -255,6 +353,11 @@ class GenerativeMetrics:
         if makespan_ms is not None:
             out.makespan_ms = makespan_ms
         return out
+
+
+#: ``TokenFeedback._make`` without its Python-level frame (the engine builds
+#: one record per decoded token).
+_feedback_record = partial(tuple.__new__, TokenFeedback)
 
 
 class ContinuousBatchingEngine:
@@ -293,71 +396,113 @@ class ContinuousBatchingEngine:
         ``speed`` divides every step duration — a cluster replica with a 2×
         :class:`~repro.serving.fleet.ReplicaProfile` genuinely releases
         tokens twice as fast.
+
+        The policy's signals for the whole stream come in one call and are
+        asked for again only when a ``feedback`` call moves the ramp; the
+        token columns are appended to ``metrics`` once, at the end.
         """
-        state = ParallelDecodingState(flush_limit=self.flush_limit)
-        now = start_ms
-        last_release = start_ms
-        correct_tokens = 0
+        timing = self.timing
+        flush_limit = self.flush_limit
+        overhead = timing.ramp_overhead_ms(1)
+        full_step = timing.full_step_ms(1) + overhead
+        #: exit depth -> time of a head-only step that exits there.
+        head_ms: Dict[float, float] = {}
+        sequence_id = sample.sequence_id
+        num_tokens = sample.num_tokens
+        difficulty, sharpness = sample.token_difficulty, sample.token_sharpness
+        depths, errors, agree = policy.signals(difficulty, sharpness)
+        limit = exit_limit(policy.threshold)
+
+        releases: List[float] = []
+        tpts: List[float] = []
+        exited: List[bool] = []
+        exit_depths: List[Optional[float]] = []
+        correct: List[bool] = []
+        now = last_release = start_ms
+        # Parallel-decoding state: exited tokens whose tail layers are
+        # still deferred, and the shallowest ramp they exited at.
+        pending = 0
+        pending_depth = 1.0
         forced_flushes = 0
         # Feedback is grouped per parallel-decoding instance: the run of
         # consecutive exited tokens closed by the first non-exiting token.
-        instance: List[TokenFeedback] = []
+        # It stops after the instance's first exited-but-wrong token (``cut``):
+        # later tokens may carry cascading errors (§3.4).
+        records: List[TokenFeedback] = []
+        cut = False
 
-        for token_idx in range(sample.num_tokens):
-            decision = policy.decide(sample.sequence_id, token_idx,
-                                     float(sample.token_difficulty[token_idx]),
-                                     float(sample.token_sharpness[token_idx]))
-            ramp_overhead = self.timing.ramp_overhead_ms(1)
-
-            if decision.exited and decision.exit_depth is not None:
+        for token in range(num_tokens):
+            error = errors[token]
+            if error < limit:
                 # Head-only step: release the token at the ramp, defer its tail.
-                release = now + (self.timing.partial_step_ms(1, decision.exit_depth)
-                                 + ramp_overhead) / speed
+                depth = depths[token]
+                head = head_ms.get(depth)
+                if head is None:
+                    head = head_ms[depth] = (timing.partial_step_ms(1, depth)
+                                             + overhead) / speed
+                release = now + head
                 now = release
-                state.defer(decision.exit_depth)
-                if state.needs_flush():
+                if pending == 0 or depth < pending_depth:
+                    # Tails are all computed from the shallowest accumulated
+                    # ramp so a single batched pass covers every pending token.
+                    pending_depth = depth
+                pending += 1
+                if pending >= flush_limit:
                     # Forced flush: run the accumulated tails as one batch
                     # before the next token's step (keeps KV staleness bounded).
-                    now += self.timing.flush_step_ms(state.pending_depth,
-                                                     state.pending_tokens) / speed
-                    state.flush()
+                    now += timing.flush_step_ms(pending_depth, pending) / speed
+                    pending = 0
                     forced_flushes += 1
-                released_correct = decision.correct
+                ok = agree[token]
+                if not cut:
+                    records.append(_feedback_record(
+                        (sequence_id, token, error, True, ok)))
+                    cut = not ok
+                exited.append(True)
+                exit_depths.append(depth)
+                correct.append(ok)
             else:
                 # Full step, plus the deferred tails of previously exited
                 # tokens batched alongside it (parallel decoding).
-                step = self.timing.full_step_ms(1) + ramp_overhead
-                step += self.timing.deferred_tail_ms(state.pending_depth,
-                                                     state.pending_tokens, 1)
-                state.flush()
+                step = full_step
+                if pending:
+                    step += timing.deferred_tail_ms(pending_depth, pending, 1)
+                    pending = 0
                 release = now + step / speed
                 now = release
-                released_correct = True
-
-            tpt = max(release - last_release, 0.0)
-            metrics.tokens.append(TokenRecord(
-                sequence_id=sample.sequence_id, token_index=token_idx,
-                release_ms=release, tpt_ms=tpt, exited=decision.exited,
-                exit_depth=decision.exit_depth, correct=released_correct))
-            # Feedback carries the ramp's *agreement* with the original model
-            # regardless of exiting: Apparate eventually computes every
-            # token's tail layers, so the signal is always available (§3.4).
-            instance.append(TokenFeedback(sequence_id=sample.sequence_id,
-                                          token_index=token_idx,
-                                          error_score=decision.error_score,
-                                          exited=decision.exited,
-                                          correct=decision.correct))
-            if not decision.exited:
-                # The non-exiting token closes this parallel-decoding instance.
-                policy.feedback(truncate_feedback(instance))
-                instance = []
+                exited.append(False)
+                exit_depths.append(None)
+                correct.append(True)
+                # The non-exiting token closes this parallel-decoding
+                # instance.  Feedback carries the ramp's *agreement* with the
+                # original model regardless of exiting: Apparate eventually
+                # computes every token's tail layers, so the signal is always
+                # available (§3.4).
+                if not cut:
+                    records.append(_feedback_record(
+                        (sequence_id, token, error, False, agree[token])))
+                if policy.feedback(records):
+                    depths, errors, agree = policy.signals(difficulty, sharpness)
+                limit = exit_limit(policy.threshold)
+                records = []
+                cut = False
+            tpt = release - last_release
+            tpts.append(0.0 if tpt < 0.0 else tpt)
+            releases.append(release)
             last_release = release
-            correct_tokens += int(released_correct)
 
-        metrics.sequence_accuracy[sample.sequence_id] = \
-            correct_tokens / max(sample.num_tokens, 1)
-        metrics.deferred_tokens += state.total_deferred
+        if num_tokens:
+            metrics.sequence_ids.extend([sequence_id] * num_tokens)
+            metrics.token_indices.extend(range(num_tokens))
+            metrics.release_ms.extend(releases)
+            metrics.tpt_ms.extend(tpts)
+            metrics.exited.extend(exited)
+            metrics.exit_depths.extend(exit_depths)
+            metrics.correct.extend(correct)
+        metrics.sequence_accuracy[sequence_id] = \
+            correct.count(True) / max(num_tokens, 1)
+        metrics.deferred_tokens += exited.count(True)
         metrics.deferred_flushes += forced_flushes
-        if instance:
-            policy.feedback(truncate_feedback(instance))
+        if records:
+            policy.feedback(records)
         return now

@@ -3,7 +3,7 @@
 The cluster runners attach these to their metrics objects after a run:
 ``request_rollups`` summarizes classification responses per tenant
 (goodput, p50/p99, drop and SLO-attainment rates against each tenant's
-effective SLO), ``sequence_rollups`` summarizes generative token records
+effective SLO), ``sequence_rollups`` summarizes generative token columns
 (TTFT p99, token-latency p99, shed rate, accuracy — the same definitions
 as :class:`~repro.serving.hf_pipelines.GenerativeMetrics`, filtered by
 tenant).  :func:`isolation_ratios` compares a tenant's tail latency under
@@ -90,17 +90,19 @@ def sequence_rollups(metrics, runtime: Optional[TenantRuntime]) -> Dict[str, Dic
     token_latencies: Dict[str, list] = {name: [] for name in names}
     ttfts: Dict[str, list] = {name: [] for name in names}
     token_counts: Dict[str, int] = {name: 0 for name in names}
-    for record in metrics.tokens:
-        name = tenant_of.get(record.sequence_id)
+    for sequence_id, token_index, tpt in zip(metrics.sequence_ids,
+                                             metrics.token_indices,
+                                             metrics.tpt_ms):
+        name = tenant_of.get(sequence_id)
         if name is None:
             continue
         token_counts[name] += 1
-        if record.token_index == 0:
-            ttft = record.tpt_ms + delays.get(record.sequence_id, 0.0)
+        if token_index == 0:
+            ttft = tpt + delays.get(sequence_id, 0.0)
             ttfts[name].append(ttft)
             token_latencies[name].append(ttft)
         else:
-            token_latencies[name].append(record.tpt_ms)
+            token_latencies[name].append(tpt)
     served: Dict[str, list] = {name: [] for name in names}
     for seq_id, accuracy in metrics.sequence_accuracy.items():
         name = tenant_of.get(seq_id)

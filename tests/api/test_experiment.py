@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, WorkloadSpec,
@@ -84,6 +85,40 @@ def test_non_finite_slo_is_rejected():
 def test_fractional_request_count_is_rejected():
     with pytest.raises(ValueError, match="requests.*10.5"):
         WorkloadSpec("video", requests=10.5)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"),
+                                    float("-inf"), 0.0])
+def test_non_finite_or_non_positive_ramp_budget_is_rejected(budget):
+    """NaN and inf used to pass; the apparate run then died with an error
+    that did not name the key (NaN) or an ``OverflowError`` (inf)."""
+    with pytest.raises(ValueError, match="ramp_budget"):
+        ExitPolicySpec(ramp_budget=budget)
+
+
+@pytest.mark.parametrize("key", ClusterSpec.COUNT_KEYS)
+def test_cluster_count_fields_must_be_integers(key):
+    """``ClusterSpec(replicas=2.5)`` used to describe a 2-replica fleet."""
+    fields = {"replicas": 2, "disaggregate": key.startswith(("prefill_", "decode_")),
+              key: 2.5}
+    with pytest.raises(ValueError, match=key):
+        ClusterSpec(**fields)
+    assert ClusterSpec(replicas=np.int64(3)).describe()["replicas"] == 3
+
+
+@pytest.mark.parametrize("key", ["prefix_groups", "prefix_tokens"])
+def test_workload_prefix_counts_must_be_integers(key):
+    """``prefix_groups=1.5`` used to build one prefix group."""
+    fields = {"prefix_groups": 2, key: 1.5}
+    with pytest.raises(ValueError, match=key):
+        WorkloadSpec("generative", requests=10, **fields)
+
+
+def test_initial_ramp_ids_must_be_integers():
+    with pytest.raises(ValueError, match="initial_ramp_ids"):
+        ExitPolicySpec(initial_ramp_ids=(1, 2.5))
+    assert ExitPolicySpec(initial_ramp_ids=[np.int64(1), 3]).initial_ramp_ids \
+        == (1, 3)
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf")])

@@ -2,10 +2,13 @@
 their pre-rewrite versions (``tests/core/_seed_token_policy.py``).
 
 Both properties require *bit-identical* behaviour: the live policy keeps
-running exit counts and tunes from one sort, the seed rescans its window per
-token and per candidate, and the two must agree on every threshold, position
-and counter after every feedback call; the scalar prediction methods must
-return the same float bits as the numpy-scalar ones.
+running exit counts and tunes from per-bin counts, the seed rescans its
+window per token and per candidate, and the two must agree on every
+threshold, position and counter after every feedback call; the scalar
+prediction methods must return the same float bits as the numpy-scalar ones,
+and the vectorized ones (``np.exp`` on multi-element arrays,
+``ramp_error_score``, ``PredictionModel.ramp_signals``) the same bits as the
+scalar ones, element by element.
 """
 
 import struct
@@ -15,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.generative import ApparateTokenPolicy, generative_ramp_depths
 from repro.generative.parallel import TokenFeedback
-from repro.models.prediction import PredictionModel
+from repro.models.prediction import (PredictionModel, _error_score,
+                                     ramp_error_score)
 from repro.models.zoo import get_model
 from tests.core._seed_token_policy import SeedPredictionModel, SeedTokenPolicy
 
@@ -158,3 +162,66 @@ def test_scalar_observe_and_exit_depth_match_numpy_scalar_path(
     assert [_bits(o.error_score) for o in got] == [_bits(o.error_score) for o in want]
     assert _bits(live.exit_depth(raw, sharpness, depths, thresholds, shift)) \
         == _bits(seed.exit_depth(raw, sharpness, depths, thresholds, shift))
+
+
+# ------------------------------------------- vectorized against scalar path
+
+_z = st.one_of(st.floats(-800.0, 800.0),
+               st.sampled_from([0.0, -0.0, 709.8, -709.8, 745.2, -745.2,
+                                746.0, -746.0, 1e-300, -1e-300]))
+
+
+@SETTINGS
+@given(zs=st.lists(_z, min_size=1, max_size=70))
+def test_array_exp_matches_scalar_exp(zs):
+    """numpy may take a SIMD ``exp`` loop on multi-element arrays; every
+    element must still carry the scalar call's bits, through overflow
+    (z > 709), underflow (z < -745) and signed zeros."""
+    with np.errstate(over="ignore", under="ignore"):
+        got = np.exp(np.array(zs)).tolist()
+        want = [float(np.exp(z)) for z in zs]
+    assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+@SETTINGS
+@given(model=_model, depth=_depth, shift=_shift,
+       rows=st.lists(st.tuples(_raw, _sharpness), min_size=1, max_size=70))
+def test_vector_scores_match_scalar_path(model, depth, shift, rows):
+    """``ramp_error_score`` on arrays and ``ramp_signals`` against the
+    scalar ``_error_score``, ``error_score`` and ``is_correct``.  Sharpness
+    at or below the 1e-6 clamp puts |z| far past 745."""
+    live = PredictionModel(get_model(model))
+    raw = np.array([r for r, _ in rows])
+    sharpness = np.array([s for _, s in rows])
+    required = live.required_depths(raw)
+    with np.errstate(over="ignore"):
+        scores = np.asarray(ramp_error_score(required, depth, sharpness,
+                                             shift)).tolist()
+        want = [_error_score(d, depth, s, shift)
+                for d, s in zip(required.tolist(), sharpness.tolist())]
+        errors, agree = live.ramp_signals(raw, depth, sharpness)
+        want_errors = [live.error_score(r, depth, s) for r, s in rows]
+    assert list(map(_bits, scores)) == list(map(_bits, want))
+    assert list(map(_bits, errors)) == list(map(_bits, want_errors))
+    assert agree == [live.is_correct(r, depth) for r, _ in rows]
+
+
+def test_position_is_judged_after_the_same_records_tuning():
+    """A refresh and a position judgement on the same record: the judgement
+    sees the freshly tuned threshold (a drop to 0 skips it), as in the seed."""
+    kwargs = dict(window=128, refresh_period=8, adjustment_period=8,
+                  initial_position=len(T5_DEPTHS) // 2)
+    seed = SeedTokenPolicy(SeedPredictionModel(T5), T5_DEPTHS, **kwargs)
+    live = ApparateTokenPolicy(PredictionModel(T5), T5_DEPTHS, **kwargs)
+    rng = np.random.default_rng(11)
+    token = 0
+    for _ in range(12):
+        # Confident and right (thresholds climb), then confident and wrong
+        # (a tuning round drops the threshold to 0 on a judgement record).
+        for error, correct in [(0.01, True)] * 150 + [(0.01, False)] * 40:
+            record = TokenFeedback(0, token, error + 0.001 * rng.random(),
+                                   False, correct)
+            token += 1
+            seed.feedback([record])
+            live.feedback([record])
+            _assert_same_state(seed, live)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.generative.decoding import DecodeTimingModel
-from repro.generative.parallel import ParallelDecodingState, TokenFeedback, truncate_feedback
+from repro.generative.parallel import TokenFeedback
 from repro.generative.sequences import make_generative_workload
 from repro.models.zoo import get_model
 from repro.serving.generative_cluster import GenerativeClusterPlatform
@@ -12,6 +12,7 @@ from repro.serving.hf_pipelines import (
     TokenDecision,
     VanillaTokenPolicy,
 )
+from tests.serving._seed_decode import ParallelDecodingState, truncate_feedback
 
 
 def serve(engine, workload, policy):
@@ -23,6 +24,8 @@ def serve(engine, workload, policy):
 class FixedExitPolicy:
     """Exit every token at a fixed depth (for deterministic engine tests)."""
 
+    threshold = 0.5
+
     def __init__(self, depth=0.3, exit_every=1, correct=True):
         self.depth = depth
         self.exit_every = exit_every
@@ -30,8 +33,15 @@ class FixedExitPolicy:
         self.calls = 0
         self.feedback_batches = []
 
-    def decide(self, sequence_id, token_index, raw_difficulty, sharpness):
+    def signals(self, difficulty, sharpness):
         self.calls += 1
+        n = len(difficulty)
+        exited = [(i % self.exit_every) == 0 if self.exit_every > 1 else True
+                  for i in range(n)]
+        return ([self.depth] * n, [0.1 if e else 0.9 for e in exited],
+                [self.correct] * n)
+
+    def decide(self, sequence_id, token_index, raw_difficulty, sharpness):
         exited = (token_index % self.exit_every) == 0 if self.exit_every > 1 else True
         return TokenDecision(exited=exited, exit_depth=self.depth if exited else None,
                              error_score=0.1 if exited else 0.9, correct=self.correct)
