@@ -10,6 +10,14 @@ O(replicas) bookkeeping per visited timestamp) and once through the kernel
 metrics; the kernel must simulate at least ``MIN_SPEEDUP`` times more
 requests per wall-clock second.
 
+A second race times the cluster's SLO-salvage phase on the ``cv-fleet``
+end-to-end configuration (resnet50 on 4 Clockwork replicas, join shortest
+queue, ``drop_expired``, 600 frames at 250 fps, one crash at 1 s for 800 ms):
+``Experiment.run`` of vanilla with the live salvage (inline doom check over
+completion-offset tables) against the same run with the seed scan
+(``seed_salvage_doomed``) substituted.  Metrics must be bit-identical; the
+speedup is recorded under the ``salvage`` key (the CI gate applies a floor).
+
 Modes (``BENCH_SIMSPEED`` environment variable)
 -----------------------------------------------
 unset
@@ -30,16 +38,18 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
+from repro.api import ClusterSpec, Experiment, WorkloadSpec
 from repro.serving.cluster import ClusterPlatform
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.arrivals import diurnal_arrivals
 from repro.workloads.difficulty import InputSample
-from tests.serving._seed_loops import seed_cluster_run
+from tests.serving._seed_loops import seed_cluster_run, seed_salvage_doomed
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_simspeed.json"
 
@@ -55,6 +65,12 @@ MAX_BATCH = 16
 BATCH_TIMEOUT_MS = 4.0
 GPU_TIME_MS = 8.0
 LOW_QPS, HIGH_QPS, PERIOD_S = 200.0, 2000.0, 60.0
+
+#: The salvage race: cv-fleet's configuration on its eight seed-0 traces,
+#: each run ``SALVAGE_REPEATS`` times per variant (alternating, after a
+#: warm-up); per trace the median wall times are compared.
+SALVAGE_TRACES = 8
+SALVAGE_REPEATS = 3
 
 
 def _mode():
@@ -128,7 +144,7 @@ def test_kernel_simulation_speed():
           f"speedup {speedup:.2f}x")
 
     if write:
-        BENCH_PATH.write_text(json.dumps({
+        _record({
             "trace": {"requests": n, "arrivals": "diurnal",
                       "low_qps": LOW_QPS, "high_qps": HIGH_QPS,
                       "period_s": PERIOD_S},
@@ -141,8 +157,89 @@ def test_kernel_simulation_speed():
             "kernel": {"wall_s": round(kernel_wall_s, 3),
                        "simulated_rps": round(kernel_rps)},
             "speedup": round(speedup, 2),
-        }, indent=2) + "\n")
+        })
 
     assert speedup >= MIN_SPEEDUP, (
         f"kernel simulated {kernel_rps:,.0f} req/s vs seed loop "
         f"{seed_rps:,.0f} req/s — only {speedup:.2f}x, need {MIN_SPEEDUP}x")
+
+
+def _record(entries):
+    """Merge ``entries`` into ``BENCH_simspeed.json`` (each race owns its
+    keys, so either test can refresh the file alone)."""
+    bench = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    bench.update(entries)
+    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
+
+
+def _cv_fleet(seed):
+    return Experiment(
+        model="resnet50",
+        workload=WorkloadSpec("video", "urban-day", requests=600, rate=250.0,
+                              seed=seed),
+        cluster=ClusterSpec(replicas=4, balancer="join_shortest_queue",
+                            faults="1000:800"),
+        drop_expired=True)
+
+
+class _FleetView:
+    """The one fleet read of the seed salvage scan: its serving members,
+    rebuilt into a new list on every pass as ``FleetState.serving`` does."""
+
+    def __init__(self, serving):
+        self._serving = serving
+
+    def serving(self):
+        return [entry for entry in self._serving]
+
+
+def _seed_salvage(cluster, serving, active, now_ms, rerouted_ids):
+    return seed_salvage_doomed(cluster, _FleetView(serving), active, now_ms,
+                               rerouted_ids)
+
+
+def test_salvage_speed(monkeypatch):
+    _, write = _mode()
+    experiments = [_cv_fleet(seed) for seed in range(SALVAGE_TRACES)]
+    live_salvage = ClusterPlatform._salvage_doomed
+
+    def timed(experiment, salvage):
+        monkeypatch.setattr(ClusterPlatform, "_salvage_doomed", salvage)
+        t0 = time.perf_counter()
+        result = experiment.run(["vanilla"]).result("vanilla")
+        return time.perf_counter() - t0, result
+
+    live_s, seed_s = [], []
+    rerouted = 0
+    for experiment in experiments:
+        timed(experiment, live_salvage)         # warm the trace cache
+        live_runs, seed_runs = [], []
+        for _ in range(SALVAGE_REPEATS):
+            wall, live = timed(experiment, live_salvage)
+            live_runs.append(wall)
+            wall, seed = timed(experiment, _seed_salvage)
+            seed_runs.append(wall)
+            # Speed means nothing if the answers drift: identical results.
+            assert live.to_json() == seed.to_json()
+        live_s.append(statistics.median(live_runs))
+        seed_s.append(statistics.median(seed_runs))
+        rerouted += int(live.summary["rerouted"])
+    monkeypatch.setattr(ClusterPlatform, "_salvage_doomed", live_salvage)
+    assert rerouted > 0     # the race exercised salvage moves
+
+    speedup = sum(seed_s) / sum(live_s)
+    print(f"\nsalvage ({SALVAGE_TRACES} cv-fleet traces, vanilla): seed scan "
+          f"{sum(seed_s):.3f} s, inline check {sum(live_s):.3f} s, "
+          f"speedup {speedup:.2f}x ({rerouted} reroutes)")
+    if write:
+        _record({"salvage": {
+            "model": "resnet50", "workload": "video/urban-day",
+            "frames": 600, "rate_fps": 250.0, "replicas": 4,
+            "balancer": "join_shortest_queue", "faults": "1000:800",
+            "drop_expired": True, "system": "vanilla",
+            "traces": SALVAGE_TRACES, "repeats": SALVAGE_REPEATS,
+            "rerouted": rerouted,
+            "seed_wall_s": round(sum(seed_s), 3),
+            "live_wall_s": round(sum(live_s), 3),
+            "speedup": round(speedup, 2),
+        }})

@@ -135,9 +135,18 @@ class Experiment:
     @property
     def kind(self) -> str:
         """``classification`` or ``generative``: the model family.  The
-        topology is ``cluster``'s; generative-only cluster knobs on a
-        classification model raise :class:`ValueError` here."""
+        topology is ``cluster``'s.  A knob of the other family raises
+        :class:`ValueError` naming it: generative-only cluster knobs on a
+        classification model, and a serving ``platform`` or
+        ``ee.ramp_budget`` other than the default on a generative model
+        (the token engines use neither)."""
         if self.is_generative:
+            for key, value in (
+                    ("platform", str(self.platform).lower() != Experiment.platform),
+                    ("ramp_budget", self.ee.ramp_budget != ExitPolicySpec.ramp_budget)):
+                if value:
+                    raise ValueError(f"{key} requires a classification model; "
+                                     f"{self.spec.name!r} is generative")
             return KIND_GENERATIVE
         for key, value in (("disaggregate", self.cluster.disaggregate),
                            ("prefill_in_slot", self.cluster.prefill_in_slot),
@@ -310,6 +319,8 @@ class Experiment:
         # anything, so a bad value fails fast instead of aborting mid-sweep.
         combos = [dict(zip(keys, combo)) for combo in itertools.product(*axes)]
         variants = [(params, self._apply_sweep_params(params)) for params in combos]
+        for _, variant in variants:
+            variant.kind   # a knob of the other model family raises here
         if exec_.strip_workload_cache:
             # Forked workers inherit the parent's trace cache copy-on-write;
             # dropping the materialized object from the pickled variant saves

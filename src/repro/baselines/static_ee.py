@@ -116,10 +116,10 @@ class _StaticEEExecutor:
                                                 confidence_shifts=shifts)
         return BatchResult(
             gpu_time_ms=execution.gpu_time_ms,
-            result_offsets_ms=[r.result_latency_ms for r in execution.results],
-            exited=[r.exited for r in execution.results],
-            exit_depths=[r.exit_depth for r in execution.results],
-            correct=[r.final_correct for r in execution.results],
+            result_offsets_ms=execution.result_offsets_ms,
+            exited=execution.exited,
+            exit_depths=execution.exit_depths,
+            correct=execution.correct,
         )
 
 

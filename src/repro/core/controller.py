@@ -104,20 +104,25 @@ class ApparateController:
 
     # -------------------------------------------------------------- feedback
     def observe_batch(self, execution: BatchExecution) -> None:
-        """Ingest one batch's streamed profiling data and adapt if needed."""
-        window_ids = set(self.window.ramp_ids)
-        for result in execution.results:
-            observed_ids = {obs.ramp_id for obs in result.observations}
-            # A ramp-set change mid-batch leaves earlier observations keyed to
-            # the previous configuration; only matching records are ingested.
-            if self.config.num_active() > 0 and window_ids <= observed_ids:
-                self.window.record(result.observations)
-            self.accuracy_monitor.record(result.final_correct)
-            self.stats.samples_seen += 1
+        """Ingest one batch's streamed profiling data and adapt if needed.
 
-            accuracy_violation = (self.accuracy_monitor.full()
-                                  and self.accuracy_monitor.accuracy() < 1.0 - self.accuracy_constraint)
-            periodic_refresh = (self.stats.samples_seen % self.threshold_refresh_period == 0)
+        Input by input: record its feedback row in the window, feed the
+        accuracy monitor, back off on a violation, refresh thresholds on
+        schedule and adjust the ramp set on schedule.  An adjustment that
+        changes the ramp set re-keys the window, so the rest of the batch is
+        ingested only if its ramps still cover the window's.
+        """
+        window, monitor, stats = self.window, self.accuracy_monitor, self.stats
+        rows = self._window_rows(execution)
+        for i, final_correct in enumerate(execution.correct):
+            if rows is not None:
+                window.record(rows[0][i], rows[1][i])
+            monitor.record(final_correct)
+            stats.samples_seen += 1
+
+            accuracy_violation = (monitor.full()
+                                  and monitor.accuracy() < 1.0 - self.accuracy_constraint)
+            periodic_refresh = (stats.samples_seen % self.threshold_refresh_period == 0)
             if accuracy_violation:
                 # Immediate multiplicative backoff: wrong exits are already
                 # escaping, so cut every threshold before the (asynchronous)
@@ -125,15 +130,33 @@ class ApparateController:
                 for ramp_id in self.config.active_ramp_ids:
                     self.config.set_threshold(ramp_id, self.config.thresholds[ramp_id] * 0.5)
             if ((accuracy_violation or periodic_refresh)
-                    and len(self.window) >= self.min_tuning_samples):
+                    and len(window) >= self.min_tuning_samples):
                 self.tune_thresholds(triggered_by_accuracy=accuracy_violation)
                 if accuracy_violation:
-                    self.accuracy_monitor.reset()
+                    monitor.reset()
 
-            if (self.stats.samples_seen % self.ramp_adjustment_period == 0
-                    and len(self.window) >= self.min_tuning_samples):
+            if (stats.samples_seen % self.ramp_adjustment_period == 0
+                    and len(window) >= self.min_tuning_samples):
                 self.adjust_ramps()
-                window_ids = set(self.window.ramp_ids)
+                rows = self._window_rows(execution)
+
+    def _window_rows(self, execution: BatchExecution
+                     ) -> Optional[Tuple[List[List[float]], List[List[bool]]]]:
+        """The batch's (errors, agree) rows in window-ramp order, or ``None``
+        when the window takes none of them: no ramp is active, or a window
+        ramp is missing from the batch (the ramp set changed after the batch
+        ran, so its rows are keyed to the previous configuration)."""
+        if self.config.num_active() == 0:
+            return None
+        window_ids = self.window.ramp_ids
+        if window_ids == execution.ramp_ids:
+            return execution.errors, execution.agree
+        position = {rid: col for col, rid in enumerate(execution.ramp_ids)}
+        if any(rid not in position for rid in window_ids):
+            return None
+        columns = [position[rid] for rid in window_ids]
+        return ([[row[col] for col in columns] for row in execution.errors],
+                [[row[col] for col in columns] for row in execution.agree])
 
     # -------------------------------------------------------- threshold loop
     def tune_thresholds(self, triggered_by_accuracy: bool = False) -> None:
@@ -204,7 +227,7 @@ class _SyncedReplicaController:
 
     def observe_batch(self, execution: BatchExecution) -> None:
         self._buffer.append(execution)
-        self._buffered_samples += len(execution.results)
+        self._buffered_samples += len(execution.correct)
         if self._buffered_samples >= self.sync_period:
             self.flush()
 

@@ -21,8 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.prediction import RampObservation
-
 __all__ = ["WindowBuffer", "ConfigEvaluation", "evaluate_thresholds"]
 
 
@@ -161,16 +159,23 @@ class WindowBuffer:
         return self._size
 
     # ----------------------------------------------------------------- write
-    def record(self, observations: Sequence[RampObservation]) -> None:
-        """Record one request's observations (must cover all active ramps)."""
-        by_id = {obs.ramp_id: obs for obs in observations}
-        try:
-            ordered = [by_id[r] for r in self.ramp_ids]
-        except KeyError as exc:
-            raise KeyError(f"missing observation for active ramp {exc}") from exc
+    def record(self, errors: Sequence[float], agree: Sequence[bool]) -> None:
+        """Record one request's row: its error score and its agreement with
+        the original model at every window ramp, in ``ramp_ids`` order.
+
+        This is the buffer's only write; the row lands in the ring slot
+        after the newest, overwriting the oldest once the buffer is full.  A
+        row whose length is not the number of window ramps raises
+        :class:`ValueError`.
+        """
+        width = len(self.ramp_ids)
+        if len(errors) != width or len(agree) != width:
+            raise ValueError(f"a window row needs {width} errors and "
+                             f"agreements (one per ramp of {self.ramp_ids}), "
+                             f"got {len(errors)} and {len(agree)}")
         slot = self._next
-        self._errors[slot] = [obs.error_score for obs in ordered]
-        self._correct[slot] = [obs.correct for obs in ordered]
+        self._errors[slot] = errors
+        self._correct[slot] = agree
         self._next = (slot + 1) % self.capacity
         if self._size < self.capacity:
             self._size += 1

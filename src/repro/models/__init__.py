@@ -11,8 +11,8 @@ Apparate's adaptation algorithms rely on.
 
 from repro.models.zoo import ModelSpec, Task, get_model, list_models, register_model
 from repro.models.latency import LatencyProfile, build_latency_profile
-from repro.models.prediction import PredictionModel, RampObservation
-from repro.models.execution import ModelExecutor, ExecutionResult
+from repro.models.prediction import PredictionModel
+from repro.models.execution import BatchExecution, ModelExecutor
 from repro.models.quantization import quantized_spec
 
 __all__ = [
@@ -24,8 +24,7 @@ __all__ = [
     "LatencyProfile",
     "build_latency_profile",
     "PredictionModel",
-    "RampObservation",
     "ModelExecutor",
-    "ExecutionResult",
+    "BatchExecution",
     "quantized_spec",
 ]

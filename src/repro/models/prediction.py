@@ -30,14 +30,13 @@ later ramps exhibit exit rates at least as high as earlier ones (§3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.models.zoo import ModelSpec
 
-__all__ = ["RampObservation", "PredictionModel", "effective_difficulty", "ramp_error_score"]
+__all__ = ["PredictionModel", "effective_difficulty", "ramp_error_score"]
 
 # Probability that a ramp placed before the input's required depth happens to
 # agree with the original model anyway (label confusion floor).
@@ -81,42 +80,30 @@ def _error_score(difficulty: float, depth: float, sharpness: float,
     return min(max(raw - float(confidence_shift), 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class RampObservation:
-    """What the controller records for one (input, ramp) pair (§3.2).
+def _confusion_draw(seed: int, raw_key: float, depth_key: float) -> float:
+    """Deterministic pseudo-uniform used for the confusion floor.
 
-    Attributes
-    ----------
-    ramp_id:
-        Identifier of the ramp (its position index in the model).
-    depth_fraction:
-        Fraction of model latency elapsed at the ramp.
-    error_score:
-        Entropy-style error of the ramp's top prediction (lower = more
-        confident); the ramp exits when this is *below* its threshold.
-    correct:
-        Whether the ramp's top prediction matches the original model's output
-        (Apparate always has this because inputs run to completion).
+    ``raw_key`` and ``depth_key`` are the input's raw difficulty and the
+    ramp's depth fraction, each as ``round(float(x), 9)``; callers round
+    each input and each ramp once, not once per pair.  Determinism matters:
+    the oracle baseline and the controller's replay evaluation must see the
+    same correctness for the same (input, ramp) pair, otherwise accuracy
+    accounting would drift between passes.
     """
-
-    ramp_id: int
-    depth_fraction: float
-    error_score: float
-    correct: bool
-
-    def would_exit(self, threshold: float) -> bool:
-        """Whether this observation exits under ``threshold``."""
-        return self.error_score < threshold
+    return (hash((seed, raw_key, depth_key)) & 0xFFFFFFFF) / 4294967296.0
 
 
 class PredictionModel:
     """Per-model synthetic prediction behaviour.
 
-    The per-input methods (``required_depth``, ``error_score``, ``observe``,
-    ``exit_depth``) run on plain Python floats, since the serving loops call
-    them once per request or token; they give bit-identical results to the
-    vectorized :func:`effective_difficulty` and :func:`ramp_error_score`,
-    which ``required_depths`` and the whole-trace baselines use.
+    The per-input methods (``required_depth``, ``error_score``,
+    ``is_correct``, ``exit_depth``) run on plain Python floats, since the
+    serving loops call them once per request or token; they give
+    bit-identical results to the vectorized :func:`effective_difficulty` and
+    :func:`ramp_error_score`, which ``required_depths`` and the whole-trace
+    baselines use.  The classification batch path,
+    :meth:`~repro.models.execution.ModelExecutor.execute_batch`, scores
+    every (input, ramp) pair with the same operations inline.
 
     Parameters
     ----------
@@ -130,16 +117,6 @@ class PredictionModel:
     def __init__(self, spec: ModelSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = int(seed)
-
-    def _confusion_draw(self, raw_difficulty: float, depth_fraction: float) -> float:
-        """Deterministic pseudo-uniform used for the confusion floor.
-
-        Determinism matters: the oracle baseline and the controller's replay
-        evaluation must see the same correctness for the same (input, ramp)
-        pair, otherwise accuracy accounting would drift between passes.
-        """
-        key = (self.seed, round(float(raw_difficulty), 9), round(float(depth_fraction), 9))
-        return (hash(key) & 0xFFFFFFFF) / float(0x100000000)
 
     # ------------------------------------------------------------ per input
     def required_depth(self, raw_difficulty: float) -> float:
@@ -162,7 +139,8 @@ class PredictionModel:
         d = self.required_depth(raw_difficulty)
         if depth_fraction >= d:
             return True
-        return self._confusion_draw(raw_difficulty, depth_fraction) < _GUESS_AGREEMENT
+        return _confusion_draw(self.seed, round(float(raw_difficulty), 9),
+                               round(float(depth_fraction), 9)) < _GUESS_AGREEMENT
 
     def ramp_signals(self, raw_difficulty: np.ndarray, depth_fraction: float,
                      sharpness: np.ndarray) -> Tuple[List[float], List[bool]]:
@@ -178,30 +156,12 @@ class PredictionModel:
         errors = np.asarray(ramp_error_score(required, depth_fraction, sharpness))
         past = depth_fraction >= required
         agree = past.tolist()
+        seed = self.seed
+        depth_key = round(float(depth_fraction), 9)
         for i in np.flatnonzero(~past).tolist():
-            agree[i] = self._confusion_draw(raw[i], depth_fraction) < _GUESS_AGREEMENT
+            agree[i] = _confusion_draw(seed, round(float(raw[i]), 9),
+                                       depth_key) < _GUESS_AGREEMENT
         return errors.tolist(), agree
-
-    # ----------------------------------------------------------- per request
-    def observe(self, raw_difficulty: float, sharpness: float,
-                ramp_ids: Sequence[int], ramp_depths: Sequence[float],
-                confidence_shift: float = 0.0) -> List[RampObservation]:
-        """Produce the observations recorded for one input at active ramps.
-
-        Observations are produced for *every* active ramp regardless of
-        upstream exits, because with Apparate all inputs run to the end of the
-        model (§3).
-        """
-        d = self.required_depth(raw_difficulty)
-        observations: List[RampObservation] = []
-        for ramp_id, depth in zip(ramp_ids, ramp_depths):
-            err = _error_score(d, depth, sharpness, confidence_shift)
-            correct = self.is_correct(raw_difficulty, depth)
-            observations.append(RampObservation(ramp_id=int(ramp_id),
-                                                depth_fraction=float(depth),
-                                                error_score=err,
-                                                correct=correct))
-        return observations
 
     def exit_depth(self, raw_difficulty: float, sharpness: float,
                    ramp_depths: Sequence[float], thresholds: Sequence[float],

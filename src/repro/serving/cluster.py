@@ -380,6 +380,40 @@ def build_balancer(name: Union[str, LoadBalancer], seed: int = 0,
     return _BALANCERS[canonical_balancer_name(name, kind)][0](seed)
 
 
+def _drain_times(entry: ReplicaEntry, ahead: int) -> List[float]:
+    """The member's completion-offset table, extended to cover ``ahead``.
+
+    ``table[j]`` is how long ``j + 1`` queued jobs take once the accelerator
+    is free: ``ceil((j + 1) / full)`` batches priced at the predicted time
+    of ``min(j + 1, full)`` requests, or ``(j + 1) / speed`` units without a
+    latency model (the ``work_left_ms`` fallback).
+    ``predicted_batch_time_ms`` is a pure function of the batch size, so
+    the table is built once per member and run, as far as a queue reaches.
+    """
+    table = entry._drain_times
+    if len(table) <= ahead:
+        platform = entry.platform
+        full = platform.max_batch_size
+        for jobs in range(len(table) + 1, ahead + 2):
+            per_batch = platform.predicted_batch_time_ms(min(jobs, full))
+            if per_batch is None:
+                table.append(jobs / entry.profile.speed)
+            else:
+                table.append(per_batch * math.ceil(jobs / full))
+    return table
+
+
+def _one_more_eta(entry: ReplicaEntry, now_ms: float) -> float:
+    """When a job joining the back of ``entry``'s queue would complete."""
+    state = entry.state
+    ahead = len(state.queue)
+    table = entry._drain_times
+    if ahead >= len(table):
+        table = _drain_times(entry, ahead)
+    backlog = state.busy_until_ms - now_ms
+    return (now_ms + (backlog if backlog > 0.0 else 0.0)) + table[ahead]
+
+
 def _scale_result(result: BatchResult, speed: float) -> BatchResult:
     """Apply a replica's speed multiplier to an executor's batch outcome."""
     if speed == 1.0:
@@ -521,23 +555,9 @@ class ClusterPlatform:
         return self.replica_factory(), self.scale_out_profile
 
     # ------------------------------------------------------------- salvage
-    @staticmethod
-    def _completion_eta_ms(handle: ReplicaHandle, jobs_ahead: int,
-                           now_ms: float) -> float:
-        """When a request with ``jobs_ahead - 1`` queued jobs in front of it
-        (itself included in the count) would finish on ``handle``."""
-        full = handle.platform.max_batch_size
-        per_batch = handle.platform.predicted_batch_time_ms(min(jobs_ahead, full))
-        if per_batch is None:
-            # No latency model: fall back to one unit per request (same
-            # degradation as work_left_ms), scaled by replica speed.
-            return now_ms + handle.backlog_ms(now_ms) \
-                + jobs_ahead / handle.profile.speed
-        return now_ms + handle.backlog_ms(now_ms) \
-            + per_batch * math.ceil(jobs_ahead / full)
-
-    def _salvage_doomed(self, fleet: FleetState, active: List[ReplicaEntry],
-                        now_ms: float, rerouted_ids: Set[int]) -> int:
+    def _salvage_doomed(self, serving: Sequence[ReplicaEntry],
+                        active: Sequence[ReplicaEntry], now_ms: float,
+                        rerouted_ids: Set[int]) -> int:
         """Re-route doomed queued requests once to a replica that can serve them.
 
         A request is *doomed* where it sits when the work queued ahead of it
@@ -546,40 +566,59 @@ class ClusterPlatform:
         most once) to the least-loaded other active replica — but only when
         that replica's expected completion still meets the deadline, so
         reroutes convert drops into goodput rather than shuffling lost causes.
+
+        A request with ``j`` requests kept ahead of it (rerouted and expired
+        ones included) completes at ``now + backlog + table[j]``, with the
+        member's :func:`_drain_times` table; targets are costed the same way
+        with one more job than they hold.  The doom check is that inline
+        sum, and the targets' completion times are computed only once a
+        doomed request turns up, then refreshed for the target of each move.
+        ``serving`` is every member that may hold a queue (active and
+        draining, in fleet order) and ``active`` the balancer-visible ones
+        in ``index`` order; ties between targets go to the lower index.
         """
         moved = 0
-        for entry in fleet.serving():
-            if not entry.platform.drop_expired or not entry.state.queue:
+        # Per active member: when one more job would complete there.
+        etas: Optional[List[float]] = None
+        for entry in serving:
+            state = entry.state
+            queue = state.queue
+            if not queue or not entry.platform.drop_expired:
                 continue
+            backlog = state.busy_until_ms - now_ms
+            start = now_ms + (backlog if backlog > 0.0 else 0.0)
+            table = entry._drain_times
+            if len(queue) > len(table):
+                table = _drain_times(entry, len(queue) - 1)
             keep: List[Request] = []
             moved_here = 0
-            for request in entry.state.queue:
+            for request in queue:
                 deadline = request.deadline_ms()
                 if (request.request_id in rerouted_ids
                         or now_ms > deadline
-                        or self._completion_eta_ms(entry, len(keep) + 1, now_ms)
-                        <= deadline + 1e-9):
+                        or start + table[len(keep)] <= deadline + 1e-9):
                     keep.append(request)
                     continue
-                candidates = [h for h in active if h is not entry]
-                if not candidates:
-                    keep.append(request)
-                    continue
-                target = min(candidates,
-                             key=lambda h: (self._completion_eta_ms(
-                                 h, h.queue_length() + 1, now_ms), h.index))
-                if self._completion_eta_ms(target, target.queue_length() + 1,
-                                           now_ms) <= deadline + 1e-9:
+                if etas is None:
+                    etas = [_one_more_eta(h, now_ms) for h in active]
+                target, best = None, 0.0
+                for position, handle in enumerate(active):
+                    eta = etas[position]
+                    if handle is not entry and (target is None or eta < best):
+                        target, best, chosen = handle, eta, position
+                if target is not None and best <= deadline + 1e-9:
                     target.platform.admit(target.state, request)
                     if self.obs.enabled:
                         self.obs.annotate(request.request_id, rerouted=True)
                     rerouted_ids.add(request.request_id)
                     moved_here += 1
+                    etas[chosen] = _one_more_eta(target, now_ms)
                 else:
                     keep.append(request)
             if moved_here:
-                entry.state.queue = keep
+                state.queue = keep
                 moved += moved_here
+                etas = None   # this member's queue shrank
         return moved
 
     # --------------------------------------------------------------- main loop
@@ -763,7 +802,7 @@ class _ClusterRun(FleetRun):
                 len(active) > 1
                 or any(e.status == DRAINING and e.state.queue
                        for e in pool.fleet.entries)):
-            moved = cluster._salvage_doomed(pool.fleet, active, now,
+            moved = cluster._salvage_doomed(pool.serving, active, now,
                                             self.rerouted_ids)
             if moved:
                 self.rerouted += moved

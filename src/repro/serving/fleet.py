@@ -318,6 +318,8 @@ class ReplicaEntry(ReplicaHandle):
         #: kernel-scheduler bookkeeping: dirty flag + armed policy wake-up event.
         self._kdirty = False
         self._wake_event = None
+        #: salvage completion-offset table (``cluster._drain_times``).
+        self._drain_times: List[float] = []
 
     @property
     def hardware(self) -> ServingPlatform:

@@ -152,7 +152,10 @@ class ServingPlatform(abc.ABC):
 
         Load balancers use this to translate queue depth into expected work
         (the ``least_work_left`` policy); platforms without a profile fall
-        back to queue-length comparisons.
+        back to queue-length comparisons.  It is a pure function of
+        ``batch_size`` on every platform (each reads a fixed latency
+        profile, or has none), which lets the cluster's SLO-salvage phase
+        tabulate it once per replica and run.
         """
         return None
 

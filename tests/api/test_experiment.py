@@ -32,6 +32,37 @@ def test_kind_dispatch():
     assert generative.kind == KIND_GENERATIVE
 
 
+@pytest.mark.parametrize("key,value", [("platform", "tfserve"),
+                                       ("ramp_budget", 0.3)])
+def test_classification_knobs_are_rejected_on_generative_models(key, value):
+    """Each knob runs on a classification model and raises a ValueError
+    naming it on a generative one, whose token engines would ignore it."""
+    def experiment(model, workload, setting):
+        if key == "platform":
+            return Experiment(model=model, workload=workload, platform=setting)
+        return Experiment(model=model, workload=workload,
+                          ee=ExitPolicySpec(ramp_budget=setting))
+
+    def reported(params):
+        return params["platform"] if key == "platform" else params["ee"][key]
+
+    report = experiment("resnet50", WorkloadSpec("video", requests=60),
+                        value).run(["vanilla"])
+    assert report.kind == KIND_CLASSIFICATION
+    assert reported(report.params) == value
+    generative = WorkloadSpec("generative", requests=5)
+    with pytest.raises(ValueError, match=f"^{key} requires a classification "
+                                         "model; 't5-large' is generative"):
+        experiment("t5-large", generative, value).run(["vanilla"])
+    default = reported(Experiment(model="t5-large", workload=generative)
+                       .describe())
+    assert experiment("t5-large", generative, default).kind == KIND_GENERATIVE
+    # A sweep that reaches the knob fails before running any point.
+    with pytest.raises(ValueError, match=key):
+        Experiment(model="t5-large", workload=generative).sweep(
+            ["vanilla"], **{key: [default, value]})
+
+
 def test_run_produces_report_with_named_metrics():
     report = Experiment(model="resnet50", workload=WORKLOAD, seed=3) \
         .run(["vanilla", "apparate"])

@@ -25,9 +25,10 @@ from typing import Deque, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.generative.parallel import TokenFeedback
-from repro.models.prediction import (PredictionModel, RampObservation,
-                                     effective_difficulty, ramp_error_score)
+from repro.models.prediction import (PredictionModel, effective_difficulty,
+                                     ramp_error_score)
 from repro.serving.hf_pipelines import TokenDecision
+from tests.exits._seed_ee_batch import RampObservation
 
 __all__ = ["SeedPredictionModel", "SeedTokenPolicy"]
 

@@ -52,6 +52,16 @@ def test_run_command_rejects_workload_of_the_other_kind():
     assert "workload kind is 'generative'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("flag,value,key", [("--platform", "tfserve", "platform"),
+                                            ("--ramp-budget", "0.3", "ramp_budget")])
+def test_generative_run_rejects_classification_flags(flag, value, key):
+    for command in ("run", "sweep"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--model", "t5-large", flag, value, "--requests", "5"])
+        assert str(excinfo.value).startswith(
+            f"error: {key} requires a classification model")
+
+
 def test_run_command_reports_unknown_model_as_an_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--model", "nope", "--requests", "10"])

@@ -156,10 +156,10 @@ def test_scalar_observe_and_exit_depth_match_numpy_scalar_path(
     live, seed = PredictionModel(get_model(model)), SeedPredictionModel(get_model(model))
     depths = sorted(depths)
     ramp_ids = list(range(len(depths)))
-    got = live.observe(raw, sharpness, ramp_ids, depths, confidence_shift=shift)
     want = seed.observe(raw, sharpness, ramp_ids, depths, confidence_shift=shift)
-    assert got == want
-    assert [_bits(o.error_score) for o in got] == [_bits(o.error_score) for o in want]
+    assert [live.is_correct(raw, depth) for depth in depths] == [o.correct for o in want]
+    assert [_bits(live.error_score(raw, depth, sharpness, shift)) for depth in depths] \
+        == [_bits(o.error_score) for o in want]
     assert _bits(live.exit_depth(raw, sharpness, depths, thresholds, shift)) \
         == _bits(seed.exit_depth(raw, sharpness, depths, thresholds, shift))
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.exits.evaluation import ConfigEvaluation, evaluate_thresholds
 from repro.exits.thresholds import ThresholdTuningResult
-from repro.models.prediction import RampObservation
+from tests.exits._seed_ee_batch import RampObservation
 
 __all__ = ["SeedWindowBuffer", "seed_tune_thresholds_greedy"]
 

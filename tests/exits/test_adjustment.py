@@ -7,7 +7,6 @@ from repro.core.pipeline import model_stack
 from repro.exits.adjustment import RampAdjuster, RampUtility
 from repro.exits.config import EEConfig
 from repro.exits.evaluation import WindowBuffer
-from repro.models.prediction import RampObservation
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +19,8 @@ def make_window(ramp_ids, depths, required, sharpness=0.05, capacity=512):
     from repro.models.prediction import ramp_error_score
     buffer = WindowBuffer(ramp_ids, capacity=capacity)
     for d in required:
-        observations = [
-            RampObservation(ramp_id=r, depth_fraction=depth,
-                            error_score=float(ramp_error_score(d, depth, sharpness)),
-                            correct=bool(depth >= d))
-            for r, depth in zip(ramp_ids, depths)
-        ]
-        buffer.record(observations)
+        buffer.record([float(ramp_error_score(d, depth, sharpness)) for depth in depths],
+                      [bool(depth >= d) for depth in depths])
     return buffer
 
 

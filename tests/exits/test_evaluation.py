@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exits.evaluation import WindowBuffer, evaluate_thresholds
-from repro.models.prediction import RampObservation
 
 
 def simple_window():
@@ -108,34 +107,32 @@ def test_empty_window_is_benign():
 
 
 class TestWindowBuffer:
-    @staticmethod
-    def obs(ramp_id, depth, error, correct):
-        return RampObservation(ramp_id=ramp_id, depth_fraction=depth,
-                               error_score=error, correct=correct)
-
     def test_record_and_matrices(self):
         buffer = WindowBuffer([0, 2], capacity=4)
-        buffer.record([self.obs(0, 0.3, 0.4, True), self.obs(2, 0.7, 0.1, True)])
+        buffer.record([0.4, 0.1], [True, True])
         assert len(buffer) == 1
         assert buffer.errors_matrix().shape == (1, 2)
         assert buffer.correct_matrix().dtype == bool
 
     def test_record_missing_ramp_raises(self):
         buffer = WindowBuffer([0, 2])
-        with pytest.raises(KeyError):
-            buffer.record([self.obs(0, 0.3, 0.4, True)])
+        with pytest.raises(ValueError, match="2 errors"):
+            buffer.record([0.4], [True])
+        with pytest.raises(ValueError, match="2 errors"):
+            buffer.record([0.4, 0.1], [True])
+        assert len(buffer) == 0
 
     def test_capacity_bounds_history(self):
         buffer = WindowBuffer([0], capacity=3)
         for i in range(10):
-            buffer.record([self.obs(0, 0.3, i / 10.0, True)])
+            buffer.record([i / 10.0], [True])
         assert len(buffer) == 3
         assert buffer.errors_matrix()[:, 0].tolist() == pytest.approx([0.7, 0.8, 0.9])
 
     def test_latest_returns_most_recent_rows(self):
         buffer = WindowBuffer([0], capacity=10)
         for i in range(6):
-            buffer.record([self.obs(0, 0.3, i / 10.0, True)])
+            buffer.record([i / 10.0], [True])
         errors, correct = buffer.latest(2)
         assert errors.shape == (2, 1)
         assert errors[-1, 0] == pytest.approx(0.5)
@@ -143,7 +140,7 @@ class TestWindowBuffer:
     def test_rebuild_preserves_shared_columns(self):
         buffer = WindowBuffer([0, 1], capacity=8)
         for i in range(4):
-            buffer.record([self.obs(0, 0.3, 0.2, True), self.obs(1, 0.7, 0.4, False)])
+            buffer.record([0.2, 0.4], [True, False])
         buffer.rebuild([1, 2])
         assert buffer.ramp_ids == [1, 2]
         errors = buffer.errors_matrix()
@@ -154,14 +151,14 @@ class TestWindowBuffer:
 
     def test_rebuild_same_ids_is_noop(self):
         buffer = WindowBuffer([0, 1], capacity=8)
-        buffer.record([self.obs(0, 0.3, 0.2, True), self.obs(1, 0.7, 0.4, False)])
+        buffer.record([0.2, 0.4], [True, False])
         buffer.rebuild([0, 1])
         assert len(buffer) == 1
 
     def test_evaluate_delegates_to_replay(self):
         buffer = WindowBuffer([0], capacity=8)
         for error, correct in [(0.1, True), (0.9, False)]:
-            buffer.record([self.obs(0, 0.5, error, correct)])
+            buffer.record([error], [correct])
         ev = buffer.evaluate([0.5], [0.5], [0.1], 10.0)
         assert ev.num_samples == 2
         assert ev.exit_rate == pytest.approx(0.5)
@@ -169,8 +166,7 @@ class TestWindowBuffer:
     def test_latest_zero_returns_no_rows(self):
         buffer = WindowBuffer([0, 2], capacity=4)
         for i in range(6):
-            buffer.record([self.obs(0, 0.3, i / 10.0, True),
-                           self.obs(2, 0.7, 0.5, False)])
+            buffer.record([i / 10.0, 0.5], [True, False])
         errors, correct = buffer.latest(0)
         assert errors.shape == (0, 2) and errors.dtype == float
         assert correct.shape == (0, 2) and correct.dtype == bool
@@ -180,7 +176,7 @@ class TestWindowBuffer:
     def test_latest_negative_count_raises(self):
         buffer = WindowBuffer([0], capacity=4)
         for i in range(3):
-            buffer.record([self.obs(0, 0.3, i / 10.0, True)])
+            buffer.record([i / 10.0], [True])
         with pytest.raises(ValueError, match="count"):
             buffer.latest(-1)
         assert len(buffer) == 3
@@ -188,13 +184,13 @@ class TestWindowBuffer:
     def test_ring_wraps_in_chronological_order(self):
         buffer = WindowBuffer([0], capacity=4)
         for i in range(7):
-            buffer.record([self.obs(0, 0.3, i / 10.0, i % 2 == 0)])
+            buffer.record([i / 10.0], [i % 2 == 0])
         assert buffer.errors_matrix()[:, 0].tolist() == [0.3, 0.4, 0.5, 0.6]
         assert buffer.correct_matrix()[:, 0].tolist() == [False, True, False, True]
         errors, _ = buffer.latest(3)
         assert errors[:, 0].tolist() == [0.4, 0.5, 0.6]
         # Readers return copies: later records do not show through.
-        buffer.record([self.obs(0, 0.3, 0.9, True)])
+        buffer.record([0.9], [True])
         assert errors[:, 0].tolist() == [0.4, 0.5, 0.6]
 
     def test_invalid_capacity_rejected(self):

@@ -6,7 +6,10 @@ trial configurations of a round in one numpy pass, the seed calls
 ``evaluate_thresholds`` once per trial, and the two must agree on the
 thresholds, round and evaluation counts and every ``ConfigEvaluation`` field;
 the live window keeps two preallocated ring buffers, the seed a deque of rows,
-and every read must return the same shapes, dtypes and values.
+and every read must return the same shapes, dtypes and values.  The seed
+window records one request's observations (``RampObservation``s in any order,
+extra ramps ignored); the live one takes the same request as one row in its
+ramp order.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exits.evaluation import ConfigEvaluation, WindowBuffer, evaluate_thresholds
 from repro.exits.thresholds import _TrialReplay, tune_thresholds_greedy
-from repro.models.prediction import RampObservation
+from tests.exits._seed_ee_batch import RampObservation
 from tests.exits._seed_tuner import SeedWindowBuffer, seed_tune_thresholds_greedy
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -196,6 +199,13 @@ def _observations(ramp_ids, rng):
     return observations
 
 
+def _row(observations, ramp_ids):
+    """The live window's row of one request's observations."""
+    by_id = {obs.ramp_id: obs for obs in observations}
+    ordered = [by_id[rid] for rid in ramp_ids if rid in by_id]
+    return [o.error_score for o in ordered], [o.correct for o in ordered]
+
+
 def _rebuild_ids(kind, ramp_ids, rng):
     ids = list(ramp_ids)
     if kind == "same":
@@ -239,16 +249,17 @@ def test_ring_window_matches_seed(capacity, initial, ops, seed):
         if kind == "record":
             for _ in range(arg):
                 observations = _observations(live.ramp_ids, rng)
-                live.record(observations)
+                live.record(*_row(observations, live.ramp_ids))
                 oracle.record(observations)
         elif kind == "record_missing":
             if not live.ramp_ids:
                 continue
             observations = [o for o in _observations(live.ramp_ids, rng)
                             if o.ramp_id != live.ramp_ids[-1]]
-            for buffer in (live, oracle):
-                with pytest.raises(KeyError, match="missing observation"):
-                    buffer.record(observations)
+            with pytest.raises(ValueError, match="window row"):
+                live.record(*_row(observations, live.ramp_ids))
+            with pytest.raises(KeyError, match="missing observation"):
+                oracle.record(observations)
         elif kind == "rebuild":
             ids = _rebuild_ids(arg, live.ramp_ids, rng)
             live.rebuild(ids)

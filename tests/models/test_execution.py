@@ -28,28 +28,26 @@ def test_mismatched_ramp_arrays_rejected(executor):
 
 def test_vanilla_batch_has_no_exits(executor):
     execution = executor.execute_batch([0.1, 0.9], [0.05, 0.05], [], [], [], [])
-    assert all(not r.exited for r in execution.results)
+    assert not any(execution.exited)
     assert execution.gpu_time_ms == pytest.approx(executor.vanilla_batch_time_ms(2))
 
 
 def test_easy_input_exits_with_permissive_threshold(executor):
     execution = executor.execute_batch([0.02], [0.04], [0], [0.6], [0.6], [0.002])
-    result = execution.results[0]
-    assert result.exited
-    assert result.exit_depth == pytest.approx(0.6)
-    assert result.result_latency_ms < result.full_latency_ms
+    assert execution.exited[0]
+    assert execution.exit_depths[0] == pytest.approx(0.6)
+    assert execution.result_offsets_ms[0] < execution.gpu_time_ms
 
 
 def test_hard_input_does_not_exit(executor):
     execution = executor.execute_batch([0.99], [0.04], [0], [0.3], [0.6], [0.002])
-    result = execution.results[0]
-    assert not result.exited
-    assert result.result_latency_ms == pytest.approx(execution.gpu_time_ms)
+    assert not execution.exited[0]
+    assert execution.result_offsets_ms[0] == pytest.approx(execution.gpu_time_ms)
 
 
 def test_zero_threshold_prevents_exit(executor):
     execution = executor.execute_batch([0.02], [0.04], [0], [0.6], [0.0], [0.002])
-    assert not execution.results[0].exited
+    assert not execution.exited[0]
 
 
 def test_ramp_overheads_increase_gpu_time(executor):
@@ -64,9 +62,9 @@ def test_observations_cover_all_ramps_even_after_exit(executor):
     """Inputs always run to the model end, so feedback covers every ramp (§3)."""
     execution = executor.execute_batch([0.02], [0.04], [0, 1, 2], [0.2, 0.5, 0.8],
                                        [0.9, 0.9, 0.9], [0.002] * 3)
-    result = execution.results[0]
-    assert result.exited
-    assert [o.ramp_id for o in result.observations] == [0, 1, 2]
+    assert execution.exited[0]
+    assert execution.ramp_ids == [0, 1, 2]
+    assert len(execution.errors[0]) == len(execution.agree[0]) == 3
 
 
 def test_batch_scaling_applied_to_results(executor):
@@ -79,10 +77,9 @@ def test_exit_latency_accounts_for_upstream_ramp_overheads(executor):
     overheads = [0.002, 0.002]
     execution = executor.execute_batch([0.02], [0.04], [0, 1], [0.3, 0.7], [0.9, 0.9],
                                        overheads)
-    result = execution.results[0]
     base_full = executor.vanilla_batch_time_ms(1)
     expected = base_full * 0.3 + overheads[0] * base_full
-    assert result.result_latency_ms == pytest.approx(expected, rel=1e-6)
+    assert execution.result_offsets_ms[0] == pytest.approx(expected, rel=1e-6)
 
 
 def test_confidence_shift_changes_exit_decision(executor):
@@ -90,5 +87,5 @@ def test_confidence_shift_changes_exit_decision(executor):
     no_shift = executor.execute_batch([0.35], [0.04], [0], [0.42], [0.5], [0.002])
     shifted = executor.execute_batch([0.35], [0.04], [0], [0.42], [0.5], [0.002],
                                      confidence_shifts=[0.3])
-    assert not no_shift.results[0].exited
-    assert shifted.results[0].exited
+    assert not no_shift.exited[0]
+    assert shifted.exited[0]

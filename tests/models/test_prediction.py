@@ -8,6 +8,9 @@ from repro.models.prediction import (
     effective_difficulty,
     ramp_error_score,
 )
+from repro.graph.builders import build_graph_for_model
+from repro.models.execution import ModelExecutor
+from repro.models.latency import build_latency_profile
 from repro.models.zoo import get_model
 
 
@@ -63,17 +66,27 @@ def test_is_correct_deterministic(prediction):
     assert len(draws) == 1
 
 
+def _executor(prediction):
+    spec = prediction.spec
+    profile = build_latency_profile(spec, build_graph_for_model(spec.name))
+    return ModelExecutor(spec, profile, prediction)
+
+
 def test_observe_covers_every_active_ramp(prediction):
-    observations = prediction.observe(0.3, 0.05, [2, 5, 9], [0.2, 0.5, 0.9])
-    assert [o.ramp_id for o in observations] == [2, 5, 9]
-    errors = [o.error_score for o in observations]
+    execution = _executor(prediction).execute_batch(
+        [0.3], [0.05], [2, 5, 9], [0.2, 0.5, 0.9], [0.0] * 3, [0.0] * 3)
+    assert execution.ramp_ids == [2, 5, 9]
+    errors = execution.errors[0]
+    assert len(errors) == len(execution.agree[0]) == 3
     assert errors[0] > errors[1] > errors[2]
 
 
 def test_observation_would_exit_threshold_semantics(prediction):
-    observation = prediction.observe(0.1, 0.05, [0], [0.9])[0]
-    assert observation.would_exit(0.9)
-    assert not observation.would_exit(0.0)
+    executor = _executor(prediction)
+    error = executor.execute_batch([0.1], [0.05], [0], [0.9], [0.0], [0.0]).errors[0][0]
+    assert error < 0.9
+    assert executor.execute_batch([0.1], [0.05], [0], [0.9], [0.9], [0.0]).exited[0]
+    assert not executor.execute_batch([0.1], [0.05], [0], [0.9], [0.0], [0.0]).exited[0]
 
 
 def test_exit_depth_returns_earliest_confident_ramp(prediction):

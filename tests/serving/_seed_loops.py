@@ -18,9 +18,12 @@ capacity its clock drifts by rounding and a request whose deadline equals a
 later arrival instant can be dropped where the kernel serves it.
 
 They are driven through the public platform objects (and reuse their
-helper methods: executor resolution, scale-out hardware, salvage,
-collection), so configuration handling cannot drift; only the *scheduling*
-differs.
+helper methods: executor resolution, scale-out hardware, collection), so
+configuration handling cannot drift; only the *scheduling* differs.
+``seed_cluster_run`` salvages doomed requests with its own copy of the
+pre-inline salvage scan, ``seed_salvage_doomed`` (with
+``_completion_eta_ms``), so the equivalence suite also holds the kernel's
+salvage phase to it.
 
 Do not use these for real runs — they are the slow path by design — and do
 not "fix" them to match kernel behaviour: when the two disagree, the kernel
@@ -30,6 +33,7 @@ is wrong.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -41,7 +45,8 @@ from repro.exits.ramps import RampStyle, ramp_overhead_fraction
 from repro.generative.decoding import DecodeTimingModel
 from repro.models.prediction import PredictionModel
 from repro.serving.cluster import ClusterPlatform, _scale_result
-from repro.serving.fleet import DRAINING, FleetState
+from repro.serving.fleet import (DRAINING, FleetState, ReplicaEntry,
+                                 ReplicaHandle)
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
                                               GenerativeFleetState,
@@ -54,7 +59,8 @@ from repro.serving.platform import BatchExecutorFn, ServingPlatform
 from repro.serving.request import Request
 
 __all__ = ["seed_cluster_run", "seed_generative_run", "seed_disagg_run",
-           "seed_platform_run", "seed_engine_run", "seed_engine_system"]
+           "seed_platform_run", "seed_engine_run", "seed_engine_system",
+           "seed_salvage_doomed"]
 
 
 def seed_platform_run(platform: ServingPlatform, requests: Sequence[Request],
@@ -166,6 +172,64 @@ def seed_engine_system(system: str, spec, workload, max_batch_size: int = 8,
     return engine, policy
 
 
+def _completion_eta_ms(handle: ReplicaHandle, jobs_ahead: int,
+                       now_ms: float) -> float:
+    """When a request with ``jobs_ahead - 1`` queued jobs in front of it
+    (itself included in the count) would finish on ``handle``."""
+    full = handle.platform.max_batch_size
+    per_batch = handle.platform.predicted_batch_time_ms(min(jobs_ahead, full))
+    if per_batch is None:
+        # No latency model: fall back to one unit per request (same
+        # degradation as work_left_ms), scaled by replica speed.
+        return now_ms + handle.backlog_ms(now_ms) \
+            + jobs_ahead / handle.profile.speed
+    return now_ms + handle.backlog_ms(now_ms) \
+        + per_batch * math.ceil(jobs_ahead / full)
+
+
+def seed_salvage_doomed(cluster: ClusterPlatform, fleet: FleetState,
+                        active: List[ReplicaEntry], now_ms: float,
+                        rerouted_ids: Set[int]) -> int:
+    """``ClusterPlatform._salvage_doomed`` as it stood before the inline
+    doom check, verbatim: every visit prices the request with
+    ``_completion_eta_ms`` and every doomed request re-costs each target."""
+    self = cluster
+    moved = 0
+    for entry in fleet.serving():
+        if not entry.platform.drop_expired or not entry.state.queue:
+            continue
+        keep: List[Request] = []
+        moved_here = 0
+        for request in entry.state.queue:
+            deadline = request.deadline_ms()
+            if (request.request_id in rerouted_ids
+                    or now_ms > deadline
+                    or _completion_eta_ms(entry, len(keep) + 1, now_ms)
+                    <= deadline + 1e-9):
+                keep.append(request)
+                continue
+            candidates = [h for h in active if h is not entry]
+            if not candidates:
+                keep.append(request)
+                continue
+            target = min(candidates,
+                         key=lambda h: (_completion_eta_ms(
+                             h, h.queue_length() + 1, now_ms), h.index))
+            if _completion_eta_ms(target, target.queue_length() + 1,
+                                  now_ms) <= deadline + 1e-9:
+                target.platform.admit(target.state, request)
+                if self.obs.enabled:
+                    self.obs.annotate(request.request_id, rerouted=True)
+                rerouted_ids.add(request.request_id)
+                moved_here += 1
+            else:
+                keep.append(request)
+        if moved_here:
+            entry.state.queue = keep
+            moved += moved_here
+    return moved
+
+
 def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
                      executors: Union[BatchExecutorFn,
                                       Sequence[BatchExecutorFn], None] = None,
@@ -249,8 +313,8 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
         if handles and (len(handles) > 1
                         or any(e.status == DRAINING and e.state.queue
                                for e in fleet.entries)):
-            rerouted += self._salvage_doomed(fleet, active, now,
-                                             rerouted_ids)
+            rerouted += seed_salvage_doomed(self, fleet, active, now,
+                                            rerouted_ids)
 
         next_arrival_ms = (pending[next_arrival].arrival_ms
                            if next_arrival < num_requests else np.inf)

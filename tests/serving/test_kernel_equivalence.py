@@ -22,10 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.generative import (build_disaggregated_platform,
                                    build_generative_cluster)
+from repro.core.pipeline import model_stack
 from repro.generative.sequences import GenerativeWorkload, SequenceSample
 from repro.models.zoo import get_model
 from repro.serving.autoscaler import (Autoscaler, PredictiveAutoscaler,
                                       ReactiveAutoscaler)
+from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.cluster import ClusterPlatform
 from repro.serving.disagg import _DisaggRun
 from repro.serving.hf_pipelines import VanillaTokenPolicy
@@ -175,6 +177,56 @@ def test_cluster_drops_and_salvage_match_seed():
     # Tight SLOs so expiry, drops and drain-salvage rerouting all fire.
     check_cluster(cluster, arrivals_random(800, 800.0, seed=17, slo_ms=40.0),
                   fixed_time_executor(9.0))
+
+
+CLOCKWORK_PROFILE = model_stack("resnet50")[1]
+
+
+def clockwork_salvage_cluster(balancer, speeds, seed, reactive):
+    """A drop_expired Clockwork fleet; reactive ones drain replicas that
+    still hold queues, which salvage moves to the survivors."""
+    def platform(speed=1.0):
+        return ClockworkPlatform(CLOCKWORK_PROFILE.scaled(speed), max_batch_size=8,
+                                 drop_expired=True)
+    scaling = {}
+    if reactive:
+        scaling = dict(autoscaler=ReactiveAutoscaler(scale_out_load=5.0,
+                                                     scale_in_load=2.5,
+                                                     cooldown_ms=60.0,
+                                                     provision_delay_ms=15.0),
+                       min_replicas=1, max_replicas=len(speeds) + 2,
+                       replica_factory=platform)
+    return ClusterPlatform([platform(s) for s in speeds], balancer=balancer,
+                           seed=seed % 97, profiles=list(speeds), **scaling)
+
+
+def profiled_executor(batch, batch_start_ms):
+    t = CLOCKWORK_PROFILE.total_latency_ms(len(batch))
+    return BatchResult(gpu_time_ms=t, result_offsets_ms=[t] * len(batch))
+
+
+@FAST
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.sampled_from(["jsq", "lwl", "wrr", "p2c"]),
+       st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=4),
+       st.booleans())
+def test_cluster_clockwork_salvage_property(seed, balancer, speeds, reactive):
+    requests = arrivals_random(300, 120.0 * sum(speeds), seed=seed, slo_ms=45.0)
+    check_cluster(lambda: clockwork_salvage_cluster(balancer, speeds, seed, reactive),
+                  requests, profiled_executor)
+
+
+def test_cluster_clockwork_drain_salvage_matches_seed():
+    # A burst then a lull: the reactive fleet scales out, then drains
+    # replicas that still hold queues while salvage reroutes doomed requests.
+    requests = sorted(arrivals_random(500, 700.0, seed=3, slo_ms=45.0)
+                      + [make_request(10_000 + i, 900.0 + 12.0 * i, 45.0)
+                         for i in range(60)], key=lambda r: r.arrival_ms)
+    cluster = lambda: clockwork_salvage_cluster("rr", [1.0, 0.5, 2.0], 5, True)
+    check_cluster(cluster, requests, profiled_executor)
+    metrics = cluster().run(requests, profiled_executor)
+    assert metrics.rerouted > 0
+    assert len({size for _, size in metrics.fleet_timeline}) > 1
 
 
 @FAST
