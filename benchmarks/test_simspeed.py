@@ -184,7 +184,8 @@ def _cv_fleet(seed):
 
 class _FleetView:
     """The one fleet read of the seed salvage scan: its serving members,
-    rebuilt into a new list on every pass as ``FleetState.serving`` does."""
+    rebuilt into a new list on every pass as the seed loops' ``FleetState``
+    (``tests/serving/_seed_loops.py``) does."""
 
     def __init__(self, serving):
         self._serving = serving

@@ -29,6 +29,7 @@ from repro.api.registry import canonical_system_name, get_system
 from repro.api.result import (KIND_CLASSIFICATION, KIND_GENERATIVE, RunReport,
                               RunResult, SweepPoint, SweepReport)
 from repro.api.specs import ClusterSpec, ExitPolicySpec, WorkloadSpec
+from repro.core.pipeline import PLATFORM_NAMES
 from repro.models.zoo import ModelSpec, get_model
 
 __all__ = ["Experiment", "DEFAULT_SYSTEMS", "resolve_model"]
@@ -83,7 +84,9 @@ class Experiment:
     ee:
         Early-exit policy knobs shared by the EE-capable systems.
     platform:
-        Serving platform name (``clockwork`` or ``tfserve``).
+        Serving platform name (``clockwork`` or ``tfserve``, or an alias in
+        :data:`~repro.core.pipeline.PLATFORM_NAMES`; case-insensitive).  An
+        unknown name raises :class:`ValueError` naming ``platform``.
     slo_ms:
         Response-time SLO in ms (positive and finite; the time-to-first-token
         SLO on generative models); ``None`` uses the model's default.
@@ -119,6 +122,10 @@ class Experiment:
         if self.cluster is None:
             self.cluster = ClusterSpec()
         resolve_model(self.model)
+        if str(self.platform).lower() not in PLATFORM_NAMES:
+            raise ValueError(f"platform must be one of "
+                             f"{', '.join(PLATFORM_NAMES)}, "
+                             f"got {self.platform!r}")
         if self.slo_ms is not None and not 0 < self.slo_ms < math.inf:
             raise ValueError(f"slo_ms must be positive and finite, "
                              f"got {self.slo_ms}")

@@ -52,6 +52,7 @@ from typing import List, Optional, Sequence
 from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, RunReport,
                        WorkloadSpec, list_systems)
 from repro.api.experiment import resolve_model
+from repro.core.pipeline import PLATFORM_NAMES
 from repro.models.zoo import ModelSpec, list_models
 from repro.serving.autoscaler import AUTOSCALER_NAMES
 from repro.serving.cluster import balancer_names
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: 30 fps video, 20 qps nlp, 2 qps "
                           "generative)")
     run.add_argument("--platform", default="clockwork",
-                     choices=["clockwork", "tfserve"])
+                     choices=PLATFORM_NAMES[:2])
     run.add_argument("--accuracy-constraint", type=float, default=0.01)
     run.add_argument("--ramp-budget", type=float, default=0.02)
     run.add_argument("--seed", type=int, default=0)
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--requests", type=int, default=2000)
     sweep.add_argument("--rate", type=float, default=None)
     sweep.add_argument("--platform", default="clockwork",
-                       choices=["clockwork", "tfserve"])
+                       choices=PLATFORM_NAMES[:2])
     sweep.add_argument("--replicas", default="1,2,4",
                        help="comma-separated replica counts (e.g. 1,2,4)")
     sweep.add_argument("--balancer", default=None,

@@ -32,6 +32,7 @@ from repro.serving.autoscaler import (Autoscaler, build_autoscaler,
                                       canonical_autoscaler_name)
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.cluster import ClusterPlatform, LoadBalancer, ReplicaProfile
+from repro.serving.fleet import coerce_profiles
 from repro.serving.metrics import ClusterMetrics
 from repro.serving.platform import BatchResult, ServingPlatform, VanillaExecutor
 from repro.serving.request import Request, make_requests
@@ -119,22 +120,24 @@ def _graph_name(spec: ModelSpec) -> str:
     return name
 
 
+#: Platform names :func:`build_platform` accepts, case-insensitive: the
+#: canonical ``clockwork`` and ``tfserve`` first, then ``tfserve``'s aliases.
+PLATFORM_NAMES = ("clockwork", "tfserve", "tf-serving", "tensorflow-serving")
+
+
 def build_platform(platform: str, profile: LatencyProfile, max_batch_size: int = 16,
                    batch_timeout_ms: float = 5.0,
                    drop_expired: bool = True) -> ServingPlatform:
-    """Construct a serving platform by name (``clockwork`` or ``tfserve``)."""
+    """Construct a serving platform by name (see :data:`PLATFORM_NAMES`)."""
     platform = platform.lower()
-    if platform == "clockwork":
-        engine: ServingPlatform = ClockworkPlatform(
-            profile, max_batch_size=max_batch_size, drop_expired=drop_expired)
-    elif platform in ("tfserve", "tf-serving", "tensorflow-serving"):
-        engine = TFServingPlatform(max_batch_size=max_batch_size,
-                                   batch_timeout_ms=batch_timeout_ms,
-                                   drop_expired=drop_expired,
-                                   profile=profile)
-    else:
+    if platform not in PLATFORM_NAMES:
         raise ValueError(f"unknown platform {platform!r}")
-    return engine
+    if platform == "clockwork":
+        return ClockworkPlatform(profile, max_batch_size=max_batch_size,
+                                 drop_expired=drop_expired)
+    return TFServingPlatform(max_batch_size=max_batch_size,
+                             batch_timeout_ms=batch_timeout_ms,
+                             drop_expired=drop_expired, profile=profile)
 
 
 def build_cluster(platform: str, profile: LatencyProfile, replicas: int,
@@ -158,11 +161,7 @@ def build_cluster(platform: str, profile: LatencyProfile, replicas: int,
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    resolved = [ReplicaProfile.coerce(p) for p in profiles] \
-        if profiles is not None else [ReplicaProfile() for _ in range(replicas)]
-    if len(resolved) != replicas:
-        raise ValueError(f"got {len(resolved)} replica profiles for "
-                         f"{replicas} replicas")
+    resolved = coerce_profiles(profiles, replicas)
     fleet = [build_platform(platform, profile.scaled(p.speed),
                             max_batch_size=max_batch_size,
                             batch_timeout_ms=batch_timeout_ms,

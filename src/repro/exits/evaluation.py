@@ -41,9 +41,6 @@ class ConfigEvaluation:
         """Per-ramp utility = savings − overheads (§3.3)."""
         return self.ramp_savings_ms - self.ramp_overhead_ms
 
-    def accuracy_loss(self) -> float:
-        return 1.0 - self.accuracy
-
 
 def evaluate_thresholds(errors: np.ndarray, correct: np.ndarray,
                         thresholds: Sequence[float], depths: Sequence[float],

@@ -68,9 +68,6 @@ class Span:
     def duration_ms(self) -> Optional[float]:
         return None if self.end_ms is None else self.end_ms - self.arrival_ms
 
-    def phase_total_ms(self) -> float:
-        return sum(end - start for _, start, end, _, _ in self.phases)
-
     def phase_durations(self) -> Dict[str, float]:
         """Total time per phase name (a phase may recur, e.g. after reroute)."""
         totals: Dict[str, float] = {}

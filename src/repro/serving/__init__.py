@@ -12,8 +12,9 @@ simulators of those platforms with the same external behaviour:
 * :class:`ClusterPlatform` — a dynamic fleet of replica platforms behind a
   pluggable load balancer (round-robin, JSQ, least-work-left,
   power-of-two-choices, speed-weighted variants), interleaved on one global
-  clock via the steppable event-loop phases.  Membership is live fleet state
-  (:class:`FleetState`: add / drain / retire) mutated by a pluggable
+  clock via the steppable event-loop phases.  Membership is live pool state
+  (:class:`~repro.serving.pool.PoolState`: add / drain / retire, the
+  fleet-size timeline and the books) mutated by a pluggable
   :class:`Autoscaler` (``none`` / ``reactive`` / ``predictive``), and
   replicas may be heterogeneous via :class:`ReplicaProfile` speed/cost
   multipliers.
@@ -39,12 +40,10 @@ from repro.serving.platform import (BatchExecutorFn, ReplicaState,
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.tfserve import TFServingPlatform
 from repro.serving.hf_pipelines import ContinuousBatchingEngine, GenerativeMetrics
-from repro.serving.fleet import BaseFleet, FleetState, Replica, ReplicaProfile
+from repro.serving.fleet import Replica, ReplicaProfile
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
-                                              GenerativeClusterPlatform,
-                                              GenerativeFleetState)
-from repro.serving.disagg import (DisaggregatedMetrics, DisaggregatedPlatform,
-                                  PrefillFleetState)
+                                              GenerativeClusterPlatform)
+from repro.serving.disagg import DisaggregatedMetrics, DisaggregatedPlatform
 from repro.serving.autoscaler import (AUTOSCALER_NAMES, Autoscaler,
                                       FixedAutoscaler, PredictiveAutoscaler,
                                       ReactiveAutoscaler, build_autoscaler)
@@ -73,12 +72,8 @@ __all__ = [
     "ClusterPlatform",
     "GenerativeClusterPlatform",
     "GenerativeClusterMetrics",
-    "GenerativeFleetState",
     "DisaggregatedMetrics",
     "DisaggregatedPlatform",
-    "PrefillFleetState",
-    "BaseFleet",
-    "FleetState",
     "ReplicaProfile",
     "Autoscaler",
     "FixedAutoscaler",

@@ -7,7 +7,7 @@ band, and applies the decision through the fleet lifecycle — scale-out
 provisions a new replica after ``provision_delay_ms`` (machines don't boot
 instantly), scale-in *drains* the newest replica (it finishes queued and
 in-flight work but receives no new dispatches; see
-:class:`~repro.serving.fleet.FleetState`).
+:meth:`~repro.serving.pool.PoolState.drain`).
 
 Policies
 --------

@@ -2,8 +2,8 @@
 
 A :class:`ClusterPlatform` dispatches one arrival stream across a **dynamic
 fleet** of :class:`~repro.serving.platform.ServingPlatform` replicas.  The
-member set is no longer a frozen constructor list: it is
-:class:`~repro.serving.fleet.FleetState` — live replica handles with an
+member set is no longer a frozen constructor list: it is one
+:class:`~repro.serving.pool.PoolState` — live replica handles with an
 add / drain / retire lifecycle — mutated mid-run by a pluggable
 :class:`~repro.serving.autoscaler.Autoscaler` (``none`` / ``reactive`` /
 ``predictive``) evaluated on the global clock.  Replicas may be heterogeneous:
@@ -85,7 +85,7 @@ import numpy as np
 from repro.faults import FaultSchedule, FaultSpec, coerce_faults
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
-from repro.serving.fleet import (DRAINING, FleetState, Replica, ReplicaEntry,
+from repro.serving.fleet import (DRAINING, Replica, ReplicaEntry,
                                  ReplicaHandle, ReplicaProfile,
                                  coerce_profiles, replica_band)
 from repro.serving.metrics import ClusterMetrics
@@ -458,8 +458,7 @@ class ClusterPlatform:
     replica_factory:
         Zero-argument callable producing a fresh platform for scale-out;
         required when ``max_replicas`` exceeds the initial fleet.
-    scale_out_profile:
-        Profile assigned to scaled-out replicas (default: base speed).
+        Scaled-out replicas run at base speed.
     tenancy:
         Optional :class:`~repro.tenancy.TenancyConfig` (or CLI string /
         TenantSpec sequence): requests are tagged with tenant classes and
@@ -482,7 +481,6 @@ class ClusterPlatform:
                  min_replicas: Optional[int] = None,
                  max_replicas: Optional[int] = None,
                  replica_factory: Optional[Callable[[], ServingPlatform]] = None,
-                 scale_out_profile: Optional[ReplicaProfile] = None,
                  tenancy: Union[None, str, TenancyConfig] = None,
                  faults: Union[None, str, FaultSpec, FaultSchedule] = None,
                  obs=None) -> None:
@@ -507,8 +505,6 @@ class ClusterPlatform:
             raise ValueError(f"max_replicas={self.max_replicas} exceeds the "
                              f"initial fleet of {n}; scale-out needs a "
                              "replica_factory")
-        self.scale_out_profile = scale_out_profile if scale_out_profile is not None \
-            else ReplicaProfile()
 
     @property
     def num_replicas(self) -> int:
@@ -552,7 +548,7 @@ class ClusterPlatform:
 
     def _scale_out(self, ordinal: int) -> Tuple[ServingPlatform, ReplicaProfile]:
         """The platform and profile a scale-out boot brings online."""
-        return self.replica_factory(), self.scale_out_profile
+        return self.replica_factory(), ReplicaProfile()
 
     # ------------------------------------------------------------- salvage
     def _salvage_doomed(self, serving: Sequence[ReplicaEntry],
@@ -642,18 +638,18 @@ class ClusterPlatform:
         start = pending[0].arrival_ms if pending else 0.0
         runner = _ClusterRun(self, pending, factory, start,
                              tenant_runtime=tenant_runtime)
-        fleet = runner.pool.fleet
+        pool = runner.pool
         if not pending:
-            return self._collect(fleet, start, start, rerouted=0)
+            return self._collect(pool, start, start, rerouted=0)
 
         runner.drive()
 
-        for entry in fleet.entries:
+        for entry in pool.entries:
             entry.state.finalize_makespan()
 
-        last_event = max((e.state.last_event_ms for e in fleet.entries
+        last_event = max((e.state.last_event_ms for e in pool.entries
                           if np.isfinite(e.state.last_event_ms)), default=start)
-        metrics = self._collect(fleet, start, last_event, runner.rerouted)
+        metrics = self._collect(pool, start, last_event, runner.rerouted)
         runner.stamp(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = request_rollups(
@@ -661,23 +657,15 @@ class ClusterPlatform:
                 default_slo_ms, metrics.makespan_ms)
         return metrics
 
-    def _collect(self, fleet: FleetState, start_ms: float, end_ms: float,
+    def _collect(self, pool: PoolState, start_ms: float, end_ms: float,
                  rerouted: int) -> ClusterMetrics:
-        fleet.finalize(end_ms)
+        books = pool.books(end_ms)
         served_anything = any(entry.state.metrics.num_responses()
-                              for entry in fleet.entries)
+                              for entry in pool.entries)
         makespan = max(end_ms - start_ms, 1e-9) if served_anything else 0.0
         return ClusterMetrics(
-            replicas=[entry.state.metrics for entry in fleet.entries],
-            dispatch_counts=[entry.dispatched for entry in fleet.entries],
-            makespan_ms=makespan,
-            rerouted=int(rerouted),
-            fleet_timeline=list(fleet.timeline),
-            replica_seconds=fleet.replica_seconds(end_ms),
-            replica_active_ms=fleet.active_replica_ms(end_ms),
-            replica_uptimes_ms=[entry.active_ms(end_ms)
-                                for entry in fleet.entries],
-        )
+            replicas=[entry.state.metrics for entry in pool.entries],
+            makespan_ms=makespan, rerouted=int(rerouted), **books)
 
 
 #: Event kind of a batching-policy timer (after the pool kinds); batch
@@ -735,16 +723,21 @@ class _ClusterRun(FleetRun):
         #: SLO expiry; tracked as members join so the common fleet skips
         #: both phases.
         self._drop_expired = False
-        fleet = FleetState()
 
-        def spawn(platform: ServingPlatform, profile: ReplicaProfile,
-                  now_ms: float) -> ReplicaEntry:
+        def spawn(replica_id: int, platform: ServingPlatform,
+                  profile: ReplicaProfile, now_ms: float) -> ReplicaEntry:
             if platform.drop_expired:
                 self._drop_expired = True
-            return fleet.add(platform, factory(fleet.next_ordinal()), profile,
-                             now_ms)
+            executor = factory(replica_id)
+            state = platform.new_state()
+            # Span hooks use the run's recorder and the replica's stable id.
+            platform.obs = self.obs
+            state.obs_replica = replica_id
+            return ReplicaEntry(replica_id=replica_id, platform=platform,
+                                executor=executor, profile=profile,
+                                state=state, added_ms=now_ms)
 
-        self.pool = PoolState(self, fleet, "serve", cluster.balancer,
+        self.pool = PoolState(self, "serve", cluster.balancer,
                               cluster.autoscaler,
                               (cluster.min_replicas, cluster.max_replicas),
                               spawn, cluster._scale_out,
@@ -801,7 +794,7 @@ class _ClusterRun(FleetRun):
         if self._drop_expired and active and (
                 len(active) > 1
                 or any(e.status == DRAINING and e.state.queue
-                       for e in pool.fleet.entries)):
+                       for e in pool.serving)):
             moved = cluster._salvage_doomed(pool.serving, active, now,
                                             self.rerouted_ids)
             if moved:

@@ -51,19 +51,18 @@ from repro.generative.sequences import SequenceSample
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.cluster import LoadBalancer, build_balancer
-from repro.serving.fleet import (ACTIVE, BaseFleet, Replica, ReplicaProfile,
+from repro.serving.fleet import (ACTIVE, Replica, ReplicaProfile,
                                  coerce_profiles, replica_band)
 from repro.serving.generative_cluster import (DecodePool,
                                               GenerativeClusterMetrics,
-                                              GenerativeFleetState,
                                               PolicyFactory, decode_rollup)
 from repro.serving.hf_pipelines import ContinuousBatchingEngine
 from repro.serving.pool import WAKE, FleetRun, PoolState
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
                            coerce_tenancy, sequence_rollups)
 
-__all__ = ["PrefillReplicaEntry", "PrefillFleetState",
-           "DisaggregatedMetrics", "DisaggregatedPlatform"]
+__all__ = ["PrefillReplicaEntry", "DisaggregatedMetrics",
+           "DisaggregatedPlatform"]
 
 
 @dataclass
@@ -152,20 +151,6 @@ class PrefillReplicaEntry(Replica):
         prompt length (the autoscalers' capacity signal)."""
         tokens = int(round(batch_size * max(self.mean_prompt_tokens, 1.0)))
         return self.model.batch_prefill_ms(tokens) / self.profile.speed
-
-
-class PrefillFleetState(BaseFleet):
-    """Dynamic prefill-replica membership (ACTIVE → DRAINING → RETIRED)."""
-
-    def add(self, model: PrefillModel, profile: ReplicaProfile,
-            prefill_batch: int, mean_prompt_tokens: float,
-            now_ms: float) -> PrefillReplicaEntry:
-        entry = PrefillReplicaEntry(replica_id=self._next_id, model=model,
-                                    profile=profile,
-                                    prefill_batch=prefill_batch,
-                                    mean_prompt_tokens=mean_prompt_tokens,
-                                    added_ms=now_ms)
-        return self._register(entry, now_ms)
 
 
 @dataclass
@@ -359,11 +344,6 @@ class DisaggregatedPlatform:
             len(self.decode_engines), decode_min_replicas,
             decode_max_replicas, "decode")
 
-    @property
-    def num_decode(self) -> int:
-        """Size of the initial decode pool."""
-        return len(self.decode_engines)
-
     # --------------------------------------------------------------- main loop
     def run(self, workload, policy_factory: PolicyFactory) -> DisaggregatedMetrics:
         """Serve every sequence through prefill → handoff → decode.
@@ -381,18 +361,16 @@ class DisaggregatedPlatform:
         mean_prompt = getattr(workload, "mean_prompt_length", lambda: 0.0)() or 1.0
         runner = _DisaggRun(self, pending, policy_factory, mean_tokens,
                             mean_prompt, start, tenant_runtime=tenant_runtime)
-        prefill_fleet = runner.ppool.fleet
-        decode_fleet = runner.dpool.fleet
+        ppool, dpool = runner.ppool, runner.dpool
         if not pending:
-            return self._collect(prefill_fleet, decode_fleet, {}, {}, start, start)
+            return self._collect(ppool, dpool, {}, {}, start, start)
 
         runner.drive()
 
-        end = max((e.last_completion_ms for e in decode_fleet.entries
+        end = max((e.last_completion_ms for e in dpool.entries
                    if np.isfinite(e.last_completion_ms)), default=start)
-        metrics = self._collect(prefill_fleet, decode_fleet,
-                                runner.prefill_delays, runner.transfer_delays,
-                                start, end)
+        metrics = self._collect(ppool, dpool, runner.prefill_delays,
+                                runner.transfer_delays, start, end)
         runner.stamp(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
@@ -414,27 +392,23 @@ class DisaggregatedPlatform:
         return self.decode_engines[0], profiles[ordinal % len(profiles)]
 
     # ------------------------------------------------------------------ collect
-    def _collect(self, prefill_fleet: PrefillFleetState,
-                 decode_fleet: GenerativeFleetState,
+    def _collect(self, ppool: PoolState, dpool: DecodePool,
                  prefill_delays: Dict[int, float],
                  transfer_delays: Dict[int, float],
                  start_ms: float, end_ms: float) -> DisaggregatedMetrics:
         prefill_end = max(end_ms, max(
-            (e.last_completion_ms for e in prefill_fleet.entries
+            (e.last_completion_ms for e in ppool.entries
              if np.isfinite(e.last_completion_ms)), default=start_ms))
-        prefill_fleet.finalize(prefill_end)
+        books = ppool.books(prefill_end)
         return DisaggregatedMetrics(
-            **decode_rollup(decode_fleet, start_ms, end_ms),
-            prefill_dispatch_counts=[e.dispatched
-                                     for e in prefill_fleet.entries],
-            prefill_counts=[e.prefilled for e in prefill_fleet.entries],
-            prefill_token_counts=[e.prefilled_tokens
-                                  for e in prefill_fleet.entries],
-            prefill_fleet_timeline=list(prefill_fleet.timeline),
-            prefill_replica_seconds=prefill_fleet.replica_seconds(prefill_end),
-            prefill_active_ms=prefill_fleet.active_replica_ms(prefill_end),
-            prefill_uptimes_ms=[e.active_ms(prefill_end)
-                                for e in prefill_fleet.entries],
+            **decode_rollup(dpool, start_ms, end_ms),
+            prefill_dispatch_counts=books["dispatch_counts"],
+            prefill_counts=[e.prefilled for e in ppool.entries],
+            prefill_token_counts=[e.prefilled_tokens for e in ppool.entries],
+            prefill_fleet_timeline=books["fleet_timeline"],
+            prefill_replica_seconds=books["replica_seconds"],
+            prefill_active_ms=books["replica_active_ms"],
+            prefill_uptimes_ms=books["replica_uptimes_ms"],
             prefill_delays_ms=dict(prefill_delays),
             transfer_delays_ms=dict(transfer_delays),
         )
@@ -460,14 +434,17 @@ class _DisaggRun(FleetRun):
                  mean_tokens: float, mean_prompt: float, start_ms: float,
                  tenant_runtime: Optional[TenantRuntime] = None) -> None:
         super().__init__(pending, start_ms, platform.obs, tenant_runtime)
-        prefill_fleet = PrefillFleetState()
 
-        def spawn_prefill(model: PrefillModel, profile: ReplicaProfile,
+        def spawn_prefill(replica_id: int, model: PrefillModel,
+                          profile: ReplicaProfile,
                           now_ms: float) -> PrefillReplicaEntry:
-            return prefill_fleet.add(model, profile, platform.prefill_batch,
-                                     mean_prompt, now_ms)
+            return PrefillReplicaEntry(replica_id=replica_id, model=model,
+                                       profile=profile,
+                                       prefill_batch=platform.prefill_batch,
+                                       mean_prompt_tokens=mean_prompt,
+                                       added_ms=now_ms)
 
-        self.ppool = PoolState(self, prefill_fleet, "prefill",
+        self.ppool = PoolState(self, "prefill",
                                platform.prefill_balancer,
                                platform.prefill_autoscaler,
                                (platform.prefill_min, platform.prefill_max),

@@ -1,13 +1,21 @@
-"""Dynamic fleet state: the mutable replica membership of a cluster.
+"""Replica profiles and the one replica protocol of every pool.
 
-PR 1's ``ClusterPlatform`` froze its replica list at construction time.  This
-module turns the member set into *fleet state* owned by a control plane, the
-way large-scale serving frameworks treat service membership: replicas are
-added, drained and retired **during** a run, and every consumer (the event
-loop, balancers, the EE fleet controller, metrics rollups) reads the live
-membership instead of a fixed list.
+A fleet's member set is live state: replicas are added, drained and retired
+**during** a run, and every consumer (the event loop, balancers, the EE fleet
+controller, metrics rollups) reads the live membership instead of a fixed
+list.  The pool that owns a membership
+(:class:`~repro.serving.pool.PoolState`) keeps the member list, its views,
+the fleet-size timeline and the books; members move through a three-state
+lifecycle::
 
-Three pieces:
+    ACTIVE ──drain──▶ DRAINING ──(queue empty & idle)──▶ RETIRED
+
+Draining replicas finish their queued and in-flight work but receive no new
+dispatches; retired replicas keep their metrics so fleet rollups and the
+conservation invariant (every request answered exactly once) span every
+replica that ever served.
+
+Two pieces live here:
 
 :class:`ReplicaProfile`
     Heterogeneity descriptor for one replica — a ``speed`` multiplier on the
@@ -22,18 +30,6 @@ Three pieces:
     shared pool operations use.  :class:`ReplicaEntry` implements it for
     classification replicas; generative decode and prefill replicas
     implement it in their own modules.
-
-:class:`FleetState`
-    The live membership.  Replicas move through a three-state lifecycle::
-
-        ACTIVE ──drain──▶ DRAINING ──(queue empty & idle)──▶ RETIRED
-
-    Draining replicas finish their queued and in-flight work but receive no
-    new dispatches; retired replicas keep their metrics so fleet rollups and
-    the conservation invariant (every request answered exactly once) span
-    every replica that ever served.  ``FleetState`` also records the
-    fleet-size timeline and the replica-seconds consumed — the cost side of
-    the autoscaling trade-off.
 """
 
 from __future__ import annotations
@@ -42,12 +38,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.obs.recorder import NULL_RECORDER
 from repro.serving.platform import BatchExecutorFn, ReplicaState, ServingPlatform
 
 __all__ = ["ReplicaProfile", "Replica", "ReplicaHandle", "ReplicaEntry",
-           "BaseFleet", "FleetState", "coerce_profiles", "replica_band",
-           "ACTIVE", "DRAINING", "RETIRED"]
+           "coerce_profiles", "replica_band", "ACTIVE", "DRAINING", "RETIRED"]
 
 #: Replica lifecycle states.
 ACTIVE = "active"
@@ -351,116 +345,3 @@ class ReplicaEntry(ReplicaHandle):
     def is_idle(self, now_ms: float) -> bool:
         """No queued work and the accelerator is free (retirement condition)."""
         return not self.state.queue and self.state.idle_at(now_ms)
-
-
-class BaseFleet:
-    """Shared lifecycle machinery of a dynamic replica membership.
-
-    Entries are :class:`Replica` members; the classification fleet
-    (:class:`FleetState`), the generative decode fleet and the prefill fleet
-    all build on this so the ACTIVE → DRAINING → RETIRED semantics, the
-    fleet-size timeline and the replica-seconds accounting are defined
-    exactly once.
-    """
-
-    #: Gauge name of the members' summed ``busy_units`` (pool gauge sampler).
-    busy_gauge = "busy_replicas"
-
-    def __init__(self) -> None:
-        self.entries: List = []
-        self._next_id = 0
-        #: (time_ms, active_count) — recorded whenever membership changes.
-        self.timeline: List[Tuple[float, int]] = []
-        #: Observability recorder + the pool tag stamped on fleet gauges.
-        #: Installed by the runner; the default no-op keeps runs untouched.
-        self.obs = NULL_RECORDER
-        self.obs_pool = "serve"
-
-    def next_ordinal(self) -> int:
-        """Ordinal the next-added replica will receive (stable, monotonic)."""
-        return self._next_id
-
-    # ------------------------------------------------------------------ views
-    def active(self) -> List:
-        return [e for e in self.entries if e.status == ACTIVE]
-
-    def serving(self) -> List:
-        """Members that still hold or may produce work (active + draining)."""
-        return [e for e in self.entries if e.status != RETIRED]
-
-    def num_active(self) -> int:
-        return sum(1 for e in self.entries if e.status == ACTIVE)
-
-    # -------------------------------------------------------------- lifecycle
-    def _register(self, entry, now_ms: float):
-        """Record a freshly built entry as a live ACTIVE member."""
-        self._next_id += 1
-        self.entries.append(entry)
-        self._mark(now_ms)
-        return entry
-
-    def drain(self, entry, now_ms: float) -> None:
-        """Stop dispatching to ``entry``; it finishes queued/in-flight work."""
-        if entry.status == ACTIVE:
-            entry.status = DRAINING
-            self._mark(now_ms)
-
-    def retire_idle(self, now_ms: float) -> None:
-        """Retire draining replicas that have finished all of their work."""
-        for entry in self.entries:
-            if entry.status == DRAINING and entry.is_idle(now_ms):
-                entry.status = RETIRED
-                entry.retired_ms = now_ms
-
-    def finalize(self, end_ms: float) -> None:
-        """Close the books at the end of a run (retire every member)."""
-        for entry in self.entries:
-            if entry.status != RETIRED:
-                entry.status = RETIRED
-                entry.retired_ms = end_ms
-
-    # -------------------------------------------------------------- accounting
-    def replica_seconds(self, end_ms: float) -> float:
-        """Cost-weighted replica-seconds consumed by the whole fleet."""
-        return sum(e.profile.cost_weight * e.active_ms(end_ms)
-                   for e in self.entries) / 1000.0
-
-    def active_replica_ms(self, end_ms: float) -> float:
-        """Unweighted provisioned milliseconds (for utilization rollups)."""
-        return sum(e.active_ms(end_ms) for e in self.entries)
-
-    def _mark(self, now_ms: float) -> None:
-        count = self.num_active()
-        if self.obs.enabled:
-            # Event-driven fleet-size series: a point at every membership
-            # transition (the gauge superset of the ad-hoc ``timeline``).
-            self.obs.gauge(now_ms, "fleet_size", count, pool=self.obs_pool)
-        if self.timeline and abs(self.timeline[-1][0] - now_ms) <= 1e-9:
-            self.timeline[-1] = (now_ms, count)
-            return
-        if self.timeline and self.timeline[-1][1] == count:
-            return
-        self.timeline.append((now_ms, count))
-
-
-class FleetState(BaseFleet):
-    """Live replica membership with an add / drain / retire lifecycle.
-
-    The cluster event loop owns one of these per run.  Balancers only ever see
-    the ACTIVE members; DRAINING members keep serving their queues; RETIRED
-    members are kept for metrics so rollups span the whole run.
-    """
-
-    def add(self, platform: ServingPlatform, executor: BatchExecutorFn,
-            profile: ReplicaProfile, now_ms: float) -> ReplicaEntry:
-        """Bring a new replica online (dispatchable from the next arrival)."""
-        state = platform.new_state()
-        # Every add path (initial fleet, autoscale boot, crash recovery)
-        # funnels through here, so span hooks inherit the fleet's recorder
-        # and the replica's stable id without per-call-site wiring.
-        platform.obs = self.obs
-        state.obs_replica = self._next_id
-        entry = ReplicaEntry(replica_id=self._next_id, platform=platform,
-                             executor=executor, profile=profile, state=state,
-                             added_ms=now_ms)
-        return self._register(entry, now_ms)

@@ -49,13 +49,13 @@ from repro.generative.decoding import (KVCacheAccountant, PrefillModel,
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.cluster import LoadBalancer, build_balancer
-from repro.serving.fleet import (ACTIVE, BaseFleet, Replica, ReplicaProfile,
+from repro.serving.fleet import (ACTIVE, Replica, ReplicaProfile,
                                  coerce_profiles, replica_band)
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, TokenExitPolicy,
                                         VanillaTokenPolicy)
 from repro.serving.kernel import SimPlatform
-from repro.serving.metrics import dispatch_imbalance_ratio
+from repro.serving.metrics import FleetMetrics
 from repro.serving.pool import EVICT, WAKE, FleetRun, PoolState
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
                            coerce_tenancy, sequence_rollups)
@@ -64,9 +64,8 @@ from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
 #: (exit-policy override ``allow_exits=False``).
 _NO_EXIT_POLICY = VanillaTokenPolicy()
 
-__all__ = ["GenerativeReplicaEntry", "GenerativeFleetState",
-           "GenerativeClusterMetrics", "GenerativeClusterPlatform",
-           "PolicyFactory"]
+__all__ = ["GenerativeReplicaEntry", "GenerativeClusterMetrics",
+           "GenerativeClusterPlatform", "PolicyFactory"]
 
 #: Per-ordinal token-exit-policy source for one run.  Called once per replica
 #: (ordinals continue past the initial fleet when the autoscaler scales out);
@@ -318,91 +317,24 @@ class GenerativeReplicaEntry(Replica):
         return progressed
 
 
-class GenerativeFleetState(BaseFleet):
-    """Dynamic decode-replica membership (ACTIVE → DRAINING → RETIRED)."""
-
-    busy_gauge = "busy_slots"
-
-    def add(self, engine: ContinuousBatchingEngine, policy: TokenExitPolicy,
-            profile: ReplicaProfile, mean_tokens: float, now_ms: float,
-            kv: Optional[KVCacheAccountant] = None) -> GenerativeReplicaEntry:
-        entry = GenerativeReplicaEntry(replica_id=self._next_id, engine=engine,
-                                       policy=policy, profile=profile,
-                                       mean_tokens=mean_tokens, added_ms=now_ms,
-                                       kv=kv)
-        # Every add path (initial fleet, autoscale boot, crash recovery)
-        # funnels here, so new replicas always see the run's recorder.
-        entry.obs = self.obs
-        entry.obs_pool = self.obs_pool
-        return self._register(entry, now_ms)
-
-
 @dataclass
-class GenerativeClusterMetrics:
+class GenerativeClusterMetrics(FleetMetrics):
     """Per-replica token metrics plus fleet-wide rollups for one cluster run.
 
-    ``replicas`` covers every replica that ever decoded during the run —
-    including ones the autoscaler retired mid-run — so token conservation and
-    all rollups span the full membership history.
+    ``replicas`` holds one :class:`GenerativeMetrics` per replica that ever
+    decoded and ``makespan_ms`` runs from the first arrival to the last token
+    release; see :func:`repro.tenancy.rollup.sequence_rollups` for the
+    tenant rollups' keys.
     """
 
-    replicas: List[GenerativeMetrics] = field(default_factory=list)
-    #: sequences the balancer routed to each replica, aligned with ``replicas``.
-    dispatch_counts: List[int] = field(default_factory=list)
-    #: global wall-clock span (first arrival to last token release) in ms.
-    makespan_ms: float = 0.0
-    #: (time_ms, active_replicas) recorded at every membership change.
-    fleet_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    #: cost-weighted replica-seconds consumed by the fleet.
-    replica_seconds: float = 0.0
-    #: unweighted provisioned milliseconds (denominator for utilization).
-    replica_active_ms: float = 0.0
-    #: per-replica provisioned milliseconds, aligned with ``replicas``.
-    replica_uptimes_ms: List[float] = field(default_factory=list)
-    #: fault injection: crashes fired, replacements booted, and queued
-    #: sequences requeued to surviving replicas by a crash.
-    crashes: int = 0
-    recoveries: int = 0
-    requeued: int = 0
-    #: per-tenant rollups (empty unless the run configured tenancy); see
-    #: :func:`repro.tenancy.rollup.sequence_rollups` for the keys.
-    tenant_rollups: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    _aggregate: Optional[GenerativeMetrics] = field(default=None, init=False,
-                                                    repr=False, compare=False)
-
-    def num_replicas(self) -> int:
-        return len(self.replicas)
-
-    def peak_replicas(self) -> int:
-        """Largest number of simultaneously active replicas during the run."""
-        if not self.fleet_timeline:
-            return len(self.replicas)
-        return max(count for _, count in self.fleet_timeline)
-
-    def aggregate(self) -> GenerativeMetrics:
-        """Merged token stream measured on the cluster's global clock."""
-        if self._aggregate is None:
-            self._aggregate = GenerativeMetrics.merged(
-                self.replicas, makespan_ms=self.makespan_ms)
-        return self._aggregate
+    replica_metrics = GenerativeMetrics
 
     def total_tokens(self) -> int:
         return self.aggregate().num_tokens()
 
-    def fleet_throughput_tokens_per_s(self) -> float:
-        return self.aggregate().throughput_tokens_per_s()
-
     def p99_token_latency(self) -> float:
         """Queueing-inclusive per-token p99 over the merged stream."""
         return self.aggregate().p99_token_latency()
-
-    def dispatch_imbalance(self) -> float:
-        """Max/mean per-replica dispatch-rate ratio (1.0 = perfectly even)."""
-        return dispatch_imbalance_ratio(self.dispatch_counts,
-                                        self.replica_uptimes_ms)
-
-    def per_replica_summaries(self) -> List[Dict[str, float]]:
-        return [m.summary() for m in self.replicas]
 
     def summary(self) -> Dict[str, float]:
         """Fleet rollup: aggregate token stats plus cluster-only metrics."""
@@ -413,11 +345,7 @@ class GenerativeClusterMetrics:
             "dispatch_imbalance": self.dispatch_imbalance(),
             "replica_seconds": float(self.replica_seconds),
         })
-        if self.crashes or self.recoveries:
-            data["crashes"] = float(self.crashes)
-            data["recoveries"] = float(self.recoveries)
-            data["requeued"] = float(self.requeued)
-        return data
+        return self.add_crash_keys(data)
 
 
 class GenerativeClusterPlatform:
@@ -443,7 +371,7 @@ class GenerativeClusterPlatform:
     autoscaler / min_replicas / max_replicas:
         Elasticity, exactly as in the classification cluster.  Scaled-out
         replicas reuse the first engine's configuration (engines are
-        stateless) and run at ``scale_out_profile`` (default: base speed).
+        stateless) and run at base speed.
     kv_capacity:
         Fleet-default per-replica KV-cache budget in bytes (a replica
         profile's ``kv_capacity_bytes`` overrides it).  ``None`` (the
@@ -462,7 +390,6 @@ class GenerativeClusterPlatform:
                  autoscaler: Union[str, Autoscaler, None] = "none",
                  min_replicas: Optional[int] = None,
                  max_replicas: Optional[int] = None,
-                 scale_out_profile: Optional[ReplicaProfile] = None,
                  ttft_slo_ms: Optional[float] = None,
                  tenancy: Union[None, str, TenancyConfig] = None,
                  faults: Union[None, str, FaultSpec, FaultSchedule] = None,
@@ -491,8 +418,6 @@ class GenerativeClusterPlatform:
         self.profiles = coerce_profiles(profiles, n)
         self.min_replicas, self.max_replicas = replica_band(n, min_replicas,
                                                             max_replicas)
-        self.scale_out_profile = scale_out_profile if scale_out_profile is not None \
-            else ReplicaProfile()
 
     @property
     def num_replicas(self) -> int:
@@ -516,15 +441,15 @@ class GenerativeClusterPlatform:
         mean_tokens = workload.mean_output_length() or 1.0
         runner = _GenerativeRun(self, pending, policy_factory, mean_tokens,
                                 start, tenant_runtime=tenant_runtime)
-        fleet = runner.pool.fleet
+        pool = runner.pool
         if not pending:
-            return self._collect(fleet, start, start)
+            return GenerativeClusterMetrics(**decode_rollup(pool, start, start))
 
         runner.drive()
 
-        end = max((e.last_completion_ms for e in fleet.entries
+        end = max((e.last_completion_ms for e in pool.entries
                    if np.isfinite(e.last_completion_ms)), default=start)
-        metrics = self._collect(fleet, start, end)
+        metrics = GenerativeClusterMetrics(**decode_rollup(pool, start, end))
         runner.stamp(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
@@ -535,24 +460,19 @@ class GenerativeClusterPlatform:
                                                 ReplicaProfile]:
         """The engine and profile a scale-out boot brings online (engines
         are stateless, so every boot reuses the first one)."""
-        return self.engines[0], self.scale_out_profile
-
-    def _collect(self, fleet: GenerativeFleetState, start_ms: float,
-                 end_ms: float) -> GenerativeClusterMetrics:
-        return GenerativeClusterMetrics(**decode_rollup(fleet, start_ms,
-                                                        end_ms))
+        return self.engines[0], ReplicaProfile()
 
 
-def decode_rollup(fleet: GenerativeFleetState, start_ms: float,
+def decode_rollup(pool: PoolState, start_ms: float,
                   end_ms: float) -> Dict[str, object]:
-    """Close a decode fleet's books at ``end_ms``.
+    """Close a decode pool's books at ``end_ms``.
 
     Stamps every member's token metrics with its makespan and KV-cache
     counters and returns the :class:`GenerativeClusterMetrics` fields the
-    fleet fills (a disaggregated run's decode pool fills the same ones).
+    pool fills (a disaggregated run's decode pool fills the same ones).
     """
-    fleet.finalize(end_ms)
-    for entry in fleet.entries:
+    books = pool.books(end_ms)
+    for entry in pool.entries:
         metrics = entry.metrics
         if metrics.num_tokens():
             metrics.makespan_ms = max(entry.last_completion_ms - start_ms, 1e-9)
@@ -564,16 +484,11 @@ def decode_rollup(fleet: GenerativeFleetState, start_ms: float,
             metrics.kv_evictions = kv.evictions
             metrics.kv_evicted_tokens = kv.evicted_tokens
             metrics.kv_recompute_tokens = kv.recompute_tokens
-    decoded_anything = any(entry.metrics.num_tokens() for entry in fleet.entries)
+    decoded_anything = any(entry.metrics.num_tokens() for entry in pool.entries)
     return dict(
-        replicas=[entry.metrics for entry in fleet.entries],
-        dispatch_counts=[entry.dispatched for entry in fleet.entries],
+        replicas=[entry.metrics for entry in pool.entries],
         makespan_ms=max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0,
-        fleet_timeline=list(fleet.timeline),
-        replica_seconds=fleet.replica_seconds(end_ms),
-        replica_active_ms=fleet.active_replica_ms(end_ms),
-        replica_uptimes_ms=[entry.active_ms(end_ms) for entry in fleet.entries],
-    )
+        **books)
 
 
 def kv_accountant(engine: ContinuousBatchingEngine, profile: ReplicaProfile,
@@ -615,6 +530,8 @@ class DecodePool(PoolState):
     both, so runners never see them.
     """
 
+    busy_gauge = "busy_slots"
+
     def __init__(self, sim: SimPlatform, name: str, balancer: LoadBalancer,
                  autoscaler: Autoscaler, band: Tuple[int, int], scale_out,
                  initial, policy_factory: PolicyFactory, mean_tokens: float,
@@ -626,17 +543,17 @@ class DecodePool(PoolState):
         self.kv_capacity = kv_capacity
         self.prefill = prefill
         self.ttft_slo_ms = ttft_slo_ms
-        super().__init__(sim, GenerativeFleetState(), name, balancer,
-                         autoscaler, band, self._spawn, scale_out, initial,
-                         runtime=runtime)
+        super().__init__(sim, name, balancer, autoscaler, band, self._spawn,
+                         scale_out, initial, runtime=runtime)
 
-    def _spawn(self, engine: ContinuousBatchingEngine, profile: ReplicaProfile,
-               now_ms: float) -> GenerativeReplicaEntry:
-        fleet = self.fleet
-        return fleet.add(engine, self.policy_factory(fleet.next_ordinal()),
-                         profile, self.mean_tokens, now_ms,
-                         kv=kv_accountant(engine, profile, self.kv_capacity,
-                                          self.prefill))
+    def _spawn(self, replica_id: int, engine: ContinuousBatchingEngine,
+               profile: ReplicaProfile, now_ms: float) -> GenerativeReplicaEntry:
+        return GenerativeReplicaEntry(
+            replica_id=replica_id, engine=engine,
+            policy=self.policy_factory(replica_id), profile=profile,
+            mean_tokens=self.mean_tokens, added_ms=now_ms,
+            kv=kv_accountant(engine, profile, self.kv_capacity, self.prefill),
+            obs=self.sim.obs, obs_pool=self.name)
 
     def serve(self, now_ms: float) -> bool:
         """The slot phase; returns whether anything progressed.

@@ -4,6 +4,10 @@ Two granularities are provided: :class:`ServingMetrics` aggregates one
 replica's run, and :class:`ClusterMetrics` holds one ``ServingMetrics`` per
 replica plus fleet-wide rollups (goodput, SLO violations, dispatch balance)
 computed over the merged response stream on the cluster's global clock.
+:class:`FleetMetrics` is the part every fleet's metrics share — the pool's
+books, fault counters, tenant rollups and the merged stream — which the
+generative :class:`~repro.serving.generative_cluster.GenerativeClusterMetrics`
+also builds on.
 
 ``ServingMetrics`` stores responses *columnar*: one flat list per Response
 field instead of one :class:`~repro.serving.request.Response` object per
@@ -20,35 +24,14 @@ sees the exact records the eager path produced, in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.serving.request import Request, Response
 from repro.utils.stats import summarize_latencies
 
-__all__ = ["ServingMetrics", "ClusterMetrics", "dispatch_imbalance_ratio"]
-
-
-def dispatch_imbalance_ratio(counts: Sequence[int],
-                             uptimes_ms: Sequence[float]) -> float:
-    """Max/mean ratio of per-replica dispatch *rates* (1.0 = perfectly even).
-
-    Rates are dispatches per provisioned millisecond, so a replica the
-    autoscaler added late is judged against its own uptime rather than the
-    whole run — a perfectly balanced elastic fleet reads 1.0.  Fixed fleets
-    (equal uptimes) reduce to the classic max/mean count ratio.  Shared by
-    the classification and generative cluster rollups.
-    """
-    if not counts or sum(counts) == 0:
-        return 1.0
-    if len(uptimes_ms) == len(counts) and sum(uptimes_ms) > 0:
-        rates = [count / uptime
-                 for count, uptime in zip(counts, uptimes_ms) if uptime > 0]
-        mean = sum(rates) / len(rates) if rates else 0.0
-        if mean > 0:
-            return max(rates) / mean
-    return max(counts) * len(counts) / sum(counts)
+__all__ = ["ServingMetrics", "ClusterMetrics"]
 
 
 #: Column order of the internal response table (mirrors Response's fields).
@@ -215,9 +198,6 @@ class ServingMetrics:
     def latencies(self) -> np.ndarray:
         return self._served_column("latency_ms")
 
-    def queueing_delays(self) -> np.ndarray:
-        return self._served_column("queueing_ms")
-
     def latency_summary(self) -> Dict[str, float]:
         """Latency percentiles over served requests (computed once, cached).
 
@@ -232,9 +212,6 @@ class ServingMetrics:
 
     def median_latency(self) -> float:
         return self.latency_summary()["p50"]
-
-    def p25_latency(self) -> float:
-        return self.latency_summary()["p25"]
 
     def p95_latency(self) -> float:
         return self.latency_summary()["p95"]
@@ -338,22 +315,26 @@ class ServingMetrics:
 
 
 @dataclass
-class ClusterMetrics:
-    """Per-replica metrics plus fleet-wide rollups for one cluster run.
+class FleetMetrics:
+    """Per-replica metrics plus the fleet-wide books of one fleet run.
 
     ``replicas`` covers every replica that ever served during the run —
     including ones the autoscaler retired mid-run — so the conservation
-    invariant and all rollups span the full membership history.
+    invariant and all rollups span the full membership history.  A subclass
+    names its per-replica metrics type in :attr:`replica_metrics`, whose
+    ``merged`` builds the fleet's merged stream.
     """
 
-    replicas: List[ServingMetrics] = field(default_factory=list)
-    #: how many requests the balancer routed to each replica (first dispatch
-    #: only; salvage re-routes are counted in ``rerouted``).
+    #: Per-replica metrics type (``merged(parts, makespan_ms=...)``).
+    replica_metrics: ClassVar[Any]
+
+    replicas: List[Any] = field(default_factory=list)
+    #: items the balancer routed to each replica, aligned with ``replicas``
+    #: (first dispatch only; a classification fleet's salvage re-routes
+    #: are counted in its ``rerouted``).
     dispatch_counts: List[int] = field(default_factory=list)
     #: global wall-clock span (first arrival to last completion) in ms.
     makespan_ms: float = 0.0
-    #: doomed requests the dispatcher re-routed to another replica (drop salvage).
-    rerouted: int = 0
     #: (time_ms, active_replicas) recorded at every membership change.
     fleet_timeline: List[Tuple[float, int]] = field(default_factory=list)
     #: cost-weighted replica-seconds consumed by the fleet (the autoscaling
@@ -366,15 +347,15 @@ class ClusterMetrics:
     #: ``replicas``; normalizes dispatch balance for elastic fleets.
     replica_uptimes_ms: List[float] = field(default_factory=list)
     #: fault injection: crashes fired, replacements booted, and queued
-    #: requests requeued to surviving replicas by a crash.
+    #: items requeued to surviving replicas by a crash.
     crashes: int = 0
     recoveries: int = 0
     requeued: int = 0
     #: per-tenant rollups (empty unless the run configured tenancy); see
-    #: :func:`repro.tenancy.rollup.request_rollups` for the keys.
+    #: :mod:`repro.tenancy.rollup` for the keys.
     tenant_rollups: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    _aggregate: Optional[ServingMetrics] = field(default=None, init=False,
-                                                 repr=False, compare=False)
+    _aggregate: Any = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def num_replicas(self) -> int:
         return len(self.replicas)
@@ -385,17 +366,63 @@ class ClusterMetrics:
             return len(self.replicas)
         return max(count for _, count in self.fleet_timeline)
 
-    # ------------------------------------------------------------- aggregate
-    def aggregate(self) -> ServingMetrics:
-        """Merged response stream measured on the cluster's global clock.
+    def aggregate(self) -> Any:
+        """Merged stream measured on the fleet's global clock.
 
-        Cached: a ClusterMetrics records a finished run, so the merge is
-        computed once and shared by every fleet rollup.
+        Cached: the metrics record a finished run, so the merge is computed
+        once and shared by every fleet rollup.
         """
         if self._aggregate is None:
-            self._aggregate = ServingMetrics.merged(self.replicas,
-                                                    makespan_ms=self.makespan_ms)
+            self._aggregate = self.replica_metrics.merged(
+                self.replicas, makespan_ms=self.makespan_ms)
         return self._aggregate
+
+    def dispatch_imbalance(self) -> float:
+        """Max/mean ratio of per-replica dispatch *rates* (1.0 = perfectly
+        even).
+
+        Rates are dispatches per provisioned millisecond, so a replica the
+        autoscaler added late is judged against its own uptime rather than
+        the whole run — a perfectly balanced elastic fleet reads 1.0.  Fixed
+        fleets (equal uptimes) reduce to the classic max/mean count ratio.
+        """
+        counts = self.dispatch_counts
+        uptimes_ms = self.replica_uptimes_ms
+        if not counts or sum(counts) == 0:
+            return 1.0
+        if len(uptimes_ms) == len(counts) and sum(uptimes_ms) > 0:
+            rates = [count / uptime
+                     for count, uptime in zip(counts, uptimes_ms) if uptime > 0]
+            mean = sum(rates) / len(rates) if rates else 0.0
+            if mean > 0:
+                return max(rates) / mean
+        return max(counts) * len(counts) / sum(counts)
+
+    def per_replica_summaries(self) -> List[Dict[str, float]]:
+        return [m.summary() for m in self.replicas]
+
+    def add_crash_keys(self, data: Dict[str, float]) -> Dict[str, float]:
+        """``data`` plus the fault counters, when the run had a fault."""
+        if self.crashes or self.recoveries:
+            data["crashes"] = float(self.crashes)
+            data["recoveries"] = float(self.recoveries)
+            data["requeued"] = float(self.requeued)
+        return data
+
+
+@dataclass
+class ClusterMetrics(FleetMetrics):
+    """Per-replica metrics plus fleet-wide rollups for one cluster run.
+
+    ``replicas`` holds one :class:`ServingMetrics` per replica that ever
+    served; see :func:`repro.tenancy.rollup.request_rollups` for the tenant
+    rollups' keys.
+    """
+
+    replica_metrics = ServingMetrics
+
+    #: doomed requests the dispatcher re-routed to another replica (drop salvage).
+    rerouted: int = 0
 
     def fleet_throughput_qps(self) -> float:
         return self.aggregate().throughput_qps()
@@ -405,9 +432,6 @@ class ClusterMetrics:
 
     def fleet_slo_violation_rate(self, slo_ms: float) -> float:
         return self.aggregate().slo_violation_rate(slo_ms)
-
-    def fleet_drop_rate(self) -> float:
-        return self.aggregate().drop_rate()
 
     def fleet_gpu_utilization(self) -> float:
         """Mean accelerator utilization over the fleet's provisioned time.
@@ -423,11 +447,6 @@ class ClusterMetrics:
         provisioned = self.replica_active_ms if self.replica_active_ms > 0 \
             else self.makespan_ms * len(self.replicas)
         return min(1.0, busy / provisioned)
-
-    def dispatch_imbalance(self) -> float:
-        """Max/mean per-replica dispatch-rate ratio (1.0 = perfectly even)."""
-        return dispatch_imbalance_ratio(self.dispatch_counts,
-                                        self.replica_uptimes_ms)
 
     # --------------------------------------------------- fleet latency rollups
     def latency_summary(self) -> Dict[str, float]:
@@ -446,9 +465,6 @@ class ClusterMetrics:
         return self.latency_summary()["p99"]
 
     # -------------------------------------------------------------- summaries
-    def per_replica_summaries(self) -> List[Dict[str, float]]:
-        return [m.summary() for m in self.replicas]
-
     def summary(self, slo_ms: Optional[float] = None) -> Dict[str, float]:
         """Fleet rollup: aggregate latency stats plus cluster-only metrics."""
         aggregate = self.aggregate()
@@ -464,8 +480,4 @@ class ClusterMetrics:
         if slo_ms is not None:
             data["fleet_goodput_qps"] = aggregate.goodput_qps(slo_ms)
             data["fleet_slo_violation_rate"] = aggregate.slo_violation_rate(slo_ms)
-        if self.crashes or self.recoveries:
-            data["crashes"] = float(self.crashes)
-            data["recoveries"] = float(self.recoveries)
-            data["requeued"] = float(self.requeued)
-        return data
+        return self.add_crash_keys(data)

@@ -5,10 +5,12 @@ kernel.  The classification fleet (:mod:`repro.serving.cluster`) and the
 monolithic generative fleet (:mod:`repro.serving.generative_cluster`) are
 one pool each; the disaggregated fleet (:mod:`repro.serving.disagg`) is a
 prefill pool feeding a decode pool through the KV handoff queue.
-:class:`PoolState` owns what every pool does the same way whatever its
-members are — balancer routing, the autoscaler phase and scale-out boots,
-crash and recovery, the dirty set and gauges — so a runner keeps only what
-its pool graph does differently.
+:class:`PoolState` is the one object per pool: it owns the member list,
+the fleet-size timeline and the books, and what every pool does the same
+way whatever its members are — balancer routing, the autoscaler phase and
+scale-out boots, crash and recovery, the dirty set and gauges — so a runner
+keeps only what its pool graph does differently: how a member is built and
+how it serves.
 
 Pool members implement the :class:`~repro.serving.fleet.Replica` protocol,
 so a member is its own balancer/autoscaler handle.
@@ -28,7 +30,8 @@ holds that to the seed loops.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from repro.serving.autoscaler import FixedAutoscaler
 from repro.serving.fleet import ACTIVE, DRAINING, RETIRED
@@ -44,8 +47,8 @@ WAKE, EVICT, BOOT, CRASH, RECOVER = range(5)
 #: First event kind free for a runner's own events.
 FIRST_RUNNER_EVENT = 5
 
-#: ``spawn(hardware, profile, now_ms)`` registers a new member in the fleet.
-Spawn = Callable[[Any, Any, float], Any]
+#: ``spawn(replica_id, hardware, profile, now_ms)`` builds a new member.
+Spawn = Callable[[int, Any, Any, float], Any]
 #: ``scale_out(ordinal)`` is the ``(hardware, profile)`` a boot brings up.
 ScaleOut = Callable[[int], Tuple[Any, Any]]
 
@@ -53,27 +56,32 @@ ScaleOut = Callable[[int], Tuple[Any, Any]]
 class PoolState:
     """One replica pool of a kernel run and the operations on it.
 
-    Membership views are maintained incrementally (they only change on
-    boot, drain, crash and retire): ``serving`` (fleet order, ACTIVE +
-    DRAINING) and ``active`` (fleet order, balancer-visible, each member's
-    ``index`` assigned).  ``boots`` holds in-flight scale-out boot events
-    and ``draining`` counts members awaiting retirement, so the retire scan
-    is skipped outright for the common static pool.
+    ``entries`` is every member ever added, in replica-id order (a member's
+    id is its ordinal in the pool); retired members stay so the books span
+    the whole run.  ``timeline`` holds ``(time_ms, active_count)`` at every
+    membership change.  The views are maintained incrementally (they only
+    change on boot, drain, crash and retire): ``serving`` (pool order,
+    ACTIVE + DRAINING) and ``active`` (pool order, balancer-visible, each
+    member's ``index`` assigned).  ``boots`` holds in-flight scale-out boot
+    events and ``draining`` counts members awaiting retirement, so the
+    retire scan is skipped outright for the common static pool.
 
     Construction is the pool's setup for one run: the balancer and
-    autoscaler are reset to the run's band, the fleet inherits the run's
-    recorder and pool tag, and the ``initial`` ``(hardware, profile)`` pairs
-    are spawned at the run's start time.  ``spawn`` also rebuilds crashed
-    hardware on recovery and brings ``scale_out(ordinal)`` hardware online
-    on a boot, so every add path goes through one function.
+    autoscaler are reset to the run's band and the ``initial``
+    ``(hardware, profile)`` pairs are brought up at the run's start time.
+    :meth:`add` is the one add path — initial members, scale-out boots of
+    ``scale_out(ordinal)`` hardware and crash recoveries alike — so
+    ``spawn`` builds every member and the pool records it.
     """
 
-    def __init__(self, sim: SimPlatform, fleet: Any, name: str, balancer: Any,
+    #: Gauge name of the members' summed ``busy_units``.
+    busy_gauge = "busy_replicas"
+
+    def __init__(self, sim: SimPlatform, name: str, balancer: Any,
                  autoscaler: Any, band: Tuple[int, int], spawn: Spawn,
                  scale_out: ScaleOut, initial: Iterable[Tuple[Any, Any]],
                  runtime: Any = None) -> None:
         self.sim = sim
-        self.fleet = fleet
         #: Pool label on spans and gauges ("serve", "prefill", "decode").
         self.name = name
         self.balancer = balancer
@@ -86,12 +94,9 @@ class PoolState:
         balancer.reset()
         autoscaler.reset()
         autoscaler.set_bounds(*band)
-        fleet.obs = sim.obs
-        fleet.obs_pool = name
-        start_ms = sim.clock.now_ms
-        for hardware, profile in initial:
-            spawn(hardware, profile, start_ms)
-        self.serving: List[Any] = list(fleet.entries)
+        self.entries: List[Any] = []
+        self.timeline: List[Tuple[float, int]] = []
+        self.serving: List[Any] = []
         self.active: List[Any] = []
         self.boots: List[Event] = []
         self.draining = 0
@@ -104,7 +109,9 @@ class PoolState:
         self.recoveries = 0
         self.requeued = 0
         self._stock: List[Tuple[Any, Any]] = []
-        self.refresh_active()
+        start_ms = sim.clock.now_ms
+        for hardware, profile in initial:
+            self.add(hardware, profile, start_ms)
         #: A fixed-size pool inside its band never changes membership through
         #: the exact ``FixedAutoscaler`` (stateless, always proposing the
         #: current size), so :meth:`scale` skips the per-pass consult.  Other
@@ -119,10 +126,21 @@ class PoolState:
             entry.index = position
         self.active = active
 
-    def add(self, entry: Any) -> None:
-        """Record a freshly spawned member (already registered in the fleet)."""
+    def add(self, hardware: Any, profile: Any, now_ms: float) -> None:
+        """Bring a new member up on ``hardware`` (dispatchable at once)."""
+        entry = self.spawn(len(self.entries), hardware, profile, now_ms)
+        self.entries.append(entry)
         self.serving.append(entry)
+        self._mark(now_ms)
         self.refresh_active()
+
+    def drain(self, entry: Any, now_ms: float) -> None:
+        """Stop dispatching to active member ``entry``; it finishes its
+        queued and in-flight work, then :meth:`retire_idle` retires it.
+        The caller refreshes the ``active`` view."""
+        entry.status = DRAINING
+        self.draining += 1
+        self._mark(now_ms)
 
     def retire_idle(self, now_ms: float) -> None:
         """Retire draining members that have finished all of their work."""
@@ -137,6 +155,39 @@ class PoolState:
                 removed = True
         if removed:
             self.serving = [e for e in self.serving if e.status != RETIRED]
+
+    def _mark(self, now_ms: float) -> None:
+        """Record the active count after a membership change: a
+        ``fleet_size`` gauge point at every change, and a timeline point
+        unless the count is unchanged (same-timestamp changes merge)."""
+        count = sum(1 for e in self.serving if e.status == ACTIVE)
+        obs = self.sim.obs
+        if obs.enabled:
+            obs.gauge(now_ms, "fleet_size", count, pool=self.name)
+        timeline = self.timeline
+        if timeline and abs(timeline[-1][0] - now_ms) <= 1e-9:
+            timeline[-1] = (now_ms, count)
+        elif not timeline or timeline[-1][1] != count:
+            timeline.append((now_ms, count))
+
+    def books(self, end_ms: float) -> Dict[str, Any]:
+        """Close the books at ``end_ms``: retire every member and return the
+        pool's rollup fields — dispatch counts, fleet timeline,
+        cost-weighted replica-seconds, provisioned milliseconds and
+        per-member uptimes, each over every member that ever served."""
+        entries = self.entries
+        for entry in entries:
+            if entry.status != RETIRED:
+                entry.status = RETIRED
+                entry.retired_ms = end_ms
+        return dict(
+            dispatch_counts=[e.dispatched for e in entries],
+            fleet_timeline=list(self.timeline),
+            replica_seconds=sum(e.profile.cost_weight * e.active_ms(end_ms)
+                                for e in entries) / 1000.0,
+            replica_active_ms=sum(e.active_ms(end_ms) for e in entries),
+            replica_uptimes_ms=[e.active_ms(end_ms) for e in entries],
+        )
 
     # ------------------------------------------------------------- dirty set
     def wake(self, entry: Any) -> None:
@@ -218,15 +269,13 @@ class PoolState:
             self.boots.clear()
             for entry in sorted(active,
                                 key=_newest_first)[:len(active) - desired]:
-                self.fleet.drain(entry, now_ms)
-                self.draining += 1
+                self.drain(entry, now_ms)
             self.refresh_active()
 
     def boot(self, event: Event, now_ms: float) -> None:
         """A scale-out boot completed: bring its member online."""
         self.boots.remove(event)
-        self.add(self.spawn(*self.scale_out(self.fleet.next_ordinal()),
-                            now_ms))
+        self.add(*self.scale_out(len(self.entries)), now_ms)
 
     # ---------------------------------------------------------------- faults
     def crash(self, fault: Any, now_ms: float) -> None:
@@ -243,8 +292,7 @@ class PoolState:
         if len(active) < 2:
             return
         victim = min(active, key=_replica_id)
-        self.fleet.drain(victim, now_ms)
-        self.draining += 1
+        self.drain(victim, now_ms)
         self.refresh_active()
         orphans = victim.take_queue()
         self.crashes += 1
@@ -263,7 +311,7 @@ class PoolState:
         """Boot a replacement for the oldest still-unrecovered crash (with
         fresh state: a crash loses queues and caches alike)."""
         hardware, profile = self._stock.pop(0)
-        self.add(self.spawn(hardware, profile, now_ms))
+        self.add(hardware, profile, now_ms)
         self.recoveries += 1
 
     # ---------------------------------------------------------------- gauges
@@ -284,7 +332,7 @@ class PoolState:
                 kv_bytes += kv.used_bytes()
         name = self.name
         obs.gauge(now_ms, "queue_depth", depth, pool=name)
-        obs.gauge(now_ms, self.fleet.busy_gauge, busy, pool=name)
+        obs.gauge(now_ms, self.busy_gauge, busy, pool=name)
         obs.gauge(now_ms, "active_replicas", len(self.active), pool=name)
         if kv_any:
             obs.gauge(now_ms, "kv_used_bytes", kv_bytes, pool=name)

@@ -10,7 +10,7 @@ Arrival times are fixed-rate at the video frame rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -72,8 +72,3 @@ def make_video_workload(name: str = "urban-day", num_frames: int = 20_000,
                              name=f"video:{name}")
     arrivals = fixed_rate_arrivals(num_frames, rate_qps=fps)
     return VideoWorkload(name=name, trace=trace, arrival_times_ms=arrivals, fps=fps)
-
-
-def list_video_presets() -> List[str]:
-    """Names of the built-in scene presets."""
-    return sorted(VIDEO_SCENE_PRESETS)

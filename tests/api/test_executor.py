@@ -54,10 +54,10 @@ class TestBitIdentity:
 
 
 class TestErrorCapture:
-    #: 'bogus' passes sweep validation (platform is resolved at run time)
-    #: and raises inside the grid point — the runtime-failure class the
-    #: executors must capture per point.
-    GRID = {"platform": ["clockwork", "bogus"]}
+    #: ``max_batch_size=0`` passes sweep validation (the platform checks it
+    #: when the run builds the fleet) and raises inside the grid point — the
+    #: runtime-failure class the executors must capture per point.
+    GRID = {"max_batch_size": [16, 0]}
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_failed_point_does_not_kill_siblings(self, executor):
@@ -70,7 +70,7 @@ class TestErrorCapture:
         assert ok.error is None and ok.report is not None
         assert failed.report is None
         assert failed.error["type"] == "ValueError"
-        assert "bogus" in failed.error["message"]
+        assert "max_batch_size" in failed.error["message"]
 
     def test_error_points_are_bit_identical_across_backends(self):
         exp = Experiment(model="resnet50",

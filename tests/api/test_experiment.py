@@ -113,6 +113,42 @@ def test_non_finite_slo_is_rejected():
         Experiment(model="resnet50", workload=WORKLOAD, slo_ms=float("nan"))
 
 
+def test_unknown_platform_is_rejected_at_construction_naming_the_key():
+    """An unknown platform used to construct and describe fine, then fail
+    at run time with an error naming the value but not the key."""
+    with pytest.raises(ValueError, match="^platform must be one of .*, "
+                                         "got 'foo'$"):
+        Experiment(model="resnet50", workload=WORKLOAD, platform="foo")
+    with pytest.raises(ValueError, match="^platform must be one of"):
+        Experiment(model="t5-large",
+                   workload=WorkloadSpec("generative", requests=5),
+                   platform="foo")
+
+
+def test_platform_aliases_are_accepted_and_reported_as_given():
+    small = WorkloadSpec("video", requests=60)
+    runs = {}
+    for name in ("clockwork", "tfserve", "TF-Serving"):
+        experiment = Experiment(model="resnet50", workload=small,
+                                platform=name)
+        assert experiment.describe()["platform"] == name
+        result = experiment.run(["vanilla"]).results[0].to_json()
+        assert result["params"]["platform"] == name
+        runs[name] = result
+    # The alias builds the same platform as its canonical name.
+    runs["TF-Serving"]["params"]["platform"] = "tfserve"
+    assert runs["TF-Serving"] == runs["tfserve"]
+
+
+def test_sweep_over_an_unknown_platform_fails_before_running():
+    progress = []
+    with pytest.raises(ValueError, match="platform.*'foo'"):
+        Experiment(model="resnet50", workload=WORKLOAD).sweep(
+            ["vanilla"], platform=["clockwork", "foo"],
+            progress=lambda *args: progress.append(args))
+    assert progress == []
+
+
 def test_fractional_request_count_is_rejected():
     with pytest.raises(ValueError, match="requests.*10.5"):
         WorkloadSpec("video", requests=10.5)

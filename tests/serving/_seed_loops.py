@@ -19,7 +19,15 @@ later arrival instant can be dropped where the kernel serves it.
 
 They are driven through the public platform objects (and reuse their
 helper methods: executor resolution, scale-out hardware, collection), so
-configuration handling cannot drift; only the *scheduling* differs.
+configuration handling cannot drift; only the *scheduling* differs.  The
+membership they schedule over is the oracle's own: ``BaseFleet`` and its
+``FleetState``, ``GenerativeFleetState`` and ``PrefillFleetState`` are the
+fleet classes as they stood before membership, the fleet-size timeline and
+book-closing moved into :class:`~repro.serving.pool.PoolState`, plus a
+``books(end_ms)`` built from their own ``finalize``, ``replica_seconds`` and
+``active_replica_ms``.  The platforms' rollups close these fleets' books
+with the old formulas, so the equivalence suite also holds the pool's
+membership and books to them.
 ``seed_cluster_run`` salvages doomed requests with its own copy of the
 pre-inline salvage scan, ``seed_salvage_doomed`` (with
 ``_completion_eta_ms``), so the equivalence suite also holds the kernel's
@@ -42,15 +50,18 @@ from repro.baselines.free import FreeTokenPolicy, calibrate_free_policy
 from repro.baselines.oracle import OracleTokenPolicy
 from repro.core.generative import ApparateTokenPolicy, generative_ramp_depths
 from repro.exits.ramps import RampStyle, ramp_overhead_fraction
-from repro.generative.decoding import DecodeTimingModel
+from repro.generative.decoding import (DecodeTimingModel, KVCacheAccountant,
+                                       PrefillModel)
 from repro.models.prediction import PredictionModel
+from repro.obs.recorder import NULL_RECORDER
 from repro.serving.cluster import ClusterPlatform, _scale_result
-from repro.serving.fleet import (DRAINING, FleetState, ReplicaEntry,
-                                 ReplicaHandle)
+from repro.serving.disagg import PrefillReplicaEntry
+from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, ReplicaEntry,
+                                 ReplicaHandle, ReplicaProfile)
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
-                                              GenerativeFleetState,
-                                              PolicyFactory)
+                                              GenerativeReplicaEntry,
+                                              PolicyFactory, decode_rollup)
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, TokenExitPolicy,
                                         VanillaTokenPolicy)
@@ -60,7 +71,166 @@ from repro.serving.request import Request
 
 __all__ = ["seed_cluster_run", "seed_generative_run", "seed_disagg_run",
            "seed_platform_run", "seed_engine_run", "seed_engine_system",
-           "seed_salvage_doomed"]
+           "seed_salvage_doomed", "BaseFleet", "FleetState",
+           "GenerativeFleetState", "PrefillFleetState"]
+
+
+class BaseFleet:
+    """Shared lifecycle machinery of a dynamic replica membership.
+
+    Entries are :class:`Replica` members; the classification fleet
+    (:class:`FleetState`), the generative decode fleet and the prefill fleet
+    all build on this so the ACTIVE → DRAINING → RETIRED semantics, the
+    fleet-size timeline and the replica-seconds accounting are defined
+    exactly once.
+    """
+
+    #: Gauge name of the members' summed ``busy_units`` (pool gauge sampler).
+    busy_gauge = "busy_replicas"
+
+    def __init__(self) -> None:
+        self.entries: List = []
+        self._next_id = 0
+        #: (time_ms, active_count) — recorded whenever membership changes.
+        self.timeline: List[Tuple[float, int]] = []
+        #: Observability recorder + the pool tag stamped on fleet gauges.
+        #: Installed by the runner; the default no-op keeps runs untouched.
+        self.obs = NULL_RECORDER
+        self.obs_pool = "serve"
+
+    def next_ordinal(self) -> int:
+        """Ordinal the next-added replica will receive (stable, monotonic)."""
+        return self._next_id
+
+    # ------------------------------------------------------------------ views
+    def active(self) -> List:
+        return [e for e in self.entries if e.status == ACTIVE]
+
+    def serving(self) -> List:
+        """Members that still hold or may produce work (active + draining)."""
+        return [e for e in self.entries if e.status != RETIRED]
+
+    def num_active(self) -> int:
+        return sum(1 for e in self.entries if e.status == ACTIVE)
+
+    # -------------------------------------------------------------- lifecycle
+    def _register(self, entry, now_ms: float):
+        """Record a freshly built entry as a live ACTIVE member."""
+        self._next_id += 1
+        self.entries.append(entry)
+        self._mark(now_ms)
+        return entry
+
+    def drain(self, entry, now_ms: float) -> None:
+        """Stop dispatching to ``entry``; it finishes queued/in-flight work."""
+        if entry.status == ACTIVE:
+            entry.status = DRAINING
+            self._mark(now_ms)
+
+    def retire_idle(self, now_ms: float) -> None:
+        """Retire draining replicas that have finished all of their work."""
+        for entry in self.entries:
+            if entry.status == DRAINING and entry.is_idle(now_ms):
+                entry.status = RETIRED
+                entry.retired_ms = now_ms
+
+    def finalize(self, end_ms: float) -> None:
+        """Close the books at the end of a run (retire every member)."""
+        for entry in self.entries:
+            if entry.status != RETIRED:
+                entry.status = RETIRED
+                entry.retired_ms = end_ms
+
+    # -------------------------------------------------------------- accounting
+    def replica_seconds(self, end_ms: float) -> float:
+        """Cost-weighted replica-seconds consumed by the whole fleet."""
+        return sum(e.profile.cost_weight * e.active_ms(end_ms)
+                   for e in self.entries) / 1000.0
+
+    def active_replica_ms(self, end_ms: float) -> float:
+        """Unweighted provisioned milliseconds (for utilization rollups)."""
+        return sum(e.active_ms(end_ms) for e in self.entries)
+
+    def _mark(self, now_ms: float) -> None:
+        count = self.num_active()
+        if self.obs.enabled:
+            # Event-driven fleet-size series: a point at every membership
+            # transition (the gauge superset of the ad-hoc ``timeline``).
+            self.obs.gauge(now_ms, "fleet_size", count, pool=self.obs_pool)
+        if self.timeline and abs(self.timeline[-1][0] - now_ms) <= 1e-9:
+            self.timeline[-1] = (now_ms, count)
+            return
+        if self.timeline and self.timeline[-1][1] == count:
+            return
+        self.timeline.append((now_ms, count))
+
+    # ------------------------------------------------ oracle's closing books
+    def books(self, end_ms: float) -> Dict[str, object]:
+        """``PoolState.books`` from the frozen fleet's own accounting: the
+        rollup fields the platforms' collectors read."""
+        self.finalize(end_ms)
+        return dict(dispatch_counts=[e.dispatched for e in self.entries],
+                    fleet_timeline=list(self.timeline),
+                    replica_seconds=self.replica_seconds(end_ms),
+                    replica_active_ms=self.active_replica_ms(end_ms),
+                    replica_uptimes_ms=[e.active_ms(end_ms)
+                                        for e in self.entries])
+
+
+class FleetState(BaseFleet):
+    """Live replica membership with an add / drain / retire lifecycle.
+
+    The cluster event loop owns one of these per run.  Balancers only ever see
+    the ACTIVE members; DRAINING members keep serving their queues; RETIRED
+    members are kept for metrics so rollups span the whole run.
+    """
+
+    def add(self, platform: ServingPlatform, executor: BatchExecutorFn,
+            profile: ReplicaProfile, now_ms: float) -> ReplicaEntry:
+        """Bring a new replica online (dispatchable from the next arrival)."""
+        state = platform.new_state()
+        # Every add path (initial fleet, autoscale boot, crash recovery)
+        # funnels through here, so span hooks inherit the fleet's recorder
+        # and the replica's stable id without per-call-site wiring.
+        platform.obs = self.obs
+        state.obs_replica = self._next_id
+        entry = ReplicaEntry(replica_id=self._next_id, platform=platform,
+                             executor=executor, profile=profile, state=state,
+                             added_ms=now_ms)
+        return self._register(entry, now_ms)
+
+
+class GenerativeFleetState(BaseFleet):
+    """Dynamic decode-replica membership (ACTIVE → DRAINING → RETIRED)."""
+
+    busy_gauge = "busy_slots"
+
+    def add(self, engine: ContinuousBatchingEngine, policy: TokenExitPolicy,
+            profile: ReplicaProfile, mean_tokens: float, now_ms: float,
+            kv: Optional[KVCacheAccountant] = None) -> GenerativeReplicaEntry:
+        entry = GenerativeReplicaEntry(replica_id=self._next_id, engine=engine,
+                                       policy=policy, profile=profile,
+                                       mean_tokens=mean_tokens, added_ms=now_ms,
+                                       kv=kv)
+        # Every add path (initial fleet, autoscale boot, crash recovery)
+        # funnels here, so new replicas always see the run's recorder.
+        entry.obs = self.obs
+        entry.obs_pool = self.obs_pool
+        return self._register(entry, now_ms)
+
+
+class PrefillFleetState(BaseFleet):
+    """Dynamic prefill-replica membership (ACTIVE → DRAINING → RETIRED)."""
+
+    def add(self, model: PrefillModel, profile: ReplicaProfile,
+            prefill_batch: int, mean_prompt_tokens: float,
+            now_ms: float) -> PrefillReplicaEntry:
+        entry = PrefillReplicaEntry(replica_id=self._next_id, model=model,
+                                    profile=profile,
+                                    prefill_batch=prefill_batch,
+                                    mean_prompt_tokens=mean_prompt_tokens,
+                                    added_ms=now_ms)
+        return self._register(entry, now_ms)
 
 
 def seed_platform_run(platform: ServingPlatform, requests: Sequence[Request],
@@ -268,7 +438,7 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
                 for _ in range(due):
                     fleet.add(self.replica_factory(),
                               factory(fleet.next_ordinal()),
-                              self.scale_out_profile, now)
+                              ReplicaProfile(), now)
 
         active = fleet.active()
         for position, entry in enumerate(active):
@@ -390,7 +560,7 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
                   mean_tokens, start)
 
     if num_sequences == 0:
-        return self._collect(fleet, start, start)
+        return GenerativeClusterMetrics(**decode_rollup(fleet, start, start))
 
     next_arrival = 0
     now = start
@@ -406,7 +576,7 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
                 for _ in range(due):
                     fleet.add(self.engines[0],
                               policy_factory(fleet.next_ordinal()),
-                              self.scale_out_profile, mean_tokens, now)
+                              ReplicaProfile(), mean_tokens, now)
 
         active = fleet.active()
         for position, entry in enumerate(active):
@@ -472,13 +642,12 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
 
     end = max((e.last_completion_ms for e in fleet.entries
                if np.isfinite(e.last_completion_ms)), default=start)
-    return self._collect(fleet, start, end)
+    return GenerativeClusterMetrics(**decode_rollup(fleet, start, end))
 
 
 def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
     """The pre-kernel ``DisaggregatedPlatform.run`` loop, verbatim."""
     from repro.generative.sequences import SequenceSample
-    from repro.serving.disagg import PrefillFleetState
 
     self = platform
     self.prefill_balancer.reset()

@@ -14,8 +14,9 @@ from repro.serving.autoscaler import (AUTOSCALER_NAMES, FixedAutoscaler,
                                       canonical_autoscaler_name)
 from repro.serving.cluster import (ClusterPlatform, LoadBalancer,
                                    ReplicaProfile,
-                                   WeightedJoinShortestQueueBalancer)
-from repro.serving.fleet import DRAINING, RETIRED, FleetState, ReplicaHandle
+                                   WeightedJoinShortestQueueBalancer,
+                                   _ClusterRun)
+from repro.serving.fleet import DRAINING, RETIRED, ReplicaHandle
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
@@ -131,29 +132,32 @@ def test_replica_profile_coercion_and_validation():
 # ------------------------------------------------------------- fleet lifecycle
 
 def test_fleet_state_lifecycle_and_accounting():
-    fleet = FleetState()
     factory = tf_factory()
     executor = fixed_time_executor()
-    a = fleet.add(factory(), executor, ReplicaProfile(), 0.0)
-    b = fleet.add(factory(), executor, ReplicaProfile(cost_weight=2.0), 0.0)
-    assert fleet.num_active() == 2
-    assert fleet.timeline == [(0.0, 2)]
+    cluster = ClusterPlatform([factory(), factory()],
+                              profiles=[ReplicaProfile(),
+                                        ReplicaProfile(cost_weight=2.0)])
+    pool = _ClusterRun(cluster, [], lambda ordinal: executor, 0.0).pool
+    a, b = pool.entries
+    assert len(pool.active) == 2
+    assert pool.timeline == [(0.0, 2)]
 
-    fleet.drain(b, 500.0)
+    pool.drain(b, 500.0)
+    pool.refresh_active()
     assert b.status == DRAINING
-    assert [e.replica_id for e in fleet.active()] == [a.replica_id]
-    assert fleet.timeline == [(0.0, 2), (500.0, 1)]
+    assert [e.replica_id for e in pool.active] == [a.replica_id]
+    assert pool.timeline == [(0.0, 2), (500.0, 1)]
 
     # Draining with an empty queue and idle accelerator retires immediately.
-    fleet.retire_idle(600.0)
+    pool.retire_idle(600.0)
     assert b.status == RETIRED and b.retired_ms == 600.0
-    assert [e.replica_id for e in fleet.serving()] == [a.replica_id]
+    assert [e.replica_id for e in pool.serving] == [a.replica_id]
 
-    fleet.finalize(1000.0)
+    books = pool.books(1000.0)
     assert a.retired_ms == 1000.0
     # a: 1.0s at weight 1; b: 0.6s at weight 2 -> 2.2 weighted seconds.
-    assert fleet.replica_seconds(1000.0) == pytest.approx(2.2)
-    assert fleet.active_replica_ms(1000.0) == pytest.approx(1600.0)
+    assert books["replica_seconds"] == pytest.approx(2.2)
+    assert books["replica_active_ms"] == pytest.approx(1600.0)
 
 
 def test_draining_replica_finishes_work_but_gets_no_new_dispatches():

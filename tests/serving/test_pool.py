@@ -1,30 +1,39 @@
 """Shared pool operations (:mod:`repro.serving.pool`).
 
 Every fleet runner routes, crashes and recovers through one
-:class:`~repro.serving.pool.PoolState`, and every pool member implements the
+:class:`~repro.serving.pool.PoolState`, which also owns the pool's members,
+its fleet-size timeline and its books, and every pool member implements the
 one :class:`~repro.serving.fleet.Replica` protocol.  These tests pin that
 contract across the classification pool, the generative decode pool and the
-prefill pool; the kernel-equivalence, fault-injection and span-conservation
-suites pin the runs built on it.
+prefill pool, and hold a live pool's membership and books to the frozen
+fleet classes of ``tests/serving/_seed_loops.py``; the kernel-equivalence,
+fault-injection and span-conservation suites pin the runs built on it.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.generative.decoding import DecodeTimingModel, PrefillModel
 from repro.generative.sequences import GenerativeWorkload, SequenceSample
 from repro.models.zoo import get_model
-from repro.serving.cluster import ClusterPlatform, RoundRobinBalancer
-from repro.serving.disagg import DisaggregatedPlatform, PrefillFleetState
-from repro.serving.fleet import FleetState, Replica, ReplicaProfile
+from repro.obs.recorder import TraceRecorder
+from repro.serving.autoscaler import Autoscaler
+from repro.serving.cluster import (ClusterPlatform, RoundRobinBalancer,
+                                   _ClusterRun)
+from repro.serving.disagg import DisaggregatedPlatform, _DisaggRun
+from repro.serving.fleet import Replica, ReplicaProfile
 from repro.serving.generative_cluster import (GenerativeClusterPlatform,
-                                              GenerativeFleetState)
+                                              _GenerativeRun)
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         VanillaTokenPolicy)
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.difficulty import InputSample
+from tests.serving._seed_loops import FleetState
 
 SPEC = get_model("t5-large")
 
@@ -57,20 +66,26 @@ def _vanilla(ordinal):
 
 def _classification_member():
     platform = TFServingPlatform(max_batch_size=4)
-    entry = FleetState().add(platform, _executor, ReplicaProfile(), 0.0)
+    run = _ClusterRun(ClusterPlatform([platform]), [],
+                      lambda ordinal: _executor, 0.0)
+    (entry,) = run.pool.entries
     return entry, platform, _request(7, 0.0), 7
 
 
 def _decode_member():
     engine = _engine()
-    entry = GenerativeFleetState().add(engine, VanillaTokenPolicy(),
-                                       ReplicaProfile(), 6.0, 0.0)
+    run = _GenerativeRun(GenerativeClusterPlatform([engine]), [], _vanilla,
+                         6.0, 0.0)
+    (entry,) = run.pool.entries
     return entry, engine, _sequence(7, 0.0), 7
 
 
 def _prefill_member():
     model = PrefillModel(SPEC)
-    entry = PrefillFleetState().add(model, ReplicaProfile(), 2, 64.0, 0.0)
+    run = _DisaggRun(DisaggregatedPlatform(model, [_engine()],
+                                           prefill_batch=2),
+                     [], _vanilla, 6.0, 64.0, 0.0)
+    (entry,) = run.ppool.entries
     return entry, model, _sequence(7, 0.0), 7
 
 
@@ -165,3 +180,104 @@ def test_recovery_reboots_the_crashed_hardware_and_profile(
     assert len(uptimes) == 3
     expected = sum(w * u for w, u in zip((3.0, 1.0, 3.0), uptimes)) / 1000.0
     assert replica_seconds == pytest.approx(expected)
+
+
+# ------------------------------------------------ membership and the books
+
+class _Scripted(Autoscaler):
+    """Proposes whatever the property sets as ``target``."""
+
+    name = "scripted"
+
+    def __init__(self):
+        self.target = 1
+
+    def desired_replicas(self, now_ms, replicas):
+        return self.target
+
+
+_COST = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+#: Clock steps: repeated timestamps, steps inside and just past the 1e-9
+#: same-timestamp merge of the timeline, and ordinary ones.
+_STEP = st.one_of(st.sampled_from([0.0, 5e-10, 1e-9, 2e-9]),
+                  st.floats(0.0, 50.0))
+_OP = st.tuples(st.sampled_from(["scale", "boot", "crash", "recover",
+                                 "busy", "retire"]),
+                st.integers(1, 8), _STEP, st.floats(0.5, 100.0))
+
+
+def _members(entries):
+    return [(e.replica_id, e.status, e.retired_ms) for e in entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(costs=st.lists(_COST, min_size=1, max_size=5),
+       ops=st.lists(_OP, max_size=30), end_step=_STEP)
+def test_pool_membership_and_books_match_the_frozen_fleet(costs, ops,
+                                                          end_step):
+    """One random sequence of pool operations on a live pool and on the
+    frozen ``FleetState``: boots, multi-member scale-ins at one timestamp,
+    crashes and recoveries, busy and idle draining members at retirement,
+    repeated timestamps.  Members, timelines, ``fleet_size`` gauge points
+    and the closed books must match exactly."""
+    profiles = [ReplicaProfile(cost_weight=c) for c in costs]
+    autoscaler = _Scripted()
+    live_obs = TraceRecorder()
+    cluster = ClusterPlatform([TFServingPlatform() for _ in costs],
+                              profiles=profiles, autoscaler=autoscaler,
+                              min_replicas=1, max_replicas=8,
+                              replica_factory=TFServingPlatform,
+                              obs=live_obs)
+    pool = _ClusterRun(cluster, [], lambda ordinal: _executor, 0.0).pool
+    fleet = FleetState()
+    fleet.obs = TraceRecorder()
+    for profile in profiles:
+        fleet.add(TFServingPlatform(), _executor, profile, 0.0)
+    stock = []
+
+    now = 0.0
+    for op, target, step, span in ops:
+        now += step
+        if op == "scale":
+            autoscaler.target = target
+            pool.scale(now)
+            active = fleet.active()
+            if target < len(active):
+                for entry in sorted(active, key=lambda e: -e.replica_id)[
+                        :len(active) - target]:
+                    fleet.drain(entry, now)
+        elif op == "boot" and pool.boots:
+            pool.boot(pool.boots[0], now)
+            fleet.add(TFServingPlatform(), _executor, ReplicaProfile(), now)
+        elif op == "crash":
+            pool.crash(SimpleNamespace(down_ms=span), now)
+            active = fleet.active()
+            if len(active) >= 2:
+                victim = min(active, key=lambda e: e.replica_id)
+                fleet.drain(victim, now)
+                stock.append((victim.platform, victim.profile))
+        elif op == "recover" and stock:
+            pool.recover(now)
+            platform, profile = stock.pop(0)
+            fleet.add(platform, _executor, profile, now)
+        elif op == "busy":
+            # Member ``target - 1`` holds its accelerator until
+            # ``now + span``: a busy draining member must not retire.
+            for entries in (pool.entries, fleet.entries):
+                if target <= len(entries):
+                    entries[target - 1].state.busy_until_ms = now + span
+        elif op == "retire":
+            pool.retire_idle(now)
+            fleet.retire_idle(now)
+        assert _members(pool.entries) == _members(fleet.entries)
+        assert pool.timeline == fleet.timeline
+        assert [e.replica_id for e in pool.active] == \
+            [e.replica_id for e in fleet.active()]
+        assert [e.replica_id for e in pool.serving] == \
+            [e.replica_id for e in fleet.serving()]
+
+    end = now + end_step
+    assert pool.books(end) == fleet.books(end)
+    assert _members(pool.entries) == _members(fleet.entries)
+    assert [g for g in live_obs.gauges if g[1] == "fleet_size"] == \
+        fleet.obs.gauges

@@ -19,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pipeline import model_stack
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.cluster import ClusterPlatform
-from repro.serving.fleet import ACTIVE, DRAINING, RETIRED, FleetState, ReplicaProfile
+from repro.serving.fleet import ACTIVE, DRAINING, RETIRED, ReplicaProfile
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.difficulty import InputSample
-from tests.serving._seed_loops import _completion_eta_ms, seed_salvage_doomed
+from tests.serving._seed_loops import (FleetState, _completion_eta_ms,
+                                       seed_salvage_doomed)
 
 PROFILE = model_stack("resnet50")[1]
 SAMPLE = InputSample(index=0, raw_difficulty=0.3, sharpness=0.05,
