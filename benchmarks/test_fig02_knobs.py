@@ -38,8 +38,9 @@ def run_with_knob(model_name, workload, max_batch_size):
     spec, _profile, _pred, _cat, executor = model_stack(model_name)
     requests = make_requests(workload.trace, workload.arrival_times_ms, spec.default_slo_ms)
     platform = TFServingPlatform(max_batch_size=max_batch_size, batch_timeout_ms=8.0)
+    vanilla = VanillaExecutor(executor)
     return ClusterPlatform([platform]).run(
-        requests, VanillaExecutor(executor)).aggregate()
+        requests, lambda ordinal: vanilla).aggregate()
 
 
 @pytest.mark.parametrize("model_name", sorted(CASES))

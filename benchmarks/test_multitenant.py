@@ -79,7 +79,7 @@ def _run_fleet(requests, tenancy):
                  for _ in range(REPLICAS)]
     cluster = ClusterPlatform(platforms, balancer="least_work_left",
                               tenancy=tenancy, seed=0)
-    return cluster.run(requests, _executor)
+    return cluster.run(requests, lambda ordinal: _executor)
 
 
 def test_weighted_fair_isolates_interactive_tenant(benchmark):

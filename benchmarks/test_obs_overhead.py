@@ -95,14 +95,15 @@ def test_observability_overhead():
         gc.collect()
         gc.freeze()
         t0 = time.perf_counter()
-        off_metrics = _make_cluster().run(requests, _executor)
+        off_metrics = _make_cluster().run(requests, lambda ordinal: _executor)
         off_wall_s = min(off_wall_s, time.perf_counter() - t0)
 
     recorder = TraceRecorder()
     gc.collect()
     gc.freeze()
     t0 = time.perf_counter()
-    on_metrics = _make_cluster(obs=recorder).run(requests, _executor)
+    on_metrics = _make_cluster(obs=recorder).run(requests,
+                                                 lambda ordinal: _executor)
     on_wall_s = time.perf_counter() - t0
 
     # Tracing must never change the answer.

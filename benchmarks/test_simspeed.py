@@ -43,6 +43,7 @@ import time
 from pathlib import Path
 
 from repro.api import ClusterSpec, Experiment, WorkloadSpec
+from repro.obs.recorder import NULL_RECORDER
 from repro.serving.cluster import ClusterPlatform
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
@@ -117,7 +118,8 @@ def test_kernel_simulation_speed():
     gc.freeze()
 
     t0 = time.perf_counter()
-    seed_metrics = seed_cluster_run(_make_cluster(), requests, _executor)
+    seed_metrics = seed_cluster_run(_make_cluster(), requests,
+                                    lambda ordinal: _executor)
     seed_wall_s = time.perf_counter() - t0
 
     # Speed means nothing if the answers drift: the runs must agree exactly.
@@ -130,7 +132,7 @@ def test_kernel_simulation_speed():
     gc.freeze()
 
     t0 = time.perf_counter()
-    kernel_metrics = _make_cluster().run(requests, _executor)
+    kernel_metrics = _make_cluster().run(requests, lambda ordinal: _executor)
     kernel_wall_s = time.perf_counter() - t0
 
     assert kernel_metrics.makespan_ms == seed_makespan_ms
@@ -183,12 +185,19 @@ def _cv_fleet(seed):
 
 
 class _FleetView:
-    """The one fleet read of the seed salvage scan: its serving members,
-    rebuilt into a new list on every pass as the seed loops' ``FleetState``
-    (``tests/serving/_seed_loops.py``) does."""
+    """The fleet reads of the seed salvage scan over a live run: its serving
+    members, rebuilt into a new list on every pass as the seed loops'
+    ``FleetState`` (``tests/serving/_seed_loops.py``) does, and its recorder
+    (the race runs untraced).  The scan reads the frozen ``ReplicaState``
+    fields through ``entry.state``; a live member holds those fields itself,
+    so each member stands in for its own state."""
+
+    obs = NULL_RECORDER
 
     def __init__(self, serving):
         self._serving = serving
+        for entry in serving:
+            entry.state = entry
 
     def serving(self):
         return [entry for entry in self._serving]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Union)
@@ -91,10 +92,14 @@ class Experiment:
         Response-time SLO in ms (positive and finite; the time-to-first-token
         SLO on generative models); ``None`` uses the model's default.
     max_batch_size:
-        ``None`` selects the per-kind default (16 classification, 8 generative).
+        An integer >= 1; ``None`` selects the per-kind default (16
+        classification, 8 generative).
+    seed:
+        Integer seed of the workload (unless its spec sets its own), the
+        models and the balancers.
     overrides:
         Per-system keyword overrides, e.g. ``{"static_ee": {"variant": ...}}``,
-        for knobs that only one system understands.
+        for knobs that only one system understands; each value is a mapping.
     trace:
         Observability knob (:mod:`repro.obs`): ``None``/``False`` (default)
         runs untraced, ``True`` records spans + gauges with default settings,
@@ -129,6 +134,20 @@ class Experiment:
         if self.slo_ms is not None and not 0 < self.slo_ms < math.inf:
             raise ValueError(f"slo_ms must be positive and finite, "
                              f"got {self.slo_ms}")
+        if self.max_batch_size is not None and not (
+                isinstance(self.max_batch_size, numbers.Integral)
+                and self.max_batch_size >= 1):
+            raise ValueError(f"max_batch_size must be None or an integer "
+                             f">= 1, got {self.max_batch_size!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.overrides, Mapping):
+            raise ValueError(f"overrides must map system names to keyword "
+                             f"mappings, got {self.overrides!r}")
+        for system, knobs in self.overrides.items():
+            if not isinstance(knobs, Mapping):
+                raise ValueError(f"overrides[{system!r}] must be a mapping of "
+                                 f"keyword overrides, got {knobs!r}")
 
     # ------------------------------------------------------------ properties
     @property

@@ -21,12 +21,15 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.core.controller import FleetController
 from repro.exits.ramps import RampStyle
 from repro.faults import FaultSchedule, FaultSpec, coerce_faults
+from repro.generative.sequences import GENERATIVE_DATASET_PRESETS
 from repro.serving.autoscaler import Autoscaler, canonical_autoscaler_name
 from repro.serving.cluster import (LoadBalancer, ReplicaProfile,
                                    canonical_balancer_name)
 from repro.obs.spec import TraceSpec
 from repro.tenancy import (TENANT_POLICIES, TenancyConfig, TenantSpec,
                            coerce_tenancy)
+from repro.workloads.nlp import NLP_DATASET_PRESETS
+from repro.workloads.video import VIDEO_SCENE_PRESETS
 
 # TraceSpec lives in repro.obs (the observability subsystem owns its own
 # validation) but is re-exported here: it is an experiment spec like the rest.
@@ -45,6 +48,10 @@ def _require_integers(spec, keys: Sequence[str]) -> None:
             raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+#: The presets a named source of each kind must come from.
+_KIND_PRESETS = {"video": VIDEO_SCENE_PRESETS, "nlp": NLP_DATASET_PRESETS,
+                 "generative": GENERATIVE_DATASET_PRESETS}
+
 #: Default per-kind sources and arrival rates (mirroring the CLI defaults).
 _KIND_DEFAULTS = {
     "video": {"source": "urban-day", "rate": 30.0},
@@ -62,7 +69,8 @@ class WorkloadSpec:
     kind:
         ``"video"``, ``"nlp"`` or ``"generative"``.
     source:
-        Scene / dataset preset name; empty selects the kind's default
+        Scene / dataset preset name of the kind (an unknown one raises
+        :class:`ValueError`); empty selects the kind's default
         (``urban-day`` / ``amazon`` / ``cnn-dailymail``).
     requests:
         Stream length (frames, requests or sequences), an integer >= 1.
@@ -70,7 +78,7 @@ class WorkloadSpec:
         Arrival rate (fps for video, qps otherwise), positive and finite;
         ``None`` selects the kind's default.
     seed:
-        Workload seed; ``None`` inherits the experiment seed.
+        Workload seed, an integer; ``None`` inherits the experiment seed.
     arrival_process:
         ``None`` selects the kind's default process.  NLP: ``"maf"``
         (bursty, the default) or ``"poisson"``.  Generative: ``"poisson"``
@@ -107,12 +115,16 @@ class WorkloadSpec:
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}; "
                              f"choose from {WORKLOAD_KINDS}")
+        presets = _KIND_PRESETS[self.kind]
+        if self.source and self.source not in presets:
+            raise ValueError(f"source must be a {self.kind} preset, one of "
+                             f"{sorted(presets)}; got {self.source!r}")
         if not isinstance(self.requests, numbers.Integral) or self.requests < 1:
             raise ValueError(f"requests must be an integer >= 1, "
                              f"got {self.requests!r}")
         if self.rate is not None and not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
-        _require_integers(self, ("prefix_groups", "prefix_tokens"))
+        _require_integers(self, ("seed", "prefix_groups", "prefix_tokens"))
         if int(self.prefix_groups) < 0:
             raise ValueError(f"prefix_groups must be >= 0, "
                              f"got {self.prefix_groups}")

@@ -156,5 +156,5 @@ def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload, fleet: Fle
     # The executor is frozen (no adaptation), so every replica shares it.
     static_executor = _StaticEEExecutor(executor, ramp_ids, depths, thresholds,
                                         overhead_fractions)
-    metrics = fleet(profile).run(requests, static_executor)
+    metrics = fleet(profile).run(requests, lambda ordinal: static_executor)
     return StaticEEResult(metrics=metrics, thresholds=thresholds, ramp_depths=depths)

@@ -212,8 +212,9 @@ def _vanilla_cluster_impl(model: Union[str, ModelSpec], workload: Workload,
     slo = slo_ms if slo_ms is not None else spec.default_slo_ms
     # The vanilla executor is stateless, so every replica can share it
     # (including replicas the autoscaler brings online mid-run).
+    vanilla = VanillaExecutor(executor)
     return fleet(profile).run(_workload_requests(workload, slo),
-                              VanillaExecutor(executor))
+                              lambda ordinal: vanilla)
 
 
 def _apparate_cluster_impl(model: Union[str, ModelSpec], workload: Workload,

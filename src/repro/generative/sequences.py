@@ -148,7 +148,7 @@ def make_generative_workload(dataset: str = "cnn-dailymail", num_sequences: int 
     bit-identical.
     """
     rng_factory = RngFactory(seed)
-    preset = resolve_preset(GENERATIVE_DATASET_PRESETS, dataset, "cnn-dailymail",
+    preset = resolve_preset(GENERATIVE_DATASET_PRESETS, dataset,
                             preset_overrides)
 
     length_rng = rng_factory.generator(f"gen:{dataset}:lengths")

@@ -9,10 +9,13 @@ simulators of those platforms with the same external behaviour:
 * :class:`TFServingPlatform` — ``max_batch_size`` / ``batch_timeout`` knobs;
 * :class:`ContinuousBatchingEngine` — generative serving with continuous
   batching (new sequences join as others finish);
-* :class:`ClusterPlatform` — a dynamic fleet of replica platforms behind a
+* :class:`ClusterPlatform` — a dynamic fleet of replicas behind a
   pluggable load balancer (round-robin, JSQ, least-work-left,
   power-of-two-choices, speed-weighted variants), interleaved on one global
-  clock via the steppable event-loop phases.  Membership is live pool state
+  clock via the steppable event-loop phases.  Each member is one
+  :class:`~repro.serving.fleet.ReplicaEntry` (queue, accelerator clock,
+  metrics, recorder, executor); its platform is only the batching policy
+  and latency model.  Membership is live pool state
   (:class:`~repro.serving.pool.PoolState`: add / drain / retire, the
   fleet-size timeline and the books) mutated by a pluggable
   :class:`Autoscaler` (``none`` / ``reactive`` / ``predictive``), and
@@ -35,8 +38,8 @@ interface Apparate needs to sit on top.
 
 from repro.serving.request import Request, Response, make_requests
 from repro.serving.metrics import ClusterMetrics, ServingMetrics
-from repro.serving.platform import (BatchExecutorFn, ReplicaState,
-                                    ServingPlatform, VanillaExecutor)
+from repro.serving.platform import (BatchExecutorFn, ServingPlatform,
+                                    VanillaExecutor)
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.tfserve import TFServingPlatform
 from repro.serving.hf_pipelines import ContinuousBatchingEngine, GenerativeMetrics
@@ -50,7 +53,7 @@ from repro.serving.autoscaler import (AUTOSCALER_NAMES, Autoscaler,
 from repro.serving.cluster import (BALANCER_NAMES, ClusterPlatform,
                                    JoinShortestQueueBalancer,
                                    LeastWorkLeftBalancer, LoadBalancer,
-                                   PowerOfTwoChoicesBalancer, ReplicaHandle,
+                                   PowerOfTwoChoicesBalancer,
                                    RoundRobinBalancer,
                                    WeightedJoinShortestQueueBalancer,
                                    WeightedRoundRobinBalancer, build_balancer)
@@ -62,7 +65,6 @@ __all__ = [
     "ServingMetrics",
     "ClusterMetrics",
     "BatchExecutorFn",
-    "ReplicaState",
     "ServingPlatform",
     "VanillaExecutor",
     "ClockworkPlatform",
@@ -89,7 +91,6 @@ __all__ = [
     "LeastWorkLeftBalancer",
     "PowerOfTwoChoicesBalancer",
     "Replica",
-    "ReplicaHandle",
     "build_balancer",
     "BALANCER_NAMES",
 ]

@@ -1,12 +1,16 @@
 """Fleet control plane: dynamic replica membership behind a pluggable balancer.
 
 A :class:`ClusterPlatform` dispatches one arrival stream across a **dynamic
-fleet** of :class:`~repro.serving.platform.ServingPlatform` replicas.  The
-member set is no longer a frozen constructor list: it is one
-:class:`~repro.serving.pool.PoolState` — live replica handles with an
-add / drain / retire lifecycle — mutated mid-run by a pluggable
+fleet** of replicas.  The member set is no longer a frozen constructor list:
+it is one :class:`~repro.serving.pool.PoolState` of
+:class:`~repro.serving.fleet.ReplicaEntry` members with an add / drain /
+retire lifecycle, mutated mid-run by a pluggable
 :class:`~repro.serving.autoscaler.Autoscaler` (``none`` / ``reactive`` /
-``predictive``) evaluated on the global clock.  Replicas may be heterogeneous:
+``predictive``) evaluated on the global clock.  A member is one object — its
+queue, accelerator clock, metrics, recorder and executor — and its
+:class:`~repro.serving.platform.ServingPlatform` is only the batching policy
+and latency model the phases consult, so the platform objects the cluster is
+built from carry no run state.  Replicas may be heterogeneous:
 each carries a :class:`~repro.serving.fleet.ReplicaProfile` (speed multiplier
 + cost weight), and the run loop scales executor results by the replica's
 speed so an int8 replica genuinely finishes batches faster than its fp32
@@ -24,9 +28,9 @@ Every iteration of the event loop:
    deadline where it sits is re-routed **once** to the least-loaded replica
    that still can (counted as ``rerouted`` in
    :class:`~repro.serving.metrics.ClusterMetrics`);
-5. steps each serving replica through the ``expire`` / ``select`` /
-   ``dispatch`` / ``complete`` phases and retires drained replicas that have
-   gone idle;
+5. steps each serving member through its platform's ``expire`` /
+   ``select`` / ``dispatch`` / ``complete`` phases and retires drained
+   replicas that have gone idle;
 6. advances the shared clock to the earliest future event (arrival, batch
    completion, policy wake-up, or replica boot).
 
@@ -86,8 +90,8 @@ from repro.faults import FaultSchedule, FaultSpec, coerce_faults
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.fleet import (DRAINING, Replica, ReplicaEntry,
-                                 ReplicaHandle, ReplicaProfile,
-                                 coerce_profiles, replica_band)
+                                 ReplicaProfile, coerce_profiles,
+                                 replica_band)
 from repro.serving.metrics import ClusterMetrics
 from repro.serving.platform import (BatchExecutorFn, BatchResult,
                                     ServingPlatform)
@@ -97,7 +101,6 @@ from repro.tenancy import (TenancyConfig, build_request_runtime, coerce_tenancy,
                            request_rollups)
 
 __all__ = [
-    "ReplicaHandle",
     "ReplicaProfile",
     "LoadBalancer",
     "CostBalancer",
@@ -121,8 +124,8 @@ __all__ = [
 class LoadBalancer(abc.ABC):
     """Dispatch policy: pick the replica that receives an arriving request.
 
-    ``replicas`` holds the handles of the currently ACTIVE members only, so a
-    balancer never sees draining or retired replicas.  Membership may change
+    ``replicas`` holds the currently ACTIVE members only, so a balancer
+    never sees draining or retired replicas.  Membership may change
     between calls (autoscaling); stateful balancers must key any per-replica
     state by ``handle.replica_id``, which is stable for a replica's lifetime.
     """
@@ -405,12 +408,11 @@ def _drain_times(entry: ReplicaEntry, ahead: int) -> List[float]:
 
 def _one_more_eta(entry: ReplicaEntry, now_ms: float) -> float:
     """When a job joining the back of ``entry``'s queue would complete."""
-    state = entry.state
-    ahead = len(state.queue)
+    ahead = len(entry.queue)
     table = entry._drain_times
     if ahead >= len(table):
         table = _drain_times(entry, ahead)
-    backlog = state.busy_until_ms - now_ms
+    backlog = entry.busy_until_ms - now_ms
     return (now_ms + (backlog if backlog > 0.0 else 0.0)) + table[ahead]
 
 
@@ -440,8 +442,9 @@ class ClusterPlatform:
     Parameters
     ----------
     replicas:
-        The initial platforms.  ``run()`` always starts from this fleet, so
-        repeated runs on one cluster object are reproducible.
+        The initial platforms (batching policy and latency model of each
+        initial member).  ``run()`` always starts from this fleet with fresh
+        members, so repeated runs on one cluster object are reproducible.
     balancer:
         Dispatch policy name/instance (see :data:`BALANCER_NAMES`).
     seed:
@@ -511,41 +514,6 @@ class ClusterPlatform:
         """Size of the initial fleet (the fleet ``run()`` starts from)."""
         return len(self.platforms)
 
-    # ----------------------------------------------------------- executors
-    def _executor_factory(self,
-                          executors: Union[BatchExecutorFn,
-                                           Sequence[BatchExecutorFn], None],
-                          executor_factory: Optional[Callable[[int], BatchExecutorFn]]
-                          ) -> Callable[[int], BatchExecutorFn]:
-        """Resolve the per-replica executor source for one run.
-
-        Accepts a single shared executor (used for every replica, including
-        scaled-out ones), a per-initial-replica list, or an explicit factory
-        keyed by replica ordinal.  Scale-out past a fixed list requires the
-        factory, validated here so a mid-run scale-out cannot fail late.
-        """
-        if executors is None:
-            if executor_factory is None:
-                raise ValueError("run() needs executors or an executor_factory")
-            return executor_factory
-        if callable(executors):
-            shared = executors
-            return lambda ordinal: shared
-        executor_list = list(executors)
-        if len(executor_list) != self.num_replicas:
-            raise ValueError(f"got {len(executor_list)} executors for "
-                             f"{self.num_replicas} replicas")
-        if executor_factory is not None:
-            return lambda ordinal: (executor_list[ordinal]
-                                    if ordinal < len(executor_list)
-                                    else executor_factory(ordinal))
-        if self.max_replicas > self.num_replicas:
-            raise ValueError("scale-out is enabled (max_replicas > initial "
-                             "fleet) but the executor list has no factory for "
-                             "new replicas; pass executor_factory= or a single "
-                             "shared executor")
-        return lambda ordinal: executor_list[ordinal]
-
     def _scale_out(self, ordinal: int) -> Tuple[ServingPlatform, ReplicaProfile]:
         """The platform and profile a scale-out boot brings online."""
         return self.replica_factory(), ReplicaProfile()
@@ -577,11 +545,10 @@ class ClusterPlatform:
         # Per active member: when one more job would complete there.
         etas: Optional[List[float]] = None
         for entry in serving:
-            state = entry.state
-            queue = state.queue
+            queue = entry.queue
             if not queue or not entry.platform.drop_expired:
                 continue
-            backlog = state.busy_until_ms - now_ms
+            backlog = entry.busy_until_ms - now_ms
             start = now_ms + (backlog if backlog > 0.0 else 0.0)
             table = entry._drain_times
             if len(queue) > len(table):
@@ -603,7 +570,7 @@ class ClusterPlatform:
                     if handle is not entry and (target is None or eta < best):
                         target, best, chosen = handle, eta, position
                 if target is not None and best <= deadline + 1e-9:
-                    target.platform.admit(target.state, request)
+                    target.platform.admit(target, request)
                     if self.obs.enabled:
                         self.obs.annotate(request.request_id, rerouted=True)
                     rerouted_ids.add(request.request_id)
@@ -612,31 +579,29 @@ class ClusterPlatform:
                 else:
                     keep.append(request)
             if moved_here:
-                state.queue = keep
+                entry.queue = keep
                 moved += moved_here
                 etas = None   # this member's queue shrank
         return moved
 
     # --------------------------------------------------------------- main loop
     def run(self, requests: Sequence[Request],
-            executors: Union[BatchExecutorFn, Sequence[BatchExecutorFn], None] = None,
-            executor_factory: Optional[Callable[[int], BatchExecutorFn]] = None
-            ) -> ClusterMetrics:
+            executor_factory: Callable[[int], BatchExecutorFn]) -> ClusterMetrics:
         """Serve all requests across the (dynamic) fleet.
 
-        ``executors`` may be one shared executor or a per-initial-replica
-        list; ``executor_factory(ordinal)`` supplies executors for replicas
-        the autoscaler adds mid-run (ordinals continue past the initial
-        fleet).  Returns per-replica + fleet metrics covering every replica
-        that served, including ones retired before the run ended.
+        ``executor_factory(ordinal)`` supplies the executor of every replica
+        the run brings up: the initial fleet, scale-out boots and crash
+        recoveries, with ordinals continuing past the initial fleet (a
+        stateless executor is shared as ``lambda ordinal: executor``).
+        Returns per-replica + fleet metrics covering every replica that
+        served, including ones retired before the run ended.
         """
-        factory = self._executor_factory(executors, executor_factory)
         pending = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
         default_slo_ms = pending[0].slo_ms if pending else 0.0
         pending, tenant_runtime = build_request_runtime(pending, self.tenancy,
                                                         self.seed)
         start = pending[0].arrival_ms if pending else 0.0
-        runner = _ClusterRun(self, pending, factory, start,
+        runner = _ClusterRun(self, pending, executor_factory, start,
                              tenant_runtime=tenant_runtime)
         pool = runner.pool
         if not pending:
@@ -645,10 +610,10 @@ class ClusterPlatform:
         runner.drive()
 
         for entry in pool.entries:
-            entry.state.finalize_makespan()
+            entry.finalize_makespan()
 
-        last_event = max((e.state.last_event_ms for e in pool.entries
-                          if np.isfinite(e.state.last_event_ms)), default=start)
+        last_event = max((e.last_event_ms for e in pool.entries
+                          if np.isfinite(e.last_event_ms)), default=start)
         metrics = self._collect(pool, start, last_event, runner.rerouted)
         runner.stamp(metrics)
         if tenant_runtime is not None:
@@ -660,11 +625,11 @@ class ClusterPlatform:
     def _collect(self, pool: PoolState, start_ms: float, end_ms: float,
                  rerouted: int) -> ClusterMetrics:
         books = pool.books(end_ms)
-        served_anything = any(entry.state.metrics.num_responses()
+        served_anything = any(entry.metrics.num_responses()
                               for entry in pool.entries)
         makespan = max(end_ms - start_ms, 1e-9) if served_anything else 0.0
         return ClusterMetrics(
-            replicas=[entry.state.metrics for entry in pool.entries],
+            replicas=[entry.metrics for entry in pool.entries],
             makespan_ms=makespan, rerouted=int(rerouted), **books)
 
 
@@ -705,7 +670,9 @@ def gate_exits(batch: Sequence[Request], result: BatchResult,
 class _ClusterRun(FleetRun):
     """Kernel-scheduled execution of one :meth:`ClusterPlatform.run`.
 
-    One pool of platform replicas.  The phase order inside :meth:`step` is
+    One pool of :class:`~repro.serving.fleet.ReplicaEntry` members, each
+    built in one call by ``spawn`` with the run's recorder.  The phase order
+    inside :meth:`step` is
     exactly the seed rescan loop's (boots → admit → autoscale → salvage →
     expire/select/serve → retire); the difference is purely *which replicas*
     the serving phase touches — the dirty set (queue changed, batch
@@ -728,14 +695,8 @@ class _ClusterRun(FleetRun):
                   profile: ReplicaProfile, now_ms: float) -> ReplicaEntry:
             if platform.drop_expired:
                 self._drop_expired = True
-            executor = factory(replica_id)
-            state = platform.new_state()
-            # Span hooks use the run's recorder and the replica's stable id.
-            platform.obs = self.obs
-            state.obs_replica = replica_id
-            return ReplicaEntry(replica_id=replica_id, platform=platform,
-                                executor=executor, profile=profile,
-                                state=state, added_ms=now_ms)
+            return ReplicaEntry(replica_id, platform, factory(replica_id),
+                                profile, now_ms, self.obs)
 
         self.pool = PoolState(self, "serve", cluster.balancer,
                               cluster.autoscaler,
@@ -781,7 +742,7 @@ class _ClusterRun(FleetRun):
             # replica still holding work so it can take that branch now.
             self._exhausted = True
             for entry in pool.serving:
-                if entry.state.queue:
+                if entry.queue:
                     wake(entry)
 
         # Phase 2: autoscaler decision on the global clock.
@@ -793,7 +754,7 @@ class _ClusterRun(FleetRun):
         # can move to it.
         if self._drop_expired and active and (
                 len(active) > 1
-                or any(e.status == DRAINING and e.state.queue
+                or any(e.status == DRAINING and e.queue
                        for e in pool.serving)):
             moved = cluster._salvage_doomed(pool.serving, active, now,
                                             self.rerouted_ids)
@@ -802,18 +763,17 @@ class _ClusterRun(FleetRun):
                 # Queues changed out from under armed timers and idle
                 # replicas; re-consult everything that holds or awaited work.
                 for entry in pool.serving:
-                    if entry.state.queue or entry._wake_event is not None:
+                    if entry.queue or entry._wake_event is not None:
                         wake(entry)
 
         # Expiry pre-scan: the seed loop ran ``expire`` on every idle queued
         # replica at every visited timestamp, not only the changed ones.
         if self._drop_expired:
             for entry in pool.serving:
-                state = entry.state
-                if state.queue and state.idle_at(now):
-                    before = len(state.queue)
-                    entry.platform.expire(state, now)
-                    if len(state.queue) != before:
+                if entry.queue and entry.idle_at(now):
+                    before = len(entry.queue)
+                    entry.platform.expire(entry, now)
+                    if len(entry.queue) != before:
                         wake(entry)
 
         next_arrival_ms = (self.arrival_times[self.next_arrival]
@@ -823,20 +783,20 @@ class _ClusterRun(FleetRun):
 
         # Phase 4 per dirty replica: select, serve (when idle).
         for entry in pool.drain_dirty():
-            platform, state = entry.platform, entry.state
-            if not state.idle_at(now):
+            platform = entry.platform
+            if not entry.idle_at(now):
                 continue  # its completion event is already scheduled
             timer = entry._wake_event
-            if not state.queue:
+            if not entry.queue:
                 if timer is not None:
                     events.cancel(timer)
                     entry._wake_event = None
                 continue
-            batch, wake_up = platform.select(state, now)
+            batch, wake_up = platform.select(entry, now)
             if not batch:
                 target = min(wake_up, next_arrival_ms)
                 if not np.isfinite(target) or target <= now + 1e-9:
-                    batch = platform.force_batch(state)
+                    batch = platform.force_batch(entry)
                 else:
                     if timer is not None:
                         if not timer.cancelled and timer.time_ms == wake_up:
@@ -847,14 +807,14 @@ class _ClusterRun(FleetRun):
             if timer is not None:
                 events.cancel(timer)
                 entry._wake_event = None
-            platform.dispatch(state, batch)
+            platform.dispatch(entry, batch)
             result = entry.executor(batch, now)
             if self._gated_ids:
                 result = gate_exits(batch, result, self._gated_ids)
             result = _scale_result(result, entry.profile.speed)
-            platform.complete(state, batch, result, now)
-            if state.busy_until_ms > now + 1e-9:
-                events.push(state.busy_until_ms, WAKE, (pool, entry))
+            platform.complete(entry, batch, result, now)
+            if entry.busy_until_ms > now + 1e-9:
+                events.push(entry.busy_until_ms, WAKE, (pool, entry))
             else:
                 wake(entry)  # instant batch: re-serve this timestamp
             progressed = True

@@ -118,9 +118,6 @@ class PrefillReplicaEntry(Replica):
         return 0 if self.is_free(now_ms) else 1
 
     # ---------------------------------------------------------- resource view
-    def queue_length(self) -> int:
-        return len(self.queue)
-
     def jobs_in_system(self, now_ms: float) -> float:
         """Pending prefill chunks: queued prompt chunks + the in-flight batch."""
         chunks = sum(self.model.num_chunks(s.prompt_tokens) for s in self.queue)

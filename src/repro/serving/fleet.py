@@ -1,4 +1,5 @@
-"""Replica profiles and the one replica protocol of every pool.
+"""Replica profiles, the one replica protocol of every pool, and the
+classification member.
 
 A fleet's member set is live state: replicas are added, drained and retired
 **during** a run, and every consumer (the event loop, balancers, the EE fleet
@@ -15,7 +16,7 @@ dispatches; retired replicas keep their metrics so fleet rollups and the
 conservation invariant (every request answered exactly once) span every
 replica that ever served.
 
-Two pieces live here:
+Three pieces live here:
 
 :class:`ReplicaProfile`
     Heterogeneity descriptor for one replica — a ``speed`` multiplier on the
@@ -27,20 +28,30 @@ Two pieces live here:
     The one replica protocol of every pool: the resource view load
     balancers and autoscalers inspect (queue length, jobs in system,
     expected work left, capacity, profile, KV residency) plus the hooks the
-    shared pool operations use.  :class:`ReplicaEntry` implements it for
-    classification replicas; generative decode and prefill replicas
+    shared pool operations use.  Generative decode and prefill replicas
     implement it in their own modules.
+
+:class:`ReplicaEntry`
+    The one object per classification replica: its queue, accelerator
+    clock, metrics, conservation set, recorder, executor and lifecycle.
+    Its :class:`~repro.serving.platform.ServingPlatform` is only the
+    batching policy and latency model, whose phases act on the member.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
-from repro.serving.platform import BatchExecutorFn, ReplicaState, ServingPlatform
+import numpy as np
 
-__all__ = ["ReplicaProfile", "Replica", "ReplicaHandle", "ReplicaEntry",
+from repro.obs.recorder import NULL_RECORDER
+from repro.serving.metrics import ServingMetrics
+from repro.serving.platform import BatchExecutorFn, ServingPlatform
+from repro.serving.request import Request
+
+__all__ = ["ReplicaProfile", "Replica", "ReplicaEntry",
            "coerce_profiles", "replica_band", "ACTIVE", "DRAINING", "RETIRED"]
 
 #: Replica lifecycle states.
@@ -185,6 +196,9 @@ class Replica:
         """Dispatch weight of this replica (its relative speed)."""
         return self.profile.speed
 
+    def queue_length(self) -> int:
+        return len(self.queue)
+
     # ------------------------------------------------------- KV-cache signals
     def kv_prefix_hit_tokens(self, item) -> int:
         """Shared-prefix tokens of ``item``'s group already resident in this
@@ -234,76 +248,36 @@ class Replica:
         return max(0.0, until - self.added_ms)
 
 
-class ReplicaHandle(Replica):
-    """The :class:`Replica` view of one classification platform replica.
+class ReplicaEntry(Replica):
+    """One classification fleet member: serving state, resource view,
+    executor and lifecycle.
 
-    Load is read off the platform's :class:`ReplicaState` and capacity off
-    its latency model; :class:`ReplicaEntry` extends it into a fleet member.
+    It owns everything a run mutates, so its ``platform`` stays a stateless
+    batching policy and latency model that a crash recovery reboots onto a
+    fresh member.  ``responded_ids`` guards the conservation invariant:
+    every request is answered (served or dropped) exactly once.
     """
-
-    def __init__(self, index: int, platform: ServingPlatform, state: ReplicaState,
-                 profile: Optional[ReplicaProfile] = None,
-                 replica_id: Optional[int] = None) -> None:
-        self.index = index
-        self.platform = platform
-        self.state = state
-        self.profile = profile if profile is not None else ReplicaProfile()
-        self.replica_id = replica_id if replica_id is not None else index
-
-    @property
-    def max_batch_size(self) -> int:
-        return self.platform.max_batch_size
-
-    def predicted_batch_time_ms(self, batch_size: int) -> Optional[float]:
-        return self.platform.predicted_batch_time_ms(batch_size)
-
-    def queue_length(self) -> int:
-        return self.state.queue_length()
-
-    def jobs_in_system(self, now_ms: float) -> int:
-        """Waiting requests plus the batch currently on the accelerator.
-
-        This is the classic JSQ load signal: a replica that just drained its
-        queue into a 16-request batch is *not* empty — ignoring the in-flight
-        batch would funnel every arrival to whichever replica dispatched last.
-        """
-        in_flight = self.state.serving_batch_size if not self.state.idle_at(now_ms) else 0
-        return self.state.queue_length() + in_flight
-
-    def backlog_ms(self, now_ms: float) -> float:
-        """Remaining accelerator time of the in-flight batch."""
-        return max(0.0, self.state.busy_until_ms - now_ms)
-
-    def work_left_ms(self, now_ms: float) -> float:
-        """Expected milliseconds until this replica would drain its queue.
-
-        Queued requests are costed with the platform's latency model (batched
-        at ``max_batch_size``); platforms without a profile fall back to one
-        unit per request, which degrades gracefully to queue-length ordering.
-        A heterogeneous replica's platform carries a speed-scaled latency
-        profile (see :meth:`~repro.models.latency.LatencyProfile.scaled`), so
-        the same milliseconds compare correctly across mixed-speed fleets.
-        """
-        work = self.backlog_ms(now_ms)
-        queued = self.queue_length()
-        if queued == 0:
-            return work
-        full = self.platform.max_batch_size
-        per_batch = self.platform.predicted_batch_time_ms(min(queued, full))
-        if per_batch is None:
-            return work + float(queued) / self.profile.speed
-        return work + per_batch * math.ceil(queued / full)
-
-
-class ReplicaEntry(ReplicaHandle):
-    """One classification fleet member: its own handle plus executor and
-    lifecycle."""
 
     def __init__(self, replica_id: int, platform: ServingPlatform,
                  executor: BatchExecutorFn, profile: ReplicaProfile,
-                 state: ReplicaState, added_ms: float = 0.0) -> None:
-        super().__init__(0, platform, state, profile, replica_id)
+                 added_ms: float = 0.0, obs=NULL_RECORDER) -> None:
+        self.replica_id = replica_id
+        self.platform = platform
         self.executor = executor
+        self.profile = profile
+        #: span hooks (the shared no-op recorder unless the run installs one).
+        self.obs = obs
+        self.queue: List[Request] = []
+        self.metrics = ServingMetrics()
+        #: time at which the accelerator finishes its current batch.
+        self.busy_until_ms = -np.inf
+        #: arrival time of the first request routed to this replica.
+        self.first_arrival_ms: Optional[float] = None
+        #: time of the last completion or drop on this replica.
+        self.last_event_ms = -np.inf
+        #: size of the batch occupying the accelerator (until busy_until_ms).
+        self.serving_batch_size = 0
+        self.responded_ids: Set[int] = set()
         self.status = ACTIVE
         self.added_ms = added_ms
         self.retired_ms: Optional[float] = None
@@ -319,29 +293,73 @@ class ReplicaEntry(ReplicaHandle):
     def hardware(self) -> ServingPlatform:
         return self.platform
 
+    # ---------------------------------------------------------- resource view
     @property
-    def queue(self) -> list:
-        return self.state.queue
+    def max_batch_size(self) -> int:
+        return self.platform.max_batch_size
 
-    @queue.setter
-    def queue(self, value: list) -> None:
-        self.state.queue = value
+    def predicted_batch_time_ms(self, batch_size: int) -> Optional[float]:
+        return self.platform.predicted_batch_time_ms(batch_size)
 
+    def jobs_in_system(self, now_ms: float) -> int:
+        """Waiting requests plus the batch currently on the accelerator.
+
+        This is the classic JSQ load signal: a replica that just drained its
+        queue into a 16-request batch is *not* empty — ignoring the in-flight
+        batch would funnel every arrival to whichever replica dispatched last.
+        """
+        in_flight = self.serving_batch_size if not self.idle_at(now_ms) else 0
+        return len(self.queue) + in_flight
+
+    def backlog_ms(self, now_ms: float) -> float:
+        """Remaining accelerator time of the in-flight batch."""
+        return max(0.0, self.busy_until_ms - now_ms)
+
+    def work_left_ms(self, now_ms: float) -> float:
+        """Expected milliseconds until this replica would drain its queue.
+
+        Queued requests are costed with the platform's latency model (batched
+        at ``max_batch_size``); platforms without a profile fall back to one
+        unit per request, which degrades gracefully to queue-length ordering.
+        A heterogeneous replica's platform carries a speed-scaled latency
+        profile (see :meth:`~repro.models.latency.LatencyProfile.scaled`), so
+        the same milliseconds compare correctly across mixed-speed fleets.
+        """
+        work = self.backlog_ms(now_ms)
+        queued = len(self.queue)
+        if queued == 0:
+            return work
+        full = self.platform.max_batch_size
+        per_batch = self.platform.predicted_batch_time_ms(min(queued, full))
+        if per_batch is None:
+            return work + float(queued) / self.profile.speed
+        return work + per_batch * math.ceil(queued / full)
+
+    # ------------------------------------------------------------ pool hooks
     def enqueue(self, item, runtime=None) -> None:
         # Tenant ranks ride on Request.rank; the platform opens the span.
-        self.platform.admit(self.state, item)
+        self.platform.admit(self, item)
 
     @staticmethod
     def item_id(item) -> int:
         return item.request_id
 
+    def idle_at(self, now_ms: float) -> bool:
+        return self.busy_until_ms <= now_ms + 1e-9
+
     def has_work(self, now_ms: float) -> bool:
         # Results are recorded at dispatch, so only queued requests remain.
-        return bool(self.state.queue)
+        return bool(self.queue)
 
     def busy_units(self, now_ms: float) -> int:
-        return 0 if self.state.idle_at(now_ms) else 1
+        return 0 if self.idle_at(now_ms) else 1
 
     def is_idle(self, now_ms: float) -> bool:
         """No queued work and the accelerator is free (retirement condition)."""
-        return not self.state.queue and self.state.idle_at(now_ms)
+        return not self.queue and self.idle_at(now_ms)
+
+    def finalize_makespan(self) -> None:
+        """Stamp the replica's metrics with its observed wall-clock span."""
+        if self.first_arrival_ms is None or not np.isfinite(self.last_event_ms):
+            return
+        self.metrics.makespan_ms = max(self.last_event_ms - self.first_arrival_ms, 1e-9)

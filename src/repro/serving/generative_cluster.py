@@ -148,9 +148,6 @@ class GenerativeReplicaEntry(Replica):
         return not self.queue and self.busy_slots(now_ms) == 0
 
     # ---------------------------------------------------------- resource view
-    def queue_length(self) -> int:
-        return len(self.queue)
-
     def jobs_in_system(self, now_ms: float) -> int:
         """Queued sequences plus the streams decoding in occupied slots."""
         return len(self.queue) + self.busy_slots(now_ms)

@@ -1,10 +1,12 @@
-"""Base event-driven serving platform.
+"""Base event-driven serving platform: a batching policy and a latency model.
 
-A platform owns the request queue and the (single) accelerator of one model
-replica.  Its job is batching policy: decide *when* to drain queued requests
-and *how many* to serve together.  The actual forward pass is delegated to an
-executor callback so that the same platform code serves vanilla models,
-Apparate-managed models and the baselines.
+A platform decides *when* to drain a replica's queued requests and *how
+many* to serve together, and (when it has a latency profile) predicts how
+long a batch takes.  It holds no run state: the queue, the accelerator
+clock, the metrics and the conservation set belong to the fleet member it
+serves, a :class:`~repro.serving.fleet.ReplicaEntry`.  The actual forward
+pass is delegated to an executor callback so that the same platform code
+serves vanilla models, Apparate-managed models and the baselines.
 
 The executor receives the formed batch and must return the accelerator
 occupancy time plus, for every request in the batch, the offset (from batch
@@ -12,26 +14,25 @@ start) at which its *result* is released and bookkeeping about exits.  For a
 vanilla model every result is released when the batch finishes.
 
 A platform has no event loop of its own: the ``admit`` / ``expire`` /
-``select`` / ``dispatch`` / ``complete`` phases operate on an explicit
-:class:`ReplicaState`, and the fleet runner of
-:class:`~repro.serving.cluster.ClusterPlatform` steps every replica's phases
-on the kernel's global clock — a single replica is a fleet of one.
+``select`` / ``dispatch`` / ``complete`` phases act on the member passed
+in, and the fleet runner of :class:`~repro.serving.cluster.ClusterPlatform`
+steps every member's phases on the kernel's global clock — a single replica
+is a fleet of one.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 from repro.models.execution import ModelExecutor
-from repro.obs.recorder import NULL_RECORDER
-from repro.serving.metrics import ServingMetrics
-from repro.serving.request import Request, Response
+from repro.serving.request import Request
 
-__all__ = ["BatchResult", "BatchExecutorFn", "ReplicaState", "ServingPlatform",
+if TYPE_CHECKING:
+    from repro.serving.fleet import ReplicaEntry
+
+__all__ = ["BatchResult", "BatchExecutorFn", "ServingPlatform",
            "VanillaExecutor"]
 
 
@@ -84,42 +85,6 @@ class VanillaExecutor:
                            result_offsets_ms=[gpu_time] * len(batch))
 
 
-@dataclass
-class ReplicaState:
-    """Mutable serving state of one replica's queue and accelerator.
-
-    The fleet runner owns one per replica and steps them on a shared clock.
-    ``responded_ids`` guards the conservation invariant: every request is
-    answered (served or dropped) exactly once.
-    """
-
-    queue: List[Request] = field(default_factory=list)
-    metrics: ServingMetrics = field(default_factory=ServingMetrics)
-    #: time at which the accelerator finishes its current batch.
-    busy_until_ms: float = -np.inf
-    #: arrival time of the first request routed to this replica.
-    first_arrival_ms: Optional[float] = None
-    #: time of the last completion or drop on this replica.
-    last_event_ms: float = -np.inf
-    #: size of the batch currently occupying the accelerator (until busy_until_ms).
-    serving_batch_size: int = 0
-    responded_ids: Set[int] = field(default_factory=set)
-    #: replica ordinal stamped onto recorded spans.
-    obs_replica: int = 0
-
-    def queue_length(self) -> int:
-        return len(self.queue)
-
-    def idle_at(self, now_ms: float) -> bool:
-        return self.busy_until_ms <= now_ms + 1e-9
-
-    def finalize_makespan(self) -> None:
-        """Stamp the replica's metrics with its observed wall-clock span."""
-        if self.first_arrival_ms is None or not np.isfinite(self.last_event_ms):
-            return
-        self.metrics.makespan_ms = max(self.last_event_ms - self.first_arrival_ms, 1e-9)
-
-
 class ServingPlatform(abc.ABC):
     """Common machinery of the event-driven platform simulators.
 
@@ -133,8 +98,6 @@ class ServingPlatform(abc.ABC):
             raise ValueError("max_batch_size must be >= 1")
         self.max_batch_size = int(max_batch_size)
         self.drop_expired = bool(drop_expired)
-        #: Span hooks; the shared no-op recorder unless a run installs one.
-        self.obs = NULL_RECORDER
 
     # ------------------------------------------------------------ batch policy
     @abc.abstractmethod
@@ -160,23 +123,20 @@ class ServingPlatform(abc.ABC):
         return None
 
     # ------------------------------------------------------------ event phases
-    def new_state(self) -> ReplicaState:
-        """Fresh per-replica state for one serving run."""
-        return ReplicaState()
-
-    def admit(self, state: ReplicaState, request: Request) -> None:
+    def admit(self, replica: ReplicaEntry, request: Request) -> None:
         """Phase 1: a request arrives (or is routed here) and joins the queue."""
-        if state.first_arrival_ms is None or request.arrival_ms < state.first_arrival_ms:
-            state.first_arrival_ms = request.arrival_ms
-        state.queue.append(request)
-        obs = self.obs
+        first = replica.first_arrival_ms
+        if first is None or request.arrival_ms < first:
+            replica.first_arrival_ms = request.arrival_ms
+        replica.queue.append(request)
+        obs = replica.obs
         if obs.enabled:
             # Idempotent: a crash-requeued request keeps its original span
             # and is annotated with the reroute by the cluster runner.
             obs.admit(request.request_id, request.arrival_ms, pool="serve",
-                      replica=state.obs_replica)
+                      replica=replica.replica_id)
 
-    def expire(self, state: ReplicaState, now_ms: float) -> None:
+    def expire(self, replica: ReplicaEntry, now_ms: float) -> None:
         """Phase 2: drop queued requests whose SLO already expired.
 
         Each dropped request is recorded exactly once (``responded_ids``) and
@@ -185,64 +145,65 @@ class ServingPlatform(abc.ABC):
         if not self.drop_expired:
             return
         still_valid: List[Request] = []
-        for request in state.queue:
+        for request in replica.queue:
             if now_ms > request.deadline_ms():
-                if request.request_id in state.responded_ids:
+                if request.request_id in replica.responded_ids:
                     continue
-                state.responded_ids.add(request.request_id)
-                state.metrics.record_drop(request, now_ms)
-                state.last_event_ms = max(state.last_event_ms, now_ms)
-                obs = self.obs
+                replica.responded_ids.add(request.request_id)
+                replica.metrics.record_drop(request, now_ms)
+                replica.last_event_ms = max(replica.last_event_ms, now_ms)
+                obs = replica.obs
                 if obs.enabled:
                     obs.phase(request.request_id, "queue", request.arrival_ms,
-                              now_ms, replica=state.obs_replica)
+                              now_ms, replica=replica.replica_id)
                     obs.close(request.request_id, now_ms, outcome="dropped")
             else:
                 still_valid.append(request)
-        state.queue = still_valid
+        replica.queue = still_valid
 
-    def select(self, state: ReplicaState, now_ms: float) -> Tuple[List[Request], float]:
+    def select(self, replica: ReplicaEntry,
+               now_ms: float) -> Tuple[List[Request], float]:
         """Phase 3: ask the batching policy what to serve (or when to wake)."""
-        return self.select_batch(state.queue, now_ms)
+        return self.select_batch(replica.queue, now_ms)
 
-    def force_batch(self, state: ReplicaState) -> List[Request]:
+    def force_batch(self, replica: ReplicaEntry) -> List[Request]:
         """Livelock guard: nothing left to wait for, serve what we have."""
-        return state.queue[: self.max_batch_size]
+        return replica.queue[: self.max_batch_size]
 
-    def dispatch(self, state: ReplicaState, batch: Sequence[Request]) -> None:
+    def dispatch(self, replica: ReplicaEntry, batch: Sequence[Request]) -> None:
         """Phase 4: move a selected batch out of the queue onto the accelerator."""
         batch_ids = {r.request_id for r in batch}
-        state.queue = [r for r in state.queue if r.request_id not in batch_ids]
+        replica.queue = [r for r in replica.queue if r.request_id not in batch_ids]
 
-    def complete(self, state: ReplicaState, batch: Sequence[Request],
+    def complete(self, replica: ReplicaEntry, batch: Sequence[Request],
                  result: BatchResult, start_ms: float) -> None:
         """Phase 5: record the executor's outcome for one batch."""
-        state.metrics.add_batch(result.gpu_time_ms)
-        responded = state.responded_ids
+        replica.metrics.add_batch(result.gpu_time_ms)
+        responded = replica.responded_ids
         for request in batch:
             request_id = request.request_id
             if request_id in responded:
                 raise RuntimeError(
                     f"request {request_id} answered twice (conservation violation)")
             responded.add(request_id)
-        state.metrics.record_batch(batch, result, start_ms)
-        state.busy_until_ms = start_ms + result.gpu_time_ms
-        state.serving_batch_size = len(batch)
-        state.last_event_ms = max(state.last_event_ms, state.busy_until_ms)
-        obs = self.obs
+        replica.metrics.record_batch(batch, result, start_ms)
+        replica.busy_until_ms = start_ms + result.gpu_time_ms
+        replica.serving_batch_size = len(batch)
+        replica.last_event_ms = max(replica.last_event_ms, replica.busy_until_ms)
+        obs = replica.obs
         if obs.enabled:
             # Span timestamps are exactly the values record_batch stored:
             # queue = arrival → batch start, serve = start → release, so the
             # closed span reconciles bit-for-bit with the metrics columns.
-            replica = state.obs_replica
+            replica_id = replica.replica_id
             batch_size = len(batch)
             for i, request in enumerate(batch):
                 request_id = request.request_id
                 release = start_ms + result.result_offsets_ms[i]
                 obs.phase(request_id, "queue", request.arrival_ms, start_ms,
-                          replica=replica)
+                          replica=replica_id)
                 obs.phase(request_id, "serve", start_ms, release,
-                          replica=replica)
+                          replica=replica_id)
                 obs.close(request_id, release, outcome="served",
                           exited=bool(result.exited[i]),
                           batch_size=batch_size)

@@ -33,13 +33,15 @@ __all__ = [
 
 
 def resolve_preset(presets: Mapping[str, Mapping[str, float]], name: str,
-                   fallback: str,
                    overrides: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
-    """The parameters of preset ``name`` (an unknown name uses ``fallback``'s)
-    with ``overrides`` applied.  Every workload factory resolves its preset
-    here, so an override key the preset does not have raises
-    :class:`ValueError` naming it before any trace is drawn."""
-    preset = dict(presets.get(name, presets[fallback]))
+    """The parameters of preset ``name`` with ``overrides`` applied.  Every
+    workload factory resolves its preset here, so an unknown preset name or
+    an override key the preset does not have raises :class:`ValueError`
+    naming it before any trace is drawn."""
+    if name not in presets:
+        raise ValueError(f"unknown workload preset {name!r}; "
+                         f"choose from {sorted(presets)}")
+    preset = dict(presets[name])
     if overrides:
         unknown = sorted(set(overrides) - set(preset))
         if unknown:

@@ -60,8 +60,8 @@ def make_nlp_workload(dataset: str = "amazon", num_requests: int = 20_000,
     Parameters
     ----------
     dataset:
-        ``"amazon"`` or ``"imdb"`` (anything else falls back to amazon
-        statistics).
+        ``"amazon"`` or ``"imdb"`` (anything else raises
+        :class:`ValueError`).
     num_requests:
         Stream length.
     rate_qps:
@@ -73,7 +73,7 @@ def make_nlp_workload(dataset: str = "amazon", num_requests: int = 20_000,
         in ms).
     """
     rng_factory = RngFactory(seed)
-    preset = resolve_preset(NLP_DATASET_PRESETS, dataset, "amazon", preset_overrides)
+    preset = resolve_preset(NLP_DATASET_PRESETS, dataset, preset_overrides)
     process = RegimeSwitchDifficulty(
         base_mean=preset["base_mean"],
         regime_spread=preset["regime_spread"],

@@ -52,8 +52,8 @@ def make_video_workload(name: str = "urban-day", num_frames: int = 20_000,
     Parameters
     ----------
     name:
-        Scene preset name (see :data:`VIDEO_SCENE_PRESETS`) or any string; an
-        unknown name falls back to ``urban-day`` statistics.
+        Scene preset name (see :data:`VIDEO_SCENE_PRESETS`); an unknown
+        name raises :class:`ValueError`.
     num_frames:
         Number of requests (frames) in the stream.
     fps:
@@ -62,7 +62,7 @@ def make_video_workload(name: str = "urban-day", num_frames: int = 20_000,
         Workload seed (independent streams for difficulty and arrivals).
     """
     rng_factory = RngFactory(seed)
-    preset = resolve_preset(VIDEO_SCENE_PRESETS, name, "urban-day", preset_overrides)
+    preset = resolve_preset(VIDEO_SCENE_PRESETS, name, preset_overrides)
     process = RandomWalkDifficulty(
         mean=preset["mean"],
         volatility=preset["volatility"],

@@ -54,39 +54,41 @@ class TestBitIdentity:
 
 
 class TestErrorCapture:
-    #: ``max_batch_size=0`` passes sweep validation (the platform checks it
-    #: when the run builds the fleet) and raises inside the grid point — the
+    #: A ramp id outside the catalog passes sweep validation (the catalog is
+    #: only built when the run starts) and raises inside the grid point — the
     #: runtime-failure class the executors must capture per point.
-    GRID = {"max_batch_size": [16, 0]}
+    GRID = {"initial_ramp_ids": [None, (999,)]}
+    SYSTEMS = ["apparate"]
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_failed_point_does_not_kill_siblings(self, executor):
         exp = Experiment(model="resnet50",
                          workload=WorkloadSpec("video", requests=120, seed=0))
-        report = exp.sweep(systems=["vanilla"], executor=executor,
+        report = exp.sweep(systems=self.SYSTEMS, executor=executor,
                            workers=2 if executor == "process" else None,
                            **self.GRID)
         ok, failed = report.points
         assert ok.error is None and ok.report is not None
         assert failed.report is None
         assert failed.error["type"] == "ValueError"
-        assert "max_batch_size" in failed.error["message"]
+        assert "ramp 999 not in catalog" in failed.error["message"]
 
     def test_error_points_are_bit_identical_across_backends(self):
         exp = Experiment(model="resnet50",
                          workload=WorkloadSpec("video", requests=120, seed=0))
-        serial = exp.sweep(systems=["vanilla"], executor="serial", **self.GRID)
-        parallel = exp.sweep(systems=["vanilla"], executor="process",
+        serial = exp.sweep(systems=self.SYSTEMS, executor="serial",
+                           **self.GRID)
+        parallel = exp.sweep(systems=self.SYSTEMS, executor="process",
                              workers=2, **self.GRID)
         assert _dumps(serial) == _dumps(parallel)
 
     def test_results_refuses_partial_columns(self):
         exp = Experiment(model="resnet50",
                          workload=WorkloadSpec("video", requests=120, seed=0))
-        report = exp.sweep(systems=["vanilla"], **self.GRID)
+        report = exp.sweep(systems=self.SYSTEMS, **self.GRID)
         assert len(report.errors()) == 1
         with pytest.raises(ValueError, match="sweep points failed"):
-            report.results("vanilla")
+            report.results("apparate")
 
     def test_config_errors_still_fail_the_whole_sweep(self):
         exp = Experiment(model="resnet50",

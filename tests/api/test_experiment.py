@@ -149,6 +149,56 @@ def test_sweep_over_an_unknown_platform_fails_before_running():
     assert progress == []
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_batch_size", 0), ("max_batch_size", -1), ("max_batch_size", 2.5),
+    ("seed", 1.5), ("seed", "a"), ("overrides", {"vanilla": 5}),
+    ("overrides", [("vanilla", {})])])
+def test_experiment_fields_are_validated_at_construction(key, value):
+    """``max_batch_size=0`` used to construct and fail only at run time
+    without its value, ``max_batch_size=2.5`` ran as 2, ``seed=1.5`` ran as
+    seed 1 and ``overrides={"vanilla": 5}`` died with a ``TypeError``."""
+    with pytest.raises(ValueError, match=f"^{key}"):
+        Experiment(model="resnet50", workload=WORKLOAD, **{key: value})
+    assert Experiment(model="resnet50", workload=WORKLOAD, seed=np.int64(2),
+                      max_batch_size=np.int64(8)).describe()["seed"] == 2
+
+
+def test_workload_seed_must_be_an_integer():
+    """``WorkloadSpec(seed=2.5)`` used to materialize seed 2's trace."""
+    with pytest.raises(ValueError, match="seed.*2.5"):
+        WorkloadSpec("video", requests=10, seed=2.5)
+
+
+def test_sweep_over_an_invalid_batch_size_fails_before_running():
+    progress = []
+    with pytest.raises(ValueError, match="max_batch_size.*0"):
+        Experiment(model="resnet50", workload=WORKLOAD).sweep(
+            ["vanilla"], max_batch_size=[16, 0],
+            progress=lambda *args: progress.append(args))
+    assert progress == []
+
+
+@pytest.mark.parametrize("kind,presets", [
+    ("video", "crossroads.*urban-day"), ("nlp", "amazon.*imdb"),
+    ("generative", "cnn-dailymail.*squad")])
+def test_unknown_workload_source_is_rejected(kind, presets):
+    """``WorkloadSpec("video", "bogus")`` used to build and serve the
+    urban-day trace while describing itself as ``bogus``."""
+    with pytest.raises(ValueError, match=f"^source must be a {kind} preset, "
+                                         f"one of .*{presets}.*'bogus'"):
+        WorkloadSpec(kind, "bogus")
+    assert WorkloadSpec(kind, "").resolved_source()
+
+
+def test_sweep_over_an_unknown_source_fails_before_running():
+    progress = []
+    with pytest.raises(ValueError, match="source.*'bogus'"):
+        Experiment(model="resnet50", workload=WORKLOAD).sweep(
+            ["vanilla"], source=["urban-day", "bogus"],
+            progress=lambda *args: progress.append(args))
+    assert progress == []
+
+
 def test_fractional_request_count_is_rejected():
     with pytest.raises(ValueError, match="requests.*10.5"):
         WorkloadSpec("video", requests=10.5)

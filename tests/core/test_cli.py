@@ -36,6 +36,17 @@ def test_classify_command_rejects_unknown_workload_kind():
               "--requests", "100"])
 
 
+def test_run_command_rejects_unknown_workload_source():
+    """``--workload video:bogus`` used to serve the urban-day trace.  A
+    string ``SystemExit`` exits the process with status 1."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--model", "resnet50", "--workload", "video:bogus",
+              "--requests", "10"])
+    assert isinstance(excinfo.value.code, str)
+    assert str(excinfo.value).startswith("error: source must be a video "
+                                         "preset")
+
+
 def test_generate_command_runs_small_workload(capsys):
     code = main(["run", "--model", "t5-large", "--workload", "generative:squad",
                  "--requests", "30", "--seed", "5"])

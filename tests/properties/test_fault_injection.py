@@ -51,7 +51,7 @@ def test_classification_conserves_requests_across_crash(crash_ms, down_ms,
         platforms, balancer="round_robin",
         faults=FaultSchedule.of(FaultSpec(crash_ms, down_ms)))
     requests = _requests(120)
-    metrics = cluster.run(requests, _executor)
+    metrics = cluster.run(requests, lambda ordinal: _executor)
     responses = metrics.aggregate().responses
     assert sorted(r.request_id for r in responses) == list(range(120))
     assert metrics.crashes == 1 and metrics.recoveries == 1
@@ -68,7 +68,7 @@ def test_classification_fault_seed_is_deterministic(mtbf_ms, mttr_ms, seed):
         platforms = [TFServingPlatform(max_batch_size=4) for _ in range(3)]
         cluster = ClusterPlatform(platforms, balancer="jsq", faults=schedule,
                                   tenancy="gold:weight=3;bronze:weight=1")
-        return cluster.run(_requests(100), _executor)
+        return cluster.run(_requests(100), lambda ordinal: _executor)
 
     first, second = run(), run()
     assert first.summary() == second.summary()

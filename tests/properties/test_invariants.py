@@ -144,8 +144,9 @@ def _run_cluster(num_replicas, balancer, arrival_gaps, seed=0, slo_ms=1e9,
                                   drop_expired=drop_expired)
                 for _ in range(num_replicas)]
     cluster = ClusterPlatform(replicas, balancer=balancer, seed=seed)
+    executor = _fixed_executor(gpu_time_ms)
     return cluster.run(_cluster_requests(arrival_gaps, slo_ms),
-                       _fixed_executor(gpu_time_ms))
+                       lambda ordinal: executor)
 
 
 @FAST

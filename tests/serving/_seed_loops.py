@@ -18,9 +18,18 @@ capacity its clock drifts by rounding and a request whose deadline equals a
 later arrival instant can be dropped where the kernel serves it.
 
 They are driven through the public platform objects (and reuse their
-helper methods: executor resolution, scale-out hardware, collection), so
-configuration handling cannot drift; only the *scheduling* differs.  The
-membership they schedule over is the oracle's own: ``BaseFleet`` and its
+batching policies, latency models and scale-out hardware), so configuration
+handling cannot drift; only the *scheduling* differs.  The classification
+member they step is the oracle's own too: ``ReplicaState``,
+``ReplicaHandle`` and ``ReplicaEntry`` are the member trio as it stood
+before the state, the resource view and the lifecycle became one live
+:class:`~repro.serving.fleet.ReplicaEntry`, and ``seed_admit``,
+``seed_expire``, ``seed_select``, ``seed_force_batch``, ``seed_dispatch``
+and ``seed_complete`` are the ``ServingPlatform`` phases as they stood then,
+as functions over ``(platform, state)`` that take the fleet's recorder
+(the platform no longer carries one); ``seed_collect`` is the cluster's
+rollup over those members.  The membership they schedule over is the
+oracle's own: ``BaseFleet`` and its
 ``FleetState``, ``GenerativeFleetState`` and ``PrefillFleetState`` are the
 fleet classes as they stood before membership, the fleet-size timeline and
 book-closing moved into :class:`~repro.serving.pool.PoolState`, plus a
@@ -42,7 +51,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,8 +66,8 @@ from repro.models.prediction import PredictionModel
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.cluster import ClusterPlatform, _scale_result
 from repro.serving.disagg import PrefillReplicaEntry
-from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, ReplicaEntry,
-                                 ReplicaHandle, ReplicaProfile)
+from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, Replica,
+                                 ReplicaProfile)
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
                                               GenerativeReplicaEntry,
@@ -66,13 +76,273 @@ from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, TokenExitPolicy,
                                         VanillaTokenPolicy)
 from repro.serving.metrics import ClusterMetrics, ServingMetrics
-from repro.serving.platform import BatchExecutorFn, ServingPlatform
+from repro.serving.platform import (BatchExecutorFn, BatchResult,
+                                    ServingPlatform)
 from repro.serving.request import Request
 
 __all__ = ["seed_cluster_run", "seed_generative_run", "seed_disagg_run",
            "seed_platform_run", "seed_engine_run", "seed_engine_system",
            "seed_salvage_doomed", "BaseFleet", "FleetState",
-           "GenerativeFleetState", "PrefillFleetState"]
+           "GenerativeFleetState", "PrefillFleetState", "ReplicaState",
+           "ReplicaHandle", "ReplicaEntry", "seed_admit", "seed_expire",
+           "seed_select", "seed_force_batch", "seed_dispatch",
+           "seed_complete", "seed_collect"]
+
+
+# ------------------------------------------------ frozen classification member
+
+@dataclass
+class ReplicaState:
+    """Mutable serving state of one replica's queue and accelerator.
+
+    The fleet runner owns one per replica and steps them on a shared clock.
+    ``responded_ids`` guards the conservation invariant: every request is
+    answered (served or dropped) exactly once.
+    """
+
+    queue: List[Request] = field(default_factory=list)
+    metrics: ServingMetrics = field(default_factory=ServingMetrics)
+    #: time at which the accelerator finishes its current batch.
+    busy_until_ms: float = -np.inf
+    #: arrival time of the first request routed to this replica.
+    first_arrival_ms: Optional[float] = None
+    #: time of the last completion or drop on this replica.
+    last_event_ms: float = -np.inf
+    #: size of the batch currently occupying the accelerator (until busy_until_ms).
+    serving_batch_size: int = 0
+    responded_ids: Set[int] = field(default_factory=set)
+    #: replica ordinal stamped onto recorded spans.
+    obs_replica: int = 0
+
+    def queue_length(self) -> int:
+        return len(self.queue)
+
+    def idle_at(self, now_ms: float) -> bool:
+        return self.busy_until_ms <= now_ms + 1e-9
+
+    def finalize_makespan(self) -> None:
+        """Stamp the replica's metrics with its observed wall-clock span."""
+        if self.first_arrival_ms is None or not np.isfinite(self.last_event_ms):
+            return
+        self.metrics.makespan_ms = max(self.last_event_ms - self.first_arrival_ms, 1e-9)
+
+
+class ReplicaHandle(Replica):
+    """The :class:`Replica` view of one classification platform replica.
+
+    Load is read off the platform's :class:`ReplicaState` and capacity off
+    its latency model; :class:`ReplicaEntry` extends it into a fleet member.
+    """
+
+    def __init__(self, index: int, platform: ServingPlatform, state: ReplicaState,
+                 profile: Optional[ReplicaProfile] = None,
+                 replica_id: Optional[int] = None) -> None:
+        self.index = index
+        self.platform = platform
+        self.state = state
+        self.profile = profile if profile is not None else ReplicaProfile()
+        self.replica_id = replica_id if replica_id is not None else index
+
+    @property
+    def max_batch_size(self) -> int:
+        return self.platform.max_batch_size
+
+    def predicted_batch_time_ms(self, batch_size: int) -> Optional[float]:
+        return self.platform.predicted_batch_time_ms(batch_size)
+
+    def queue_length(self) -> int:
+        return self.state.queue_length()
+
+    def jobs_in_system(self, now_ms: float) -> int:
+        """Waiting requests plus the batch currently on the accelerator.
+
+        This is the classic JSQ load signal: a replica that just drained its
+        queue into a 16-request batch is *not* empty — ignoring the in-flight
+        batch would funnel every arrival to whichever replica dispatched last.
+        """
+        in_flight = self.state.serving_batch_size if not self.state.idle_at(now_ms) else 0
+        return self.state.queue_length() + in_flight
+
+    def backlog_ms(self, now_ms: float) -> float:
+        """Remaining accelerator time of the in-flight batch."""
+        return max(0.0, self.state.busy_until_ms - now_ms)
+
+    def work_left_ms(self, now_ms: float) -> float:
+        """Expected milliseconds until this replica would drain its queue.
+
+        Queued requests are costed with the platform's latency model (batched
+        at ``max_batch_size``); platforms without a profile fall back to one
+        unit per request, which degrades gracefully to queue-length ordering.
+        A heterogeneous replica's platform carries a speed-scaled latency
+        profile (see :meth:`~repro.models.latency.LatencyProfile.scaled`), so
+        the same milliseconds compare correctly across mixed-speed fleets.
+        """
+        work = self.backlog_ms(now_ms)
+        queued = self.queue_length()
+        if queued == 0:
+            return work
+        full = self.platform.max_batch_size
+        per_batch = self.platform.predicted_batch_time_ms(min(queued, full))
+        if per_batch is None:
+            return work + float(queued) / self.profile.speed
+        return work + per_batch * math.ceil(queued / full)
+
+
+class ReplicaEntry(ReplicaHandle):
+    """One classification fleet member: its own handle plus executor and
+    lifecycle."""
+
+    def __init__(self, replica_id: int, platform: ServingPlatform,
+                 executor: BatchExecutorFn, profile: ReplicaProfile,
+                 state: ReplicaState, added_ms: float = 0.0) -> None:
+        super().__init__(0, platform, state, profile, replica_id)
+        self.executor = executor
+        self.status = ACTIVE
+        self.added_ms = added_ms
+        self.retired_ms: Optional[float] = None
+        #: requests the balancer originally routed here (reroutes not included).
+        self.dispatched = 0
+        #: kernel-scheduler bookkeeping: dirty flag + armed policy wake-up event.
+        self._kdirty = False
+        self._wake_event = None
+        #: salvage completion-offset table (``cluster._drain_times``).
+        self._drain_times: List[float] = []
+
+    @property
+    def hardware(self) -> ServingPlatform:
+        return self.platform
+
+    @property
+    def queue(self) -> list:
+        return self.state.queue
+
+    @queue.setter
+    def queue(self, value: list) -> None:
+        self.state.queue = value
+
+    def enqueue(self, item, runtime=None) -> None:
+        # Tenant ranks ride on Request.rank; the platform opens the span.
+        # (The oracle routes through no pool, so no recorder is at hand.)
+        seed_admit(self.platform, self.state, item, NULL_RECORDER)
+
+    @staticmethod
+    def item_id(item) -> int:
+        return item.request_id
+
+    def has_work(self, now_ms: float) -> bool:
+        # Results are recorded at dispatch, so only queued requests remain.
+        return bool(self.state.queue)
+
+    def busy_units(self, now_ms: float) -> int:
+        return 0 if self.state.idle_at(now_ms) else 1
+
+    def is_idle(self, now_ms: float) -> bool:
+        """No queued work and the accelerator is free (retirement condition)."""
+        return not self.state.queue and self.state.idle_at(now_ms)
+
+
+def seed_admit(platform: ServingPlatform, state: ReplicaState,
+               request: Request, obs) -> None:
+    """Phase 1: a request arrives (or is routed here) and joins the queue."""
+    if state.first_arrival_ms is None or request.arrival_ms < state.first_arrival_ms:
+        state.first_arrival_ms = request.arrival_ms
+    state.queue.append(request)
+    if obs.enabled:
+        # Idempotent: a crash-requeued request keeps its original span
+        # and is annotated with the reroute by the cluster runner.
+        obs.admit(request.request_id, request.arrival_ms, pool="serve",
+                  replica=state.obs_replica)
+
+
+def seed_expire(platform: ServingPlatform, state: ReplicaState, now_ms: float,
+                obs) -> None:
+    """Phase 2: drop queued requests whose SLO already expired.
+
+    Each dropped request is recorded exactly once (``responded_ids``) and
+    removed from the queue, so it can never also be served.
+    """
+    if not platform.drop_expired:
+        return
+    still_valid: List[Request] = []
+    for request in state.queue:
+        if now_ms > request.deadline_ms():
+            if request.request_id in state.responded_ids:
+                continue
+            state.responded_ids.add(request.request_id)
+            state.metrics.record_drop(request, now_ms)
+            state.last_event_ms = max(state.last_event_ms, now_ms)
+            if obs.enabled:
+                obs.phase(request.request_id, "queue", request.arrival_ms,
+                          now_ms, replica=state.obs_replica)
+                obs.close(request.request_id, now_ms, outcome="dropped")
+        else:
+            still_valid.append(request)
+    state.queue = still_valid
+
+
+def seed_select(platform: ServingPlatform, state: ReplicaState,
+                now_ms: float) -> Tuple[List[Request], float]:
+    """Phase 3: ask the batching policy what to serve (or when to wake)."""
+    return platform.select_batch(state.queue, now_ms)
+
+
+def seed_force_batch(platform: ServingPlatform,
+                     state: ReplicaState) -> List[Request]:
+    """Livelock guard: nothing left to wait for, serve what we have."""
+    return state.queue[: platform.max_batch_size]
+
+
+def seed_dispatch(platform: ServingPlatform, state: ReplicaState,
+                  batch: Sequence[Request]) -> None:
+    """Phase 4: move a selected batch out of the queue onto the accelerator."""
+    batch_ids = {r.request_id for r in batch}
+    state.queue = [r for r in state.queue if r.request_id not in batch_ids]
+
+
+def seed_complete(platform: ServingPlatform, state: ReplicaState,
+                  batch: Sequence[Request], result: BatchResult,
+                  start_ms: float, obs) -> None:
+    """Phase 5: record the executor's outcome for one batch."""
+    state.metrics.add_batch(result.gpu_time_ms)
+    responded = state.responded_ids
+    for request in batch:
+        request_id = request.request_id
+        if request_id in responded:
+            raise RuntimeError(
+                f"request {request_id} answered twice (conservation violation)")
+        responded.add(request_id)
+    state.metrics.record_batch(batch, result, start_ms)
+    state.busy_until_ms = start_ms + result.gpu_time_ms
+    state.serving_batch_size = len(batch)
+    state.last_event_ms = max(state.last_event_ms, state.busy_until_ms)
+    if obs.enabled:
+        # Span timestamps are exactly the values record_batch stored:
+        # queue = arrival → batch start, serve = start → release, so the
+        # closed span reconciles bit-for-bit with the metrics columns.
+        replica = state.obs_replica
+        batch_size = len(batch)
+        for i, request in enumerate(batch):
+            request_id = request.request_id
+            release = start_ms + result.result_offsets_ms[i]
+            obs.phase(request_id, "queue", request.arrival_ms, start_ms,
+                      replica=replica)
+            obs.phase(request_id, "serve", start_ms, release,
+                      replica=replica)
+            obs.close(request_id, release, outcome="served",
+                      exited=bool(result.exited[i]),
+                      batch_size=batch_size)
+
+
+def seed_collect(fleet: "FleetState", start_ms: float, end_ms: float,
+                 rerouted: int) -> ClusterMetrics:
+    """``ClusterPlatform._collect`` over a frozen fleet's members."""
+    books = fleet.books(end_ms)
+    served_anything = any(entry.state.metrics.num_responses()
+                          for entry in fleet.entries)
+    makespan = max(end_ms - start_ms, 1e-9) if served_anything else 0.0
+    return ClusterMetrics(
+        replicas=[entry.state.metrics for entry in fleet.entries],
+        makespan_ms=makespan, rerouted=int(rerouted), **books)
 
 
 class BaseFleet:
@@ -188,11 +458,10 @@ class FleetState(BaseFleet):
     def add(self, platform: ServingPlatform, executor: BatchExecutorFn,
             profile: ReplicaProfile, now_ms: float) -> ReplicaEntry:
         """Bring a new replica online (dispatchable from the next arrival)."""
-        state = platform.new_state()
+        state = ReplicaState()
         # Every add path (initial fleet, autoscale boot, crash recovery)
-        # funnels through here, so span hooks inherit the fleet's recorder
-        # and the replica's stable id without per-call-site wiring.
-        platform.obs = self.obs
+        # funnels through here, so spans carry the replica's stable id
+        # without per-call-site wiring (the phases take the fleet's recorder).
         state.obs_replica = self._next_id
         entry = ReplicaEntry(replica_id=self._next_id, platform=platform,
                              executor=executor, profile=profile, state=state,
@@ -237,7 +506,8 @@ def seed_platform_run(platform: ServingPlatform, requests: Sequence[Request],
                       executor: BatchExecutorFn) -> ServingMetrics:
     """The single-replica ``ServingPlatform.run`` loop, verbatim."""
     self = platform
-    state = self.new_state()
+    obs = NULL_RECORDER
+    state = ReplicaState()
     pending = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
     num_requests = len(pending)
     if num_requests == 0:
@@ -249,32 +519,32 @@ def seed_platform_run(platform: ServingPlatform, requests: Sequence[Request],
     while next_arrival < num_requests or state.queue:
         # Admit everything that has arrived by now.
         while next_arrival < num_requests and pending[next_arrival].arrival_ms <= now + 1e-9:
-            self.admit(state, pending[next_arrival])
+            seed_admit(self, state, pending[next_arrival], obs)
             next_arrival += 1
 
         if not state.queue:
             now = pending[next_arrival].arrival_ms
             continue
 
-        self.expire(state, now)
+        seed_expire(self, state, now, obs)
         if not state.queue:
             continue
 
-        batch, wake_up = self.select(state, now)
+        batch, wake_up = seed_select(self, state, now)
         if not batch:
             # The policy wants to wait for more requests (or a timeout).
             next_event = pending[next_arrival].arrival_ms if next_arrival < num_requests else np.inf
             target = min(wake_up, next_event)
             if not np.isfinite(target) or target <= now + 1e-9:
                 # Nothing left to wait for: force progress with what we have.
-                batch = self.force_batch(state)
+                batch = seed_force_batch(self, state)
             else:
                 now = target
                 continue
 
-        self.dispatch(state, batch)
+        seed_dispatch(self, state, batch)
         result = executor(batch, now)
-        self.complete(state, batch, result, now)
+        seed_complete(self, state, batch, result, now, obs)
         now += result.gpu_time_ms
 
     first_arrival = pending[0].arrival_ms
@@ -387,7 +657,7 @@ def seed_salvage_doomed(cluster: ClusterPlatform, fleet: FleetState,
                              h, h.queue_length() + 1, now_ms), h.index))
             if _completion_eta_ms(target, target.queue_length() + 1,
                                   now_ms) <= deadline + 1e-9:
-                target.platform.admit(target.state, request)
+                seed_admit(target.platform, target.state, request, fleet.obs)
                 if self.obs.enabled:
                     self.obs.annotate(request.request_id, rerouted=True)
                 rerouted_ids.add(request.request_id)
@@ -401,13 +671,11 @@ def seed_salvage_doomed(cluster: ClusterPlatform, fleet: FleetState,
 
 
 def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
-                     executors: Union[BatchExecutorFn,
-                                      Sequence[BatchExecutorFn], None] = None,
-                     executor_factory: Optional[Callable[[int], BatchExecutorFn]]
-                     = None) -> ClusterMetrics:
+                     executor_factory: Callable[[int], BatchExecutorFn]
+                     ) -> ClusterMetrics:
     """The pre-kernel ``ClusterPlatform.run`` loop, verbatim."""
     self = cluster
-    factory = self._executor_factory(executors, executor_factory)
+    factory = executor_factory
     self.balancer.reset()
     self.autoscaler.reset()
     self.autoscaler.set_bounds(self.min_replicas, self.max_replicas)
@@ -421,7 +689,7 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
         fleet.add(platform, factory(fleet.next_ordinal()), profile, start)
 
     if num_requests == 0:
-        return self._collect(fleet, start, start, rerouted=0)
+        return seed_collect(fleet, start, start, rerouted=0)
 
     next_arrival = 0
     now = start
@@ -455,7 +723,7 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
                 raise ValueError(f"balancer {self.balancer.name!r} chose replica "
                                  f"{index} of {len(active)}")
             entry = active[index]
-            entry.platform.admit(entry.state, request)
+            seed_admit(entry.platform, entry.state, request, fleet.obs)
             entry.dispatched += 1
             next_arrival += 1
             admitted += 1
@@ -499,21 +767,21 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
                 continue
             if not state.queue:
                 continue
-            platform.expire(state, now)
+            seed_expire(platform, state, now, fleet.obs)
             if not state.queue:
                 continue
-            batch, wake_up = platform.select(state, now)
+            batch, wake_up = seed_select(platform, state, now)
             if not batch:
                 target = min(wake_up, next_arrival_ms)
                 if not np.isfinite(target) or target <= now + 1e-9:
-                    batch = platform.force_batch(state)
+                    batch = seed_force_batch(platform, state)
                 else:
                     wake_times.append(wake_up)
                     continue
-            platform.dispatch(state, batch)
+            seed_dispatch(platform, state, batch)
             result = _scale_result(entry.executor(batch, now),
                                    entry.profile.speed)
-            platform.complete(state, batch, result, now)
+            seed_complete(platform, state, batch, result, now, fleet.obs)
             wake_times.append(state.busy_until_ms)
             progressed = True
 
@@ -537,7 +805,7 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
 
     last_event = max((e.state.last_event_ms for e in fleet.entries
                       if np.isfinite(e.state.last_event_ms)), default=start)
-    return self._collect(fleet, start, last_event, rerouted)
+    return seed_collect(fleet, start, last_event, rerouted)
 
 
 def seed_generative_run(cluster: GenerativeClusterPlatform, workload,

@@ -140,7 +140,7 @@ def _executor(batch, batch_start_ms):
 def _run(replicas, faults, n=120):
     platforms = [TFServingPlatform(max_batch_size=4) for _ in range(replicas)]
     cluster = ClusterPlatform(platforms, balancer="round_robin", faults=faults)
-    return cluster.run(_requests(n), _executor)
+    return cluster.run(_requests(n), lambda ordinal: _executor)
 
 
 def test_last_replica_never_crashes():
@@ -164,7 +164,7 @@ def test_crash_requeues_queued_work_to_survivors():
     platforms = [TFServingPlatform(max_batch_size=2) for _ in range(2)]
     cluster = ClusterPlatform(platforms, balancer="round_robin",
                               faults=FaultSchedule.of(FaultSpec(5.0, 30.0)))
-    metrics = cluster.run(requests, _executor)
+    metrics = cluster.run(requests, lambda ordinal: _executor)
     assert metrics.crashes == 1
     assert metrics.requeued > 0
     assert sorted(r.request_id for r in metrics.aggregate().responses) == \

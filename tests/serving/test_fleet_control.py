@@ -16,7 +16,7 @@ from repro.serving.cluster import (ClusterPlatform, LoadBalancer,
                                    ReplicaProfile,
                                    WeightedJoinShortestQueueBalancer,
                                    _ClusterRun)
-from repro.serving.fleet import DRAINING, RETIRED, ReplicaHandle
+from repro.serving.fleet import DRAINING, RETIRED, ReplicaEntry
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
@@ -42,6 +42,12 @@ def fixed_time_executor(gpu_time_ms=8.0):
         return BatchResult(gpu_time_ms=gpu_time_ms,
                            result_offsets_ms=[gpu_time_ms] * len(batch))
     return executor
+
+
+def fixed_time_factory(gpu_time_ms=8.0):
+    """Every replica shares one stateless fixed-time executor."""
+    executor = fixed_time_executor(gpu_time_ms)
+    return lambda ordinal: executor
 
 
 def tf_factory(max_batch_size=4, batch_timeout_ms=2.0, drop_expired=False):
@@ -178,7 +184,7 @@ def test_draining_replica_finishes_work_but_gets_no_new_dispatches():
                               autoscaler=DrainSecondAt(50.0),
                               balancer="round_robin")
     requests = [make_request(i, float(i)) for i in range(200)]
-    metrics = cluster.run(requests, fixed_time_executor())
+    metrics = cluster.run(requests, fixed_time_factory())
     # Conservation: the drained replica finished everything it was holding.
     responses = metrics.aggregate().responses
     assert sorted(r.request_id for r in responses) == list(range(200))
@@ -193,7 +199,7 @@ def test_draining_replica_finishes_work_but_gets_no_new_dispatches():
 
 def test_reactive_scales_out_under_burst_and_back_in():
     cluster = elastic_cluster(initial=2, min_replicas=2, max_replicas=6)
-    metrics = cluster.run(bursty_requests(), fixed_time_executor())
+    metrics = cluster.run(bursty_requests(), fixed_time_factory())
     sizes = [n for _, n in metrics.fleet_timeline]
     assert metrics.peak_replicas() > 2, "burst should trigger scale-out"
     assert sizes[-1] < metrics.peak_replicas(), "lull should trigger scale-in"
@@ -211,7 +217,7 @@ def test_predictive_scales_from_arrival_rate():
                                   service_time_ms=2.0)
     cluster = elastic_cluster(initial=2, min_replicas=2, max_replicas=6,
                               autoscaler=scaler)
-    metrics = cluster.run(bursty_requests(), fixed_time_executor())
+    metrics = cluster.run(bursty_requests(), fixed_time_factory())
     assert metrics.peak_replicas() > 2
     responses = metrics.aggregate().responses
     assert sorted(r.request_id for r in responses) == \
@@ -221,7 +227,7 @@ def test_predictive_scales_from_arrival_rate():
 def test_fixed_autoscaler_keeps_fleet_constant():
     cluster = elastic_cluster(initial=3, min_replicas=1, max_replicas=6,
                               autoscaler=FixedAutoscaler())
-    metrics = cluster.run(bursty_requests(), fixed_time_executor())
+    metrics = cluster.run(bursty_requests(), fixed_time_factory())
     assert metrics.fleet_timeline == [(0.0, 3)]
     assert metrics.peak_replicas() == 3
 
@@ -230,7 +236,7 @@ def test_identical_seeds_give_identical_fleet_timelines():
     def one_run():
         cluster = elastic_cluster(initial=2, min_replicas=1, max_replicas=6,
                                   balancer="power_of_two_choices", seed=7)
-        return cluster.run(bursty_requests(), fixed_time_executor())
+        return cluster.run(bursty_requests(), fixed_time_factory())
 
     first, second = one_run(), one_run()
     assert first.fleet_timeline == second.fleet_timeline
@@ -246,8 +252,8 @@ def test_repeated_runs_on_one_cluster_object_are_deterministic():
     cluster = elastic_cluster(initial=3, min_replicas=1, max_replicas=6,
                               balancer="power_of_two_choices", seed=5)
     requests = bursty_requests()
-    first = cluster.run(requests, fixed_time_executor())
-    second = cluster.run(requests, fixed_time_executor())
+    first = cluster.run(requests, fixed_time_factory())
+    second = cluster.run(requests, fixed_time_factory())
     assert first.dispatch_counts == second.dispatch_counts
     assert first.fleet_timeline == second.fleet_timeline
     assert first.makespan_ms == second.makespan_ms
@@ -275,7 +281,7 @@ def test_conservation_under_membership_change(gaps, initial, seed, drop):
         autoscaler=ReactiveAutoscaler(scale_out_load=1.5, scale_in_load=0.25,
                                       cooldown_ms=5.0, provision_delay_ms=2.0),
         min_replicas=1, max_replicas=initial + 3, replica_factory=factory)
-    metrics = cluster.run(requests, fixed_time_executor(gpu_time_ms=5.0))
+    metrics = cluster.run(requests, fixed_time_factory(gpu_time_ms=5.0))
     agg = metrics.aggregate()
     assert sorted(r.request_id for r in agg.responses) == list(range(len(gaps)))
     dropped = {r.request_id for r in agg.dropped()}
@@ -316,7 +322,7 @@ def test_doomed_request_is_rerouted_to_idle_replica():
     # fourth request onward cannot finish on replica 0 in time, but the idle
     # replica 1 can take exactly three of them.
     requests = [make_request(i, 0.0, slo_ms=100.0) for i in range(6)]
-    metrics = cluster.run(requests, fixed_time_executor(gpu_time_ms=30.0))
+    metrics = cluster.run(requests, fixed_time_factory(gpu_time_ms=30.0))
     agg = metrics.aggregate()
     assert sorted(r.request_id for r in agg.responses) == list(range(6))
     assert metrics.rerouted == 3
@@ -360,7 +366,7 @@ def test_draining_replica_salvages_to_the_sole_active_replica():
                               autoscaler=DrainFirstDecision(), min_replicas=1,
                               max_replicas=2, replica_factory=platform)
     requests = [make_request(i, 0.0, slo_ms=100.0) for i in range(6)]
-    metrics = cluster.run(requests, fixed_time_executor(gpu_time_ms=30.0))
+    metrics = cluster.run(requests, fixed_time_factory(gpu_time_ms=30.0))
     agg = metrics.aggregate()
     assert sorted(r.request_id for r in agg.responses) == list(range(6))
     assert metrics.rerouted == 3
@@ -401,7 +407,7 @@ def test_dispatch_imbalance_normalizes_by_replica_uptime():
 def test_no_reroutes_without_drop_expired():
     cluster = elastic_cluster(initial=2, min_replicas=2, max_replicas=2,
                               autoscaler=FixedAutoscaler(), drop_expired=False)
-    metrics = cluster.run(bursty_requests(slo_ms=15.0), fixed_time_executor())
+    metrics = cluster.run(bursty_requests(slo_ms=15.0), fixed_time_factory())
     assert metrics.rerouted == 0
 
 
@@ -413,7 +419,7 @@ def test_weighted_round_robin_dispatches_proportional_to_speed():
                               balancer="weighted_round_robin",
                               profiles=[2.0, 1.0, 1.0])
     requests = [make_request(i, float(i)) for i in range(400)]
-    metrics = cluster.run(requests, fixed_time_executor())
+    metrics = cluster.run(requests, fixed_time_factory())
     counts = metrics.dispatch_counts
     assert counts[0] == pytest.approx(200, abs=2)
     assert counts[1] == pytest.approx(100, abs=2)
@@ -423,13 +429,13 @@ def test_weighted_round_robin_dispatches_proportional_to_speed():
 def test_weighted_jsq_normalizes_by_speed():
     fast = TFServingPlatform(max_batch_size=4)
     slow = TFServingPlatform(max_batch_size=4)
-    handles = [ReplicaHandle(0, fast, fast.new_state(), ReplicaProfile(speed=2.0)),
-               ReplicaHandle(1, slow, slow.new_state(), ReplicaProfile(speed=1.0))]
+    handles = [ReplicaEntry(0, fast, None, ReplicaProfile(speed=2.0)),
+               ReplicaEntry(1, slow, None, ReplicaProfile(speed=1.0))]
     # 3 jobs on the 2x replica weigh 1.5; 2 jobs on the 1x replica weigh 2.
     for i in range(3):
-        fast.admit(handles[0].state, make_request(i, 0.0))
+        fast.admit(handles[0], make_request(i, 0.0))
     for i in range(3, 5):
-        slow.admit(handles[1].state, make_request(i, 0.0))
+        slow.admit(handles[1], make_request(i, 0.0))
     balancer = WeightedJoinShortestQueueBalancer()
     assert balancer.choose(make_request(9, 0.0), handles, 0.0) == 0
 
@@ -474,8 +480,8 @@ def test_speed_scaling_shortens_actual_service_time(resnet50_stack):
     from repro.serving.platform import VanillaExecutor
     executor = VanillaExecutor(model_stack("resnet50", seed=0)[-1])
     requests = _workload_requests(workload, 1e9)
-    fast_metrics = fast.run(requests, executor)
-    base_metrics = base.run(requests, executor)
+    fast_metrics = fast.run(requests, lambda ordinal: executor)
+    base_metrics = base.run(requests, lambda ordinal: executor)
     fast_serving = np.median([r.serving_ms for r in fast_metrics.aggregate().served()])
     base_serving = np.median([r.serving_ms for r in base_metrics.aggregate().served()])
     assert fast_serving == pytest.approx(base_serving / 2, rel=0.05)

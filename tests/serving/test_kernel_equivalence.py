@@ -8,7 +8,10 @@ specifications; these tests drive both implementations over the same
 scenarios — every balancer, heterogeneous profiles, both autoscalers with
 boot/drain churn, SLO drops with salvage rerouting, TTFT shedding — and
 require every recorded metric to match exactly.  When the two disagree, the
-kernel is wrong.
+kernel is wrong.  The classification seed loop steps the oracle's frozen
+member trio (``ReplicaState``/``ReplicaHandle``/``ReplicaEntry`` and the old
+platform phases), so these runs also hold the live one-object
+:class:`~repro.serving.fleet.ReplicaEntry` to it end to end.
 
 Also here: regression tests for the autoscaler fixes that shipped with the
 kernel (predictive EWMA decay during arrival lulls, reactive cooldown not
@@ -84,10 +87,11 @@ def assert_cluster_equal(a, b):
         assert ra.responses == rb.responses
 
 
-def check_cluster(cluster_fn, requests, executors=None, executor_factory=None):
-    seed_m = seed_cluster_run(cluster_fn(), requests, executors,
-                              executor_factory)
-    kern_m = cluster_fn().run(requests, executors, executor_factory)
+def check_cluster(cluster_fn, requests, executor):
+    """Serve ``requests`` with one shared stateless ``executor`` through the
+    seed loop (frozen members) and the kernel (live members)."""
+    seed_m = seed_cluster_run(cluster_fn(), requests, lambda ordinal: executor)
+    kern_m = cluster_fn().run(requests, lambda ordinal: executor)
     assert_cluster_equal(seed_m, kern_m)
 
 
@@ -224,7 +228,7 @@ def test_cluster_clockwork_drain_salvage_matches_seed():
                          for i in range(60)], key=lambda r: r.arrival_ms)
     cluster = lambda: clockwork_salvage_cluster("rr", [1.0, 0.5, 2.0], 5, True)
     check_cluster(cluster, requests, profiled_executor)
-    metrics = cluster().run(requests, profiled_executor)
+    metrics = cluster().run(requests, lambda ordinal: profiled_executor)
     assert metrics.rerouted > 0
     assert len({size for _, size in metrics.fleet_timeline}) > 1
 

@@ -153,7 +153,7 @@ def test_accountant_rejects_bad_parameters():
 # ------------------------------------------------- KV-aware balancer costs
 
 class _View:
-    """A stub resource view exposing the ReplicaHandle cost signals."""
+    """A stub resource view exposing the replica cost signals."""
 
     def __init__(self, work=0.0, hit_ms=0.0, overflow_ms=0.0):
         self._work, self._hit_ms, self._overflow = work, hit_ms, overflow_ms

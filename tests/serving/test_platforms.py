@@ -6,6 +6,7 @@ import pytest
 from repro.core.pipeline import model_stack
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.cluster import ClusterPlatform
+from repro.serving.fleet import ReplicaEntry, ReplicaProfile
 from repro.serving.platform import BatchResult, VanillaExecutor
 from repro.serving.request import make_requests
 from repro.serving.tfserve import TFServingPlatform
@@ -21,7 +22,8 @@ def stack():
 
 def serve(platform, requests, executor):
     """Serve ``requests`` on a fleet of one ``platform`` replica."""
-    return ClusterPlatform([platform]).run(requests, executor).aggregate()
+    return ClusterPlatform([platform]).run(
+        requests, lambda ordinal: executor).aggregate()
 
 
 def burst_requests(stack, n=32, slo_ms=60.0):
@@ -216,18 +218,18 @@ def test_completed_batch_is_removed_from_queue_state(stack):
     """The steppable phases keep queue/responded bookkeeping consistent."""
     _spec, profile, _pred, _cat, executor = stack
     platform = ClockworkPlatform(profile, max_batch_size=4, drop_expired=False)
-    state = platform.new_state()
+    replica = ReplicaEntry(0, platform, None, ReplicaProfile())
     requests = burst_requests(stack, n=6, slo_ms=10_000.0)
     for request in requests:
-        platform.admit(state, request)
-    batch, _wake = platform.select(state, 0.0)
+        platform.admit(replica, request)
+    batch, _wake = platform.select(replica, 0.0)
     assert batch
-    platform.dispatch(state, batch)
-    assert len(state.queue) == 6 - len(batch)
+    platform.dispatch(replica, batch)
+    assert len(replica.queue) == 6 - len(batch)
     result = VanillaExecutor(executor)(batch, 0.0)
-    platform.complete(state, batch, result, 0.0)
-    assert state.busy_until_ms == pytest.approx(result.gpu_time_ms)
-    assert state.serving_batch_size == len(batch)
+    platform.complete(replica, batch, result, 0.0)
+    assert replica.busy_until_ms == pytest.approx(result.gpu_time_ms)
+    assert replica.serving_batch_size == len(batch)
     # Serving the same batch again must trip the conservation guard.
     with pytest.raises(RuntimeError, match="answered twice"):
-        platform.complete(state, batch, result, 0.0)
+        platform.complete(replica, batch, result, 0.0)

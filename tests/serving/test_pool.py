@@ -126,7 +126,8 @@ class _BrokenBalancer(RoundRobinBalancer):
 def _run_classification(**pools):
     platforms = [TFServingPlatform(max_batch_size=4) for _ in range(2)]
     cluster = ClusterPlatform(platforms, **pools)
-    return cluster.run([_request(i, 5.0 * i) for i in range(40)], _executor)
+    return cluster.run([_request(i, 5.0 * i) for i in range(40)],
+                       lambda ordinal: _executor)
 
 
 def _generative_workload(n=40):
@@ -263,9 +264,10 @@ def test_pool_membership_and_books_match_the_frozen_fleet(costs, ops,
         elif op == "busy":
             # Member ``target - 1`` holds its accelerator until
             # ``now + span``: a busy draining member must not retire.
-            for entries in (pool.entries, fleet.entries):
-                if target <= len(entries):
-                    entries[target - 1].state.busy_until_ms = now + span
+            if target <= len(pool.entries):
+                pool.entries[target - 1].busy_until_ms = now + span
+            if target <= len(fleet.entries):
+                fleet.entries[target - 1].state.busy_until_ms = now + span
         elif op == "retire":
             pool.retire_idle(now)
             fleet.retire_idle(now)

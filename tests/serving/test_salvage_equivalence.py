@@ -4,12 +4,15 @@
 arithmetic over per-member completion-offset tables and costs the targets
 only once a doomed request turns up; ``seed_salvage_doomed`` in
 ``tests/serving/_seed_loops.py`` prices every visit through
-``_completion_eta_ms``.  This property runs both on deep copies of one random
-fleet state (Clockwork replicas with a latency profile and profile-less
-TF-Serving ones, draining members, in-flight batches ending before, at and
-after ``now``, deadlines on and around the completion estimates, tied
-targets, requests already rerouted or expired) for two passes, and requires
-the same queues in the same order, reroutes, admissions and return values.
+``_completion_eta_ms``.  This property builds one random fleet twice from
+the same draws — live :class:`~repro.serving.fleet.ReplicaEntry` members for
+the live phase, the oracle's frozen ``ReplicaState``/``ReplicaEntry``
+members for the seed scan — (Clockwork replicas with a latency profile and
+profile-less TF-Serving ones, draining members, in-flight batches ending
+before, at and after ``now``, deadlines on and around the completion
+estimates, tied targets, requests already rerouted or expired), runs both
+for two passes, and requires the same queues in the same order, reroutes,
+admissions and return values.
 """
 
 import copy
@@ -19,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pipeline import model_stack
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.cluster import ClusterPlatform
-from repro.serving.fleet import ACTIVE, DRAINING, RETIRED, ReplicaProfile
+from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, ReplicaEntry,
+                                 ReplicaProfile)
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.difficulty import InputSample
@@ -31,8 +35,8 @@ SAMPLE = InputSample(index=0, raw_difficulty=0.3, sharpness=0.05,
                      confidence_shift=0.0)
 
 
-def _views(fleet):
-    serving = [e for e in fleet.entries if e.status != RETIRED]
+def _views(entries):
+    serving = [e for e in entries if e.status != RETIRED]
     active = [e for e in serving if e.status == ACTIVE]
     for position, entry in enumerate(active):
         entry.index = position
@@ -72,10 +76,11 @@ _deadline = st.sampled_from(["random", "expired", "own_eta", "target_eta"])
 _nudge = st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9])
 
 
-def _fill(draw, fleet, now, next_id, rerouted, sizes):
-    """Append requests to each member's queue; returns the next free id."""
-    _, active = _views(fleet)
-    for entry in fleet.entries:
+def _fill(draw, fleet, members, now, next_id, rerouted, sizes):
+    """Append the same requests to each frozen member's queue and its live
+    twin's; returns the next free id."""
+    _, active = _views(fleet.entries)
+    for entry, member in zip(fleet.entries, members):
         for _ in range(draw(sizes)):
             kind = draw(_deadline)
             arrival, slo = 0.0, 0.0
@@ -96,16 +101,18 @@ def _fill(draw, fleet, now, next_id, rerouted, sizes):
             request = Request(request_id=next_id, arrival_ms=arrival,
                               sample=SAMPLE, slo_ms=slo)
             entry.state.queue.append(request)
+            member.queue.append(copy.copy(request))
             if draw(st.integers(0, 6)) == 0:
-                rerouted.add(next_id)
+                for ids in rerouted:
+                    ids.add(next_id)
             next_id += 1
     return next_id
 
 
-def _snapshot(fleet, rerouted, moved):
+def _snapshot(states, rerouted, moved):
     return (moved, sorted(rerouted),
-            [[r.request_id for r in e.state.queue] for e in fleet.entries],
-            [e.state.first_arrival_ms for e in fleet.entries])
+            [[r.request_id for r in state.queue] for state in states],
+            [state.first_arrival_ms for state in states])
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,36 +123,34 @@ def test_salvage_matches_seed(data, replicas, now, step):
     cluster = ClusterPlatform([p for p, _, _ in replicas], balancer="rr",
                               profiles=[ReplicaProfile(s) for _, s, _ in replicas])
     fleet = FleetState()
-    for (platform, speed, status) in replicas:
+    members = []
+    for replica_id, (platform, speed, status) in enumerate(replicas):
         entry = fleet.add(platform, None, ReplicaProfile(speed), 0.0)
-        entry.status = status
+        member = ReplicaEntry(replica_id, platform, None, ReplicaProfile(speed))
+        entry.status = member.status = status
         busy = draw(_busy)
         if busy == "past":
-            entry.state.busy_until_ms = now - draw(st.floats(0.0, 100.0))
+            until = now - draw(st.floats(0.0, 100.0))
         elif busy == "now":
-            entry.state.busy_until_ms = now
+            until = now
         elif busy == "future":
-            entry.state.busy_until_ms = now + draw(st.floats(0.0, 100.0))
-    rerouted = set()
+            until = now + draw(st.floats(0.0, 100.0))
+        if busy != "idle":
+            entry.state.busy_until_ms = member.busy_until_ms = until
+        members.append(member)
+    live, seed = set(), set()
     small_or_long = st.one_of(st.integers(0, 3), st.integers(0, 40))
-    next_id = _fill(draw, fleet, now, 0, rerouted, small_or_long)
+    next_id = _fill(draw, fleet, members, now, 0, (live, seed), small_or_long)
 
-    live = copy.deepcopy((cluster, fleet, rerouted))
-    seed = copy.deepcopy((cluster, fleet, rerouted))
     for first_pass, pass_now in ((True, now), (False, now + step)):
-        got = live[0]._salvage_doomed(*_views(live[1]), pass_now, live[2])
-        want = seed_salvage_doomed(seed[0], seed[1], _views(seed[1])[1],
-                                   pass_now, seed[2])
-        assert _snapshot(live[1], live[2], got) == _snapshot(seed[1], seed[2], want)
+        got = cluster._salvage_doomed(*_views(members), pass_now, live)
+        want = seed_salvage_doomed(cluster, fleet, _views(fleet.entries)[1],
+                                   pass_now, seed)
+        assert _snapshot(members, live, got) == \
+            _snapshot([e.state for e in fleet.entries], seed, want)
         if not first_pass:
             break
         # Arrivals before the next pass (the live tables grow past their
-        # first use); the seed copy gets the same requests in the same order.
-        first_new = next_id
-        next_id = _fill(draw, live[1], now + step, next_id, live[2],
-                        st.integers(0, 6))
-        for live_entry, seed_entry in zip(live[1].entries, seed[1].entries):
-            seed_entry.state.queue.extend(
-                copy.copy(r) for r in live_entry.state.queue
-                if r.request_id >= first_new)
-        seed[2].update(r for r in live[2] if r >= first_new)
+        # first use); both fleets get the same requests in the same order.
+        next_id = _fill(draw, fleet, members, now + step, next_id,
+                        (live, seed), st.integers(0, 6))

@@ -243,7 +243,7 @@ def test_cluster_reports_per_tenant_rollups():
     platforms = [TFServingPlatform(max_batch_size=4) for _ in range(2)]
     cluster = ClusterPlatform(platforms, balancer="round_robin",
                               tenancy="a:weight=3;b:weight=1")
-    metrics = cluster.run(_requests(100), _executor)
+    metrics = cluster.run(_requests(100), lambda ordinal: _executor)
     rollups = metrics.tenant_rollups
     assert set(rollups) == {"a", "b"}
     assert sum(stats["requests"] for stats in rollups.values()) == 100
@@ -255,7 +255,7 @@ def test_cluster_reports_per_tenant_rollups():
 def test_untenanted_run_reports_no_rollups():
     platforms = [TFServingPlatform(max_batch_size=4) for _ in range(2)]
     cluster = ClusterPlatform(platforms, balancer="round_robin")
-    metrics = cluster.run(_requests(50), _executor)
+    metrics = cluster.run(_requests(50), lambda ordinal: _executor)
     assert metrics.tenant_rollups == {}
 
 

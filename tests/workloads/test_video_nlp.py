@@ -20,9 +20,18 @@ def test_video_presets_differ_in_difficulty():
     assert night.trace.mean_difficulty() > day.trace.mean_difficulty()
 
 
-def test_video_unknown_preset_falls_back():
-    wl = make_video_workload("unknown-scene", num_frames=100, seed=0)
-    assert len(wl) == 100
+def test_video_unknown_preset_raises():
+    """An unknown scene used to draw a trace from urban-day's statistics."""
+    with pytest.raises(ValueError, match="'unknown-scene'.*urban-day"):
+        make_video_workload("unknown-scene", num_frames=100, seed=0)
+
+
+def test_unknown_nlp_and_generative_presets_raise():
+    from repro.generative.sequences import make_generative_workload
+    with pytest.raises(ValueError, match="'yelp'.*amazon"):
+        make_nlp_workload("yelp", num_requests=10, seed=0)
+    with pytest.raises(ValueError, match="'wiki'.*cnn-dailymail"):
+        make_generative_workload("wiki", num_sequences=10, seed=0)
 
 
 def test_video_preset_overrides_apply():
