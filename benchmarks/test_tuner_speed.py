@@ -10,9 +10,13 @@ two ways:
   256 rows (the controller's violation and periodic tuning windows) is tuned
   by the seed tuner (``seed_tune_thresholds_greedy`` in
   ``tests/exits/_seed_tuner.py``, one ``evaluate_thresholds`` call per trial
-  configuration) and by the live tuner (one batched replay per round).  Both
-  must return identical thresholds, counters and evaluations; the live tuner
-  must be at least ``MIN_SPEEDUP`` times faster.
+  configuration), by the batched tuner that followed it
+  (``batched_tune_thresholds_greedy``, one replay of the whole window per
+  round) and by the live tuner (each trial scored from the samples it
+  moves).  All three must return identical thresholds, counters and
+  evaluations; in the fastest of ``ISOLATION_PASSES`` alternating passes
+  each, the live tuner must be at least ``MIN_SPEEDUP`` times faster than
+  the seed, and its speedup over the batched tuner is recorded.
 * **End to end:** ``Experiment.run`` with ``vanilla`` and ``apparate`` on a
   4-replica resnet50 ``video``/``urban-day`` fleet near capacity (600 frames
   at 250 fps, ``join_shortest_queue``, one crash at 1 s for 800 ms,
@@ -46,18 +50,23 @@ import numpy as np
 
 from repro.api import ClusterSpec, Experiment, WorkloadSpec
 from repro.exits.thresholds import tune_thresholds_greedy
-from tests.exits._seed_tuner import seed_tune_thresholds_greedy
+from tests.exits._seed_tuner import (batched_tune_thresholds_greedy,
+                                     seed_tune_thresholds_greedy)
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_tuner.json"
 
 #: The live tuner must get through the isolation windows at least this many
 #: times faster than the seed tuner.
-MIN_SPEEDUP = 5.0
+MIN_SPEEDUP = 15.0
 #: Apparate's median ``Experiment.run`` wall time on the fleet may be at most
 #: this many times vanilla's.
-MAX_RATIO = 4.0
+MAX_RATIO = 3.0
 
 SMOKE_WINDOWS = 40
+#: Alternating timed passes of the three tuners over the windows; each
+#: tuner's fastest pass counts, so one slow moment of a shared host does not
+#: decide the race.
+ISOLATION_PASSES = 3
 FULL_WINDOWS = 200
 WINDOW_SEED = 2024
 NUM_RAMPS = 10
@@ -112,14 +121,20 @@ def _windows(count, seed=WINDOW_SEED):
     return windows
 
 
-def _tune_all(tuner, windows):
-    """Tune every window; (wall seconds, results)."""
-    t0 = time.perf_counter()
-    results = [tuner(errors, correct, depths, overheads_ms, FULL_LATENCY_MS,
-                     accuracy_constraint=ACCURACY_CONSTRAINT,
-                     conservative_margin=CONSERVATIVE_MARGIN)
-               for errors, correct, depths, overheads_ms in windows]
-    return time.perf_counter() - t0, results
+def _race(tuners, windows):
+    """``ISOLATION_PASSES`` alternating passes of every tuner over every
+    window; per tuner, (its fastest pass in wall seconds, its results)."""
+    fastest = [float("inf")] * len(tuners)
+    results = [None] * len(tuners)
+    for _ in range(ISOLATION_PASSES):
+        for k, tuner in enumerate(tuners):
+            t0 = time.perf_counter()
+            results[k] = [tuner(errors, correct, depths, overheads_ms, FULL_LATENCY_MS,
+                                accuracy_constraint=ACCURACY_CONSTRAINT,
+                                conservative_margin=CONSERVATIVE_MARGIN)
+                          for errors, correct, depths, overheads_ms in windows]
+            fastest[k] = min(fastest[k], time.perf_counter() - t0)
+    return list(zip(fastest, results))
 
 
 def _same_result(live, seed):
@@ -154,11 +169,13 @@ def test_tuner_speed():
     n, write = _mode()
     windows = _windows(n)
 
-    seed_s, seed_results = _tune_all(seed_tune_thresholds_greedy, windows)
-    live_s, live_results = _tune_all(tune_thresholds_greedy, windows)
+    (seed_s, seed_results), (batched_s, batched_results), (live_s, live_results) = _race(
+        (seed_tune_thresholds_greedy, batched_tune_thresholds_greedy, tune_thresholds_greedy),
+        windows)
 
     # Speed means nothing if the decisions drift: identical results.
-    assert all(_same_result(live, seed) for live, seed in zip(live_results, seed_results))
+    assert all(_same_result(live, seed) and _same_result(batched, seed)
+               for live, batched, seed in zip(live_results, batched_results, seed_results))
     # The windows must make the search work: rounds pile up, and every
     # 256-row window gets exits.  (At 48 rows the controller's margin of 0.5
     # wrong results needs an observed loss below 0.75% - 1.04% < 0, so the
@@ -169,6 +186,7 @@ def test_tuner_speed():
     assert all(any(r.thresholds) for r in live_results[1::2])
     assert rounds >= 10 * n
     speedup = seed_s / live_s
+    speedup_over_batched = batched_s / live_s
 
     # End to end: warm the trace cache and model stacks, then alternate.
     _timed_run("vanilla")
@@ -186,7 +204,8 @@ def test_tuner_speed():
     ratio = apparate_wall / vanilla_wall
 
     print(f"\ntuner ({n} windows, {evaluations:,} trial evaluations): seed "
-          f"{seed_s:.3f} s, live {live_s:.3f} s, speedup {speedup:.1f}x; fleet "
+          f"{seed_s:.3f} s, batched {batched_s:.3f} s, live {live_s:.3f} s, "
+          f"speedup {speedup:.1f}x ({speedup_over_batched:.1f}x over batched); fleet "
           f"({FRAMES} frames): vanilla {vanilla_wall:.3f} s, apparate "
           f"{apparate_wall:.3f} s, ratio {ratio:.2f}x")
 
@@ -194,11 +213,14 @@ def test_tuner_speed():
         BENCH_PATH.write_text(json.dumps({
             "isolation": {
                 "windows": n, "window_seed": WINDOW_SEED,
+                "passes": ISOLATION_PASSES,
                 "window_rows": list(WINDOW_ROWS), "ramps": NUM_RAMPS,
                 "rounds": rounds, "evaluations": evaluations,
                 "seed_wall_s": round(seed_s, 3),
+                "batched_wall_s": round(batched_s, 3),
                 "live_wall_s": round(live_s, 3),
                 "speedup": round(speedup, 2),
+                "speedup_over_batched": round(speedup_over_batched, 2),
             },
             "end_to_end": {
                 "model": MODEL, "workload": "video/urban-day",

@@ -19,6 +19,7 @@ call.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import itertools
 import math
 import numbers
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Union)
 
-from repro.api.registry import canonical_system_name, get_system
+from repro.api.registry import canonical_system_name, get_system, list_systems
 from repro.api.result import (KIND_CLASSIFICATION, KIND_GENERATIVE, RunReport,
                               RunResult, SweepPoint, SweepReport)
 from repro.api.specs import ClusterSpec, ExitPolicySpec, WorkloadSpec
@@ -99,7 +100,9 @@ class Experiment:
         models and the balancers.
     overrides:
         Per-system keyword overrides, e.g. ``{"static_ee": {"variant": ...}}``,
-        for knobs that only one system understands; each value is a mapping.
+        for knobs that only one system understands; each value is a mapping,
+        and each key a registered system name or alias (an unknown one
+        raises :class:`ValueError` naming ``overrides``).
     trace:
         Observability knob (:mod:`repro.obs`): ``None``/``False`` (default)
         runs untraced, ``True`` records spans + gauges with default settings,
@@ -144,10 +147,17 @@ class Experiment:
         if not isinstance(self.overrides, Mapping):
             raise ValueError(f"overrides must map system names to keyword "
                              f"mappings, got {self.overrides!r}")
+        import repro.api.systems  # noqa: F401  (registrations, for the keys)
+
         for system, knobs in self.overrides.items():
             if not isinstance(knobs, Mapping):
                 raise ValueError(f"overrides[{system!r}] must be a mapping of "
                                  f"keyword overrides, got {knobs!r}")
+            try:
+                canonical_system_name(system)
+            except ValueError:
+                raise ValueError(f"overrides names unknown system {system!r}; "
+                                 f"registered systems: {list_systems()}") from None
 
     # ------------------------------------------------------------ properties
     @property
@@ -247,6 +257,13 @@ class Experiment:
                                   "name": getattr(self.workload, "name", "custom")}
         params["cluster"] = self.cluster.describe()
         params["ee"] = self.ee.describe()
+        if self.overrides:
+            overrides: Dict[str, Dict[str, Any]] = {}
+            for system, knobs in self.overrides.items():
+                overrides.setdefault(canonical_system_name(system), {}).update(
+                    (key, value.value if isinstance(value, enum.Enum) else value)
+                    for key, value in knobs.items())
+            params["overrides"] = overrides
         if self.trace is not None and self.trace is not False:
             from repro.obs import coerce_trace
 

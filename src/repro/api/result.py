@@ -246,10 +246,6 @@ class SweepPoint:
     wall_s: Optional[float] = field(default=None, compare=False)
     cache: Optional[Dict[str, int]] = field(default=None, compare=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
 
 @dataclass
 class SweepReport:

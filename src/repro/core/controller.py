@@ -92,12 +92,11 @@ class ApparateController:
         self.stats.record_config(0, self.config.active_ramp_ids)
 
     # ----------------------------------------------------------- config view
-    def deployed_config(self) -> Tuple[List[int], List[float], List[float], List[float]]:
-        """Return (ramp_ids, depths, thresholds, overhead fractions) for the GPU."""
-        return (list(self.config.active_ramp_ids),
-                self.config.ordered_depths(),
-                self.config.ordered_thresholds(),
-                self.config.ordered_overheads())
+    def deployed_config(self) -> Tuple[Tuple[int, ...], Tuple[float, ...],
+                                       Tuple[float, ...], Tuple[float, ...]]:
+        """Return (ramp_ids, depths, thresholds, overhead fractions) for the
+        GPU: read-only tuples, rebuilt only when the configuration changes."""
+        return self.config.deployed()
 
     def overhead_budget_ok(self) -> bool:
         return self.config.within_budget()
@@ -222,7 +221,8 @@ class _SyncedReplicaController:
         self._buffer: List[BatchExecution] = []
         self._buffered_samples = 0
 
-    def deployed_config(self) -> Tuple[List[int], List[float], List[float], List[float]]:
+    def deployed_config(self) -> Tuple[Tuple[int, ...], Tuple[float, ...],
+                                       Tuple[float, ...], Tuple[float, ...]]:
         return self.shared.deployed_config()
 
     def observe_batch(self, execution: BatchExecution) -> None:

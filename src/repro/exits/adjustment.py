@@ -112,28 +112,29 @@ class RampAdjuster:
         negative = [u for u in utilities if not u.positive]
 
         if negative:
-            return self._handle_negative(config, window, full_latency_ms, utilities)
+            return self._handle_negative(config, window, full_latency_ms, evaluation,
+                                         utilities)
         return self._probe(config, utilities)
 
     # ------------------------------------------------------------- negatives
     def _handle_negative(self, config: EEConfig, window: WindowBuffer,
-                         full_latency_ms: float,
+                         full_latency_ms: float, evaluation: ConfigEvaluation,
                          utilities: List[RampUtility]) -> AdjustmentDecision:
-        """Negative-utility path: retune thresholds, else replace ramps."""
+        """Negative-utility path: retune thresholds, else replace ramps.
+
+        ``evaluation`` is the whole window replayed under the current
+        thresholds; the retune's own evaluation replays the same window under
+        the new ones (the tuner returns thresholds in ``[0, 1]``, which
+        setting them on the configuration leaves unchanged).
+        """
         overheads_ms = [o * full_latency_ms for o in config.ordered_overheads()]
         retune = tune_thresholds_greedy(window.errors_matrix(), window.correct_matrix(),
                                         config.ordered_depths(), overheads_ms,
                                         full_latency_ms,
                                         accuracy_constraint=self.accuracy_constraint)
-        trial = config.copy()
-        trial.set_thresholds(retune.thresholds_by_ramp(config.active_ramp_ids))
-        trial_eval = window.evaluate(trial.ordered_thresholds(), trial.ordered_depths(),
-                                     overheads_ms, full_latency_ms)
-        trial_utilities = self.compute_utilities(trial, trial_eval)
-        current_eval = window.evaluate(config.ordered_thresholds(), config.ordered_depths(),
-                                       overheads_ms, full_latency_ms)
+        trial_utilities = self.compute_utilities(config, retune.evaluation)
         if all(u.positive for u in trial_utilities) and \
-                trial_eval.mean_savings_ms >= current_eval.mean_savings_ms:
+                retune.evaluation.mean_savings_ms >= evaluation.mean_savings_ms:
             return AdjustmentDecision(
                 action="retuned-thresholds",
                 new_thresholds=retune.thresholds_by_ramp(config.active_ramp_ids),

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from repro.exits.placement import RampCatalog
-from repro.exits.ramps import RampSpec
 
 __all__ = ["EEConfig"]
 
@@ -18,12 +17,16 @@ class EEConfig:
     The configuration is always expressed against a :class:`RampCatalog`; ramp
     ids index into the catalog.  Thresholds live in ``[0, 1]``: a threshold of
     0 disables exiting at that ramp (the state every newly added ramp starts
-    in, §3.1/§3.3).
+    in, §3.1/§3.3).  Change the ramp set and thresholds through the methods:
+    they keep :meth:`deployed` current.
     """
 
     catalog: RampCatalog
     active_ramp_ids: List[int] = field(default_factory=list)
     thresholds: Dict[int, float] = field(default_factory=dict)
+    _deployed: Optional[Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...],
+                              Tuple[float, ...]]] = field(default=None, init=False,
+                                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.active_ramp_ids = sorted(set(int(r) for r in self.active_ramp_ids))
@@ -32,12 +35,8 @@ class EEConfig:
         self._validate()
 
     # ---------------------------------------------------------------- access
-    def active_ramps(self) -> List[RampSpec]:
-        """Active ramps in model order."""
-        return [self.catalog.ramp(r) for r in self.active_ramp_ids]
-
     def ordered_thresholds(self) -> List[float]:
-        """Thresholds aligned with :meth:`active_ramps`."""
+        """Thresholds of the active ramps, in model order."""
         return [self.thresholds[r] for r in self.active_ramp_ids]
 
     def ordered_depths(self) -> List[float]:
@@ -55,11 +54,22 @@ class EEConfig:
     def within_budget(self) -> bool:
         return self.catalog.within_budget(self.active_ramp_ids)
 
+    def deployed(self) -> Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...],
+                                Tuple[float, ...]]:
+        """(ramp ids, depths, thresholds, overhead fractions) of the active
+        ramps in model order, as tuples kept until the next change."""
+        if self._deployed is None:
+            self._deployed = (tuple(self.active_ramp_ids), tuple(self.ordered_depths()),
+                              tuple(self.ordered_thresholds()),
+                              tuple(self.ordered_overheads()))
+        return self._deployed
+
     # ------------------------------------------------------------- mutation
     def set_threshold(self, ramp_id: int, threshold: float) -> None:
         if ramp_id not in self.thresholds:
             raise KeyError(f"ramp {ramp_id} is not active")
         self.thresholds[ramp_id] = float(min(max(threshold, 0.0), 1.0))
+        self._deployed = None
 
     def set_thresholds(self, thresholds: Dict[int, float]) -> None:
         for ramp_id, value in thresholds.items():
@@ -75,16 +85,19 @@ class EEConfig:
         self.active_ramp_ids.append(ramp_id)
         self.active_ramp_ids.sort()
         self.thresholds[ramp_id] = float(min(max(threshold, 0.0), 1.0))
+        self._deployed = None
 
     def remove_ramp(self, ramp_id: int) -> None:
         if ramp_id in self.active_ramp_ids:
             self.active_ramp_ids.remove(ramp_id)
             self.thresholds.pop(ramp_id, None)
+            self._deployed = None
 
     def disable_all_exits(self) -> None:
         """Set every threshold to 0 (behaves exactly like the vanilla model)."""
         for ramp_id in self.active_ramp_ids:
             self.thresholds[ramp_id] = 0.0
+        self._deployed = None
 
     def copy(self) -> "EEConfig":
         return EEConfig(catalog=self.catalog,

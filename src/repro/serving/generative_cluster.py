@@ -329,10 +329,6 @@ class GenerativeClusterMetrics(FleetMetrics):
     def total_tokens(self) -> int:
         return self.aggregate().num_tokens()
 
-    def p99_token_latency(self) -> float:
-        """Queueing-inclusive per-token p99 over the merged stream."""
-        return self.aggregate().p99_token_latency()
-
     def summary(self) -> Dict[str, float]:
         """Fleet rollup: aggregate token stats plus cluster-only metrics."""
         data = self.aggregate().summary()

@@ -197,15 +197,6 @@ class GenerativeMetrics:
     def median_tpt(self) -> float:
         return self.tpt_summary()["p50"]
 
-    def p25_tpt(self) -> float:
-        return self.tpt_summary()["p25"]
-
-    def p95_tpt(self) -> float:
-        return self.tpt_summary()["p95"]
-
-    def p99_tpt(self) -> float:
-        return self.tpt_summary()["p99"]
-
     def _first_tokens(self) -> Tuple[List[int], List[float]]:
         """Column positions of every stream's first token, and that token's
         latency from its sequence's arrival (TPT plus queueing delay)."""
@@ -247,12 +238,6 @@ class GenerativeMetrics:
 
     def ttft_summary(self) -> Dict[str, float]:
         return summarize_latencies(self.ttft_values())
-
-    def mean_ttft(self) -> float:
-        return self.ttft_summary()["mean"]
-
-    def p99_ttft(self) -> float:
-        return self.ttft_summary()["p99"]
 
     def num_shed(self) -> int:
         return len(self.shed_sequence_ids)

@@ -427,9 +427,6 @@ class ClusterMetrics(FleetMetrics):
     def fleet_throughput_qps(self) -> float:
         return self.aggregate().throughput_qps()
 
-    def fleet_goodput_qps(self, slo_ms: Optional[float] = None) -> float:
-        return self.aggregate().goodput_qps(slo_ms)
-
     def fleet_slo_violation_rate(self, slo_ms: float) -> float:
         return self.aggregate().slo_violation_rate(slo_ms)
 

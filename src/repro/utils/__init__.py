@@ -2,7 +2,6 @@
 
 from repro.utils.rng import RngFactory, derive_seed
 from repro.utils.stats import (
-    LatencyAccumulator,
     WindowedAccuracy,
     percentile,
     summarize_latencies,
@@ -11,7 +10,6 @@ from repro.utils.stats import (
 __all__ = [
     "RngFactory",
     "derive_seed",
-    "LatencyAccumulator",
     "WindowedAccuracy",
     "percentile",
     "summarize_latencies",

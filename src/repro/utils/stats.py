@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Sequence
+from typing import Deque, Dict, Sequence
 
 import numpy as np
 
@@ -12,7 +11,6 @@ __all__ = [
     "percentile",
     "summarize_latencies",
     "WindowedAccuracy",
-    "LatencyAccumulator",
 ]
 
 
@@ -82,39 +80,6 @@ class WindowedAccuracy:
 
     def __len__(self) -> int:
         return len(self._hits)
-
-
-@dataclass
-class LatencyAccumulator:
-    """Accumulates per-request latencies and exposes summary statistics."""
-
-    values: List[float] = field(default_factory=list)
-
-    def add(self, latency: float) -> None:
-        self.values.append(float(latency))
-
-    def extend(self, latencies: Iterable[float]) -> None:
-        self.values.extend(float(v) for v in latencies)
-
-    def summary(self) -> Dict[str, float]:
-        return summarize_latencies(self.values)
-
-    def median(self) -> float:
-        return percentile(self.values, 50)
-
-    def p95(self) -> float:
-        return percentile(self.values, 95)
-
-    def p25(self) -> float:
-        return percentile(self.values, 25)
-
-    def mean(self) -> float:
-        if not self.values:
-            return 0.0
-        return float(np.mean(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def savings_percent(baseline: float, improved: float) -> float:

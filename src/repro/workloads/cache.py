@@ -38,7 +38,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 __all__ = ["TraceCache", "trace_key", "get_or_materialize", "cache_info",
-           "cache_clear", "configure"]
+           "cache_clear"]
 
 #: Default LRU capacity; override with the REPRO_TRACE_CACHE_SIZE env var.
 DEFAULT_MAXSIZE = 32
@@ -175,16 +175,3 @@ def cache_info() -> Dict[str, int]:
 def cache_clear() -> None:
     """Drop every cached trace and reset the counters."""
     TRACE_CACHE.clear()
-
-
-def configure(maxsize: Optional[int] = None) -> TraceCache:
-    """Re-bound the process-wide cache (``0`` disables caching); returns it."""
-    if maxsize is not None:
-        if int(maxsize) < 0:
-            raise ValueError(f"maxsize must be >= 0, got {maxsize}")
-        with TRACE_CACHE._lock:
-            TRACE_CACHE.maxsize = int(maxsize)
-            while len(TRACE_CACHE._entries) > TRACE_CACHE.maxsize:
-                TRACE_CACHE._entries.popitem(last=False)
-                TRACE_CACHE.evictions += 1
-    return TRACE_CACHE

@@ -391,11 +391,29 @@ def test_overrides_keyed_by_alias_reach_the_canonical_system():
 
 
 def test_overrides_for_unknown_system_raise():
-    experiment = Experiment(model="resnet50",
-                            workload=WorkloadSpec("video", requests=100),
-                            overrides={"static_eee": {"variant": "per_ramp"}})
-    with pytest.raises(ValueError, match="static_eee"):
-        experiment.run(["static_ee"])
+    with pytest.raises(ValueError, match="overrides names unknown system 'static_eee'"):
+        Experiment(model="resnet50", workload=WorkloadSpec("video", requests=100),
+                   overrides={"static_eee": {"variant": "per_ramp"}})
+
+
+def test_sweep_with_an_unknown_override_system_runs_no_point():
+    progress = []
+    with pytest.raises(ValueError, match="overrides.*static_eee"):
+        Experiment(model="resnet50", workload=WorkloadSpec("video", requests=100),
+                   overrides={"static_eee": {"variant": "per_ramp"}}).sweep(
+            ["vanilla"], replicas=[1, 2], progress=lambda *args: progress.append(args))
+    assert progress == []
+
+
+def test_describe_reports_overrides_by_canonical_system_only_when_set():
+    plain = Experiment(model="resnet50", workload=WorkloadSpec("video", requests=100))
+    assert "overrides" not in plain.describe()
+    experiment = Experiment(model="resnet50", workload=WorkloadSpec("video", requests=100),
+                            overrides={"static": {"variant": StaticEEVariant.PER_RAMP}})
+    assert experiment.describe()["overrides"] == {"static_ee": {"variant": "per_ramp"}}
+    result = experiment.run(["static_ee"]).result("static_ee")
+    assert result.params["overrides"] == {"static_ee": {"variant": "per_ramp"}}
+    json.dumps(result.to_json())
 
 
 def test_unknown_override_keyword_raises_value_error():

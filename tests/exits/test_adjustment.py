@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.controller import ApparateController
 from repro.core.pipeline import model_stack
 from repro.exits.adjustment import RampAdjuster, RampUtility
 from repro.exits.config import EEConfig
 from repro.exits.evaluation import WindowBuffer
+from repro.exits.thresholds import tune_thresholds_greedy
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +134,62 @@ def test_round_position_moves_later_each_round():
     assert second == 4
     assert RampAdjuster._round_position(6, 10) is None
     assert RampAdjuster._round_position(0, 0) is None
+
+
+def _replayed_retune(adjuster, config, window, full_latency_ms):
+    """The negative path's retune check with its own window replays, as it
+    stood before it reused ``propose``'s evaluation and the retune's:
+    (retuned?, the new thresholds, their utilities)."""
+    overheads_ms = [o * full_latency_ms for o in config.ordered_overheads()]
+    retune = tune_thresholds_greedy(window.errors_matrix(), window.correct_matrix(),
+                                    config.ordered_depths(), overheads_ms, full_latency_ms,
+                                    accuracy_constraint=adjuster.accuracy_constraint)
+    thresholds = retune.thresholds_by_ramp(config.active_ramp_ids)
+    trial = config.copy()
+    trial.set_thresholds(thresholds)
+    trial_eval = window.evaluate(trial.ordered_thresholds(), trial.ordered_depths(),
+                                 overheads_ms, full_latency_ms)
+    current_eval = window.evaluate(config.ordered_thresholds(), config.ordered_depths(),
+                                   overheads_ms, full_latency_ms)
+    utilities = adjuster.compute_utilities(trial, trial_eval)
+    retuned = all(u.positive for u in utilities) and \
+        trial_eval.mean_savings_ms >= current_eval.mean_savings_ms
+    return retuned, thresholds, utilities
+
+
+def test_negative_path_decides_as_its_own_replays_did(monkeypatch):
+    spec, profile, _pred, catalog, executor = model_stack("resnet50", seed=7)
+    controller = ApparateController(spec, catalog, profile, accuracy_constraint=0.02,
+                                    tuning_window=48, threshold_refresh_period=8,
+                                    ramp_adjustment_period=20, min_tuning_samples=12)
+    handle_negative = RampAdjuster._handle_negative
+    outcomes = []
+
+    def checked(self, config, window, full_latency_ms, evaluation, utilities):
+        retuned, thresholds, retuned_utilities = _replayed_retune(self, config, window,
+                                                                  full_latency_ms)
+        decision = handle_negative(self, config, window, full_latency_ms, evaluation,
+                                   utilities)
+        assert (decision.action == "retuned-thresholds") == retuned
+        if retuned:
+            assert decision.new_thresholds == thresholds
+            assert decision.utilities == retuned_utilities
+        outcomes.append(retuned)
+        return decision
+
+    monkeypatch.setattr(RampAdjuster, "_handle_negative", checked)
+    rng = np.random.default_rng(0)
+    for step in range(60):
+        regime = ("easy", "easy", "hard", "shifted")[step % 4]
+        if regime == "easy":
+            raws, shifts = rng.beta(2.0, 5.0, 8), rng.uniform(-0.02, 0.02, 8)
+        elif regime == "hard":
+            raws, shifts = rng.uniform(0.4, 1.0, 8), rng.uniform(-0.02, 0.02, 8)
+        else:                       # over-confident: wrong exits escape
+            raws, shifts = rng.uniform(0.2, 0.9, 8), rng.uniform(0.2, 0.5, 8)
+        sharpness = rng.uniform(0.02, 0.1, 8)
+        controller.observe_batch(executor.execute_batch(
+            raws.tolist(), sharpness.tolist(), *controller.deployed_config(),
+            confidence_shifts=shifts.tolist()))
+    # Both outcomes of the retune check came up.
+    assert True in outcomes and False in outcomes

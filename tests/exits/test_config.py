@@ -94,3 +94,23 @@ def test_ordered_views_aligned(catalog):
 def test_describe_mentions_ramps(catalog):
     config = EEConfig(catalog=catalog, active_ramp_ids=[0])
     assert catalog.ramp(0).node_name in config.describe()
+
+
+def test_deployed_view_is_kept_until_each_change(catalog):
+    config = EEConfig(catalog=catalog, active_ramp_ids=[1, 4], thresholds={1: 0.2, 4: 0.6})
+
+    def fresh():
+        return (tuple(config.active_ramp_ids), tuple(config.ordered_depths()),
+                tuple(config.ordered_thresholds()), tuple(config.ordered_overheads()))
+
+    view = config.deployed()
+    assert view == fresh() and config.deployed() is view
+    for change in (lambda: config.set_threshold(4, 0.3),
+                   lambda: config.set_thresholds({1: 0.5}),
+                   lambda: config.add_ramp(6, threshold=0.1),
+                   lambda: config.remove_ramp(1),
+                   config.disable_all_exits):
+        change()
+        assert config.deployed() is not view
+        view = config.deployed()
+        assert view == fresh()

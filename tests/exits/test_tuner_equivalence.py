@@ -1,25 +1,37 @@
-"""The batched greedy tuner and the ring-buffer feedback window against their
-pre-rewrite versions (``tests/exits/_seed_tuner.py``).
+"""The delta-scoring greedy tuner and the ring-buffer feedback window against
+their earlier versions (``tests/exits/_seed_tuner.py``).
 
-Both properties require *bit-identical* behaviour: the live tuner replays all
-trial configurations of a round in one numpy pass, the seed calls
-``evaluate_thresholds`` once per trial, and the two must agree on the
-thresholds, round and evaluation counts and every ``ConfigEvaluation`` field;
-the live window keeps two preallocated ring buffers, the seed a deque of rows,
-and every read must return the same shapes, dtypes and values.  The seed
-window records one request's observations (``RampObservation``s in any order,
-extra ramps ignored); the live one takes the same request as one row in its
-ramp order.
+Every property requires *bit-identical* behaviour.  The live tuner scores a
+trial from the samples it moves, the batched oracle replays all trial
+configurations of a round in one numpy pass, and the seed calls
+``evaluate_thresholds`` once per trial: all three must agree on the
+thresholds, round and evaluation counts and every ``ConfigEvaluation`` field.
+Seeded tie windows pin the live tuner's exact re-rank (delta scores alone
+step differently there), and whole apparate and static-EE runs must produce
+the same ``to_json()`` with the seed tuner patched in.  The live window keeps
+two preallocated ring buffers, the seed a deque of rows, and every read must
+return the same shapes, dtypes and values.  The seed window records one
+request's observations (``RampObservation``s in any order, extra ramps
+ignored); the live one takes the same request as one row in its ramp order.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ClusterSpec, Experiment, WorkloadSpec
+from repro.baselines import static_ee as static_ee_module
+from repro.core import controller as controller_module
+from repro.exits import adjustment as adjustment_module
+from repro.exits import thresholds as thresholds_module
 from repro.exits.evaluation import ConfigEvaluation, WindowBuffer, evaluate_thresholds
-from repro.exits.thresholds import _TrialReplay, tune_thresholds_greedy
+from repro.exits.thresholds import tune_thresholds_greedy
 from tests.exits._seed_ee_batch import RampObservation
-from tests.exits._seed_tuner import SeedWindowBuffer, seed_tune_thresholds_greedy
+from tests.exits._seed_tuner import (SeedWindowBuffer, TrialReplay,
+                                     batched_tune_thresholds_greedy,
+                                     seed_tune_thresholds_greedy)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -130,6 +142,17 @@ _knobs = st.fixed_dictionaries({
 @given(window=windows(), knobs=_knobs)
 def test_batched_tuner_matches_seed(window, knobs):
     errors, correct, depths, overheads_ms, full_latency_ms = window
+    batched = batched_tune_thresholds_greedy(errors, correct, depths, overheads_ms,
+                                             full_latency_ms, **knobs)
+    seed = seed_tune_thresholds_greedy(errors, correct, depths, overheads_ms,
+                                       full_latency_ms, **knobs)
+    assert_same_tuning(batched, seed)
+
+
+@SETTINGS
+@given(window=windows(), knobs=_knobs)
+def test_delta_tuner_matches_seed(window, knobs):
+    errors, correct, depths, overheads_ms, full_latency_ms = window
     live = tune_thresholds_greedy(errors, correct, depths, overheads_ms,
                                   full_latency_ms, **knobs)
     seed = seed_tune_thresholds_greedy(errors, correct, depths, overheads_ms,
@@ -148,8 +171,8 @@ def test_trial_scores_match_evaluate_thresholds(window, trial_seed, num_trials):
     rng = np.random.default_rng(trial_seed)
     trials = rng.choice(np.append(REACHABLE, [0.0, -0.1, 1.0]),
                         (num_trials, len(depths)))
-    accuracies, savings = _TrialReplay(errors, correct, depths, overheads_ms,
-                                       full_latency_ms).score(trials)
+    accuracies, savings = TrialReplay(errors, correct, depths, overheads_ms,
+                                      full_latency_ms).score(trials)
     for row, accuracy, mean_savings in zip(trials, accuracies, savings):
         alone = evaluate_thresholds(errors, correct, row.tolist(), depths,
                                     overheads_ms, full_latency_ms)
@@ -175,13 +198,112 @@ def test_tuner_matches_seed_on_list_input(window):
 
 def test_tuner_raises_like_seed_on_mismatched_shapes():
     errors = np.full((4, 2), 0.1)
-    for correct, depths, overheads in [
-            (np.ones((3, 2), bool), [0.3, 0.6], [0.1, 0.1]),
-            (np.ones((4, 2), bool), [0.3], [0.1]),
-            (np.ones((4, 2), bool), [0.3, 0.6], [0.1])]:
+    for correct, depths, overheads, match in [
+            (np.ones((3, 2), bool), [0.3, 0.6], [0.1, 0.1], "same shape"),
+            (np.ones((4, 2), bool), [0.3], [0.1], "per-ramp arrays"),
+            (np.ones((4, 2), bool), [0.3, 0.6], [0.1], "per-ramp arrays")]:
         for tuner in (tune_thresholds_greedy, seed_tune_thresholds_greedy):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 tuner(errors, correct, depths, overheads, 10.0)
+
+
+def _tie_window(seed):
+    """A window full of exact ties: 257-599 rows, depths from {0.25, 0.5,
+    0.75}, free ramps and a repeated column, so different trials often
+    have the same real-valued mean savings, which rounding then orders."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(257, 600))
+    num_ramps = int(rng.integers(2, 11))
+    kinds = rng.choice(["uniform", "skewed", "reachable", "extremes", "signed",
+                        "duplicates"], num_ramps)
+    columns = [_column(kind, n, rng) for kind in kinds]
+    columns[-1] = columns[0]
+    errors = np.column_stack([c[0] for c in columns])
+    correct = np.column_stack([c[1] for c in columns])
+    depths = np.sort(rng.choice([0.25, 0.5, 0.75], num_ramps)).tolist()
+    full_latency_ms = float(rng.choice([16.4, 20.0, 3.3, 103.0]))
+    return errors, correct, depths, [0.0] * num_ramps, full_latency_ms
+
+
+def _pick_by_delta_alone(moves, best_accuracy, slack):
+    """The delta ranking with no exact re-rank: the first best delta score."""
+    best, best_score = None, -np.inf
+    for index, (_, _, _, gain, accuracy) in enumerate(moves):
+        if gain <= 0.0:
+            continue
+        score = gain / max(max(best_accuracy - accuracy, 0.0), thresholds_module._EPS_LOSS)
+        if score > best_score:
+            best, best_score = index, score
+    return True, best
+
+
+@pytest.mark.parametrize("window_seed", [4, 42, 77])
+def test_exact_rerank_decides_rounding_ties(window_seed, monkeypatch):
+    """On these windows delta scores alone take a different step than the
+    seed; the re-rank with the replay's exact means takes the seed's."""
+    window = _tie_window(window_seed)
+    seed = seed_tune_thresholds_greedy(*window, accuracy_constraint=0.0)
+    reranks = []
+    pick_exactly = thresholds_module._pick_exactly
+
+    def counting(*args):
+        reranks.append(args)
+        return pick_exactly(*args)
+
+    monkeypatch.setattr(thresholds_module, "_pick_exactly", counting)
+    assert_same_tuning(tune_thresholds_greedy(*window, accuracy_constraint=0.0), seed)
+    assert reranks
+
+    monkeypatch.setattr(thresholds_module, "_pick_by_delta", _pick_by_delta_alone)
+    alone = tune_thresholds_greedy(*window, accuracy_constraint=0.0)
+    assert (alone.thresholds, alone.rounds) != (seed.thresholds, seed.rounds)
+
+
+# --------------------------------------------------------------- whole runs
+
+def _patch_tuner(monkeypatch, modules, tuner):
+    """Route every ``tune_thresholds_greedy`` call of ``modules`` to
+    ``tuner``; returns the list of calls it sees."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tuner(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "tune_thresholds_greedy", counting)
+    return calls
+
+
+def _result_json(experiment, system):
+    return json.dumps(experiment.run([system]).result(system).to_json())
+
+
+def test_apparate_fleet_run_matches_with_seed_tuner(monkeypatch):
+    """One cv-fleet trace: 4 resnet50 replicas near capacity with a crash."""
+    def experiment():
+        return Experiment(model="resnet50",
+                          workload=WorkloadSpec("video", "urban-day", requests=600,
+                                                rate=250.0, seed=0),
+                          cluster=ClusterSpec(replicas=4, balancer="join_shortest_queue",
+                                              faults="1000:800"),
+                          drop_expired=True)
+
+    live = _result_json(experiment(), "apparate")
+    calls = _patch_tuner(monkeypatch, (controller_module, adjustment_module),
+                         seed_tune_thresholds_greedy)
+    assert _result_json(experiment(), "apparate") == live
+    assert calls
+
+
+def test_static_ee_calibration_matches_with_seed_tuner(monkeypatch):
+    experiment = Experiment(model="resnet50",
+                            workload=WorkloadSpec("video", "urban-day", requests=4000),
+                            overrides={"static_ee": {"variant": "per_ramp"}})
+    live = _result_json(experiment, "static_ee")
+    calls = _patch_tuner(monkeypatch, (static_ee_module,), seed_tune_thresholds_greedy)
+    assert _result_json(experiment, "static_ee") == live
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ window

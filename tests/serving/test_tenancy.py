@@ -1,14 +1,20 @@
 """Tests for the multi-tenant serving package: spec validation boundaries,
 CLI parsing, dispatch-rank stamping (weighted-fair and strict-priority),
-tenant assignment, and the per-tenant rollups the platforms report."""
+tenant assignment, the per-tenant rollups the platforms report, and whole
+classification runs: the exit gate of an ``exits=false`` tenant and the
+``tenant_backlog`` gauge."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from repro.api import Experiment, WorkloadSpec
 from repro.api.specs import ClusterSpec
-from repro.serving.cluster import ClusterPlatform
+from repro.serving import cluster as cluster_module
+from repro.serving.cluster import ClusterPlatform, gate_exits
+from repro.serving.pool import FleetRun
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
@@ -268,3 +274,73 @@ def test_isolation_ratios():
 
 def test_tenant_policies_tuple_is_the_public_contract():
     assert TENANT_POLICIES == ("weighted_fair", "strict_priority")
+
+
+# ------------------------------------------------ whole runs with tenants
+
+def _tenant_fleet(trace):
+    """Apparate on a 2-replica resnet50 fleet shared by an interactive
+    tenant and an exit-gated batch tenant."""
+    return Experiment(model="resnet50",
+                      workload=WorkloadSpec("video", "urban-day", requests=900,
+                                            rate=200.0, seed=3),
+                      cluster=ClusterSpec(replicas=2, balancer="join_shortest_queue",
+                                          tenants="chat:weight=3;"
+                                                  "batch:priority=batch,exits=false"),
+                      trace=trace)
+
+
+def test_exit_gated_tenant_never_exits(monkeypatch):
+    rewritten = []
+
+    def counting_gate(batch, result, gated_ids):
+        gated = gate_exits(batch, result, gated_ids)
+        rewritten.append(sum(a != b for a, b in zip(result.exited, gated.exited)))
+        return gated
+
+    monkeypatch.setattr(cluster_module, "gate_exits", counting_gate)
+    result = _tenant_fleet(trace=True).run(["apparate"]).result("apparate")
+    tenant_of = {span.request_id: span.tenant for span in result.trace.spans()}
+    exits = {"chat": 0, "batch": 0}
+    served = {"chat": 0, "batch": 0}
+    for response in result.raw.metrics.aggregate().responses:
+        tenant = tenant_of[response.request_id]
+        served[tenant] += not response.dropped
+        exits[tenant] += response.exited
+    # The controller's thresholds let batch requests exit, and the gate
+    # turned every one of those exits into a full-model result.
+    assert sum(rewritten) > 0
+    assert served["batch"] > 0 and exits["batch"] == 0
+    assert exits["chat"] > 0
+
+
+def test_tenant_backlog_gauge_counts_each_tenants_queued_requests(monkeypatch):
+    samples = {}
+    sample_tenant_backlog = FleetRun.sample_tenant_backlog
+
+    def recording(self, now_ms, label=None):
+        queued = [request_id for pool in self.pools for request_id in pool.queued_ids()]
+        tenants = [request.tenant for pool in self.pools for entry in pool.serving
+                   for request in entry.queue]
+        assert len(tenants) == len(queued)
+        backlog = {}
+        for tenant in tenants:
+            backlog[tenant] = backlog.get(tenant, 0) + 1
+        samples[now_ms] = backlog
+        sample_tenant_backlog(self, now_ms, label)
+
+    monkeypatch.setattr(FleetRun, "sample_tenant_backlog", recording)
+    traced = _tenant_fleet(trace=True).run(["vanilla"]).result("vanilla")
+    gauges = {}
+    for ts, name, value, _pool, tenant, _replica in traced.trace.gauges:
+        if name == "tenant_backlog":
+            gauges.setdefault(ts, {})[tenant] = value
+    # Every sample reports each tenant with work queued, and only those.
+    assert samples and all(gauges.get(ts, {}) == backlog for ts, backlog in samples.items())
+    assert set(gauges) <= set(samples)
+    assert {tenant for backlog in gauges.values() for tenant in backlog} == {"chat", "batch"}
+
+    untraced = _tenant_fleet(trace=None).run(["vanilla"]).result("vanilla")
+    traced_json, untraced_json = traced.to_json(), untraced.to_json()
+    del traced_json["details"]["obs"], traced_json["params"]["trace"]
+    assert json.dumps(traced_json) == json.dumps(untraced_json)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils.stats import (
-    LatencyAccumulator,
     WindowedAccuracy,
     percentile,
     savings_percent,
@@ -65,21 +64,6 @@ class TestWindowedAccuracy:
         monitor.reset()
         assert monitor.accuracy() == 1.0
         assert len(monitor) == 0
-
-
-class TestLatencyAccumulator:
-    def test_add_and_summary(self):
-        acc = LatencyAccumulator()
-        acc.extend([5.0, 10.0, 15.0])
-        acc.add(20.0)
-        assert len(acc) == 4
-        assert acc.mean() == pytest.approx(12.5)
-        assert acc.median() == pytest.approx(12.5)
-
-    def test_empty_accumulator(self):
-        acc = LatencyAccumulator()
-        assert acc.mean() == 0.0
-        assert acc.p95() == 0.0
 
 
 def test_savings_percent():
